@@ -209,8 +209,8 @@ void VerdictSweep(BenchJsonWriter& json, bool smoke) {
     EdgeFilterBank bank("p", nullptr, 1, params);
     bank.AddEdge("edge0");
 
-    // One shared group every list references (exercises the hash-set
-    // membership path alongside the prefix trie).
+    // One shared group every list references (exercises the member-snapshot
+    // probe alongside the prefix trie).
     EndpointGroupId group(1);
     std::vector<IpAddress> members;
     for (uint32_t m = 0; m < 64; ++m) {

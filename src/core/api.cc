@@ -1,8 +1,41 @@
 #include "src/core/api.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace tenantnet {
+
+namespace {
+
+// The next version of a sorted member set, built with one copy: with `eip`
+// inserted, or null if it already is a member ...
+MemberSnapshot WithMember(const MemberSnapshot& members, IpAddress eip) {
+  auto pos = std::lower_bound(members->begin(), members->end(), eip);
+  if (pos != members->end() && *pos == eip) {
+    return nullptr;
+  }
+  std::vector<IpAddress> next;
+  next.reserve(members->size() + 1);
+  next.insert(next.end(), members->begin(), pos);
+  next.push_back(eip);
+  next.insert(next.end(), pos, members->end());
+  return std::make_shared<const std::vector<IpAddress>>(std::move(next));
+}
+
+// ... or with `eip` erased, or null if it is not a member.
+MemberSnapshot WithoutMember(const MemberSnapshot& members, IpAddress eip) {
+  auto pos = std::lower_bound(members->begin(), members->end(), eip);
+  if (pos == members->end() || *pos != eip) {
+    return nullptr;
+  }
+  std::vector<IpAddress> next;
+  next.reserve(members->size() - 1);
+  next.insert(next.end(), members->begin(), pos);
+  next.insert(next.end(), pos + 1, members->end());
+  return std::make_shared<const std::vector<IpAddress>>(std::move(next));
+}
+
+}  // namespace
 
 DeclarativeCloud::DeclarativeCloud(CloudWorld& world, ConfigLedger& ledger,
                                    EventQueue* queue,
@@ -39,9 +72,7 @@ DeclarativeCloud::ProviderState& DeclarativeCloud::Provider(ProviderId id) {
   }
   // Late-created domains replay existing group state.
   for (const auto& [group, record] : groups_) {
-    state.filters->SetGroup(group, std::vector<IpAddress>(
-                                       record.members.begin(),
-                                       record.members.end()));
+    state.filters->SetGroupSnapshot(group, record.members);
   }
   return providers_.emplace(id, std::move(state)).first->second;
 }
@@ -63,9 +94,7 @@ DeclarativeCloud::OnPremState& DeclarativeCloud::OnPrem(OnPremId id) {
       params_.filter);
   state.filters->AddEdge(site.name + ":router");
   for (const auto& [group, record] : groups_) {
-    state.filters->SetGroup(group, std::vector<IpAddress>(
-                                       record.members.begin(),
-                                       record.members.end()));
+    state.filters->SetGroupSnapshot(group, record.members);
   }
   return on_prems_.emplace(id, std::move(state)).first->second;
 }
@@ -136,8 +165,8 @@ Status DeclarativeCloud::ReleaseEip(IpAddress eip) {
   // Drop the address from any groups it belonged to (provider-side
   // hygiene: a recycled address must not inherit old permissions).
   for (auto& [group, record] : groups_) {
-    if (record.members.erase(eip) > 0) {
-      PropagateGroup(group);
+    if (MemberSnapshot next = WithoutMember(record.members, eip)) {
+      PropagateGroup(group, record, std::move(next));
     }
   }
   eip_by_instance_.erase(record.instance);
@@ -250,24 +279,22 @@ Result<SimTime> DeclarativeCloud::UpdatePermitList(
 // Endpoint groups.
 // --------------------------------------------------------------------------
 
-void DeclarativeCloud::PropagateGroup(EndpointGroupId group) {
-  auto it = groups_.find(group);
-  std::vector<IpAddress> members;
-  if (it != groups_.end()) {
-    members.assign(it->second.members.begin(), it->second.members.end());
-  }
+void DeclarativeCloud::PropagateGroup(EndpointGroupId group,
+                                      GroupRecord& record,
+                                      MemberSnapshot next) {
+  record.members = std::move(next);
   for (auto& [id, provider] : providers_) {
-    provider.filters->SetGroup(group, members);
+    provider.filters->SetGroupSnapshot(group, record.members);
   }
   for (auto& [id, site] : on_prems_) {
-    site.filters->SetGroup(group, members);
+    site.filters->SetGroupSnapshot(group, record.members);
   }
 }
 
 Result<EndpointGroupId> DeclarativeCloud::CreateEndpointGroup(
     TenantId tenant, const std::string& name) {
   EndpointGroupId id = group_ids_.Next();
-  groups_.emplace(id, GroupRecord{tenant, name, {}});
+  groups_.emplace(id, GroupRecord{tenant, name, MakeMemberSnapshot({})});
   ledger_->ApiCall("create_group", name);
   return id;
 }
@@ -301,8 +328,11 @@ Status DeclarativeCloud::AddToEndpointGroup(EndpointGroupId group,
   if (eit->second.tenant != it->second.tenant) {
     return PermissionDeniedError("EIP belongs to a different tenant");
   }
-  it->second.members.insert(eip);
-  PropagateGroup(group);
+  // An address already in the group changes nothing, so nothing fans out
+  // and no edge discards its cached verdicts.
+  if (MemberSnapshot next = WithMember(it->second.members, eip)) {
+    PropagateGroup(group, it->second, std::move(next));
+  }
   ledger_->ApiCall("group_add", eip.ToString());
   return Status::Ok();
 }
@@ -313,10 +343,11 @@ Status DeclarativeCloud::RemoveFromEndpointGroup(EndpointGroupId group,
   if (it == groups_.end()) {
     return NotFoundError("no such group");
   }
-  if (it->second.members.erase(eip) == 0) {
+  MemberSnapshot next = WithoutMember(it->second.members, eip);
+  if (next == nullptr) {
     return NotFoundError("EIP not in group");
   }
-  PropagateGroup(group);
+  PropagateGroup(group, it->second, std::move(next));
   ledger_->ApiCall("group_remove", eip.ToString());
   return Status::Ok();
 }
@@ -327,8 +358,7 @@ Result<std::vector<IpAddress>> DeclarativeCloud::GroupMembers(
   if (it == groups_.end()) {
     return NotFoundError("no such group");
   }
-  return std::vector<IpAddress>(it->second.members.begin(),
-                                it->second.members.end());
+  return *it->second.members;
 }
 
 Status DeclarativeCloud::SetQos(TenantId tenant, RegionId region,

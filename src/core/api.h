@@ -27,7 +27,6 @@
 
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -117,6 +116,7 @@ class DeclarativeCloud {
   Result<EndpointGroupId> CreateEndpointGroup(TenantId tenant,
                                               const std::string& name);
   Status DeleteEndpointGroup(EndpointGroupId group);
+  // Adding a current member succeeds and sends nothing to any edge.
   Status AddToEndpointGroup(EndpointGroupId group, IpAddress eip);
   Status RemoveFromEndpointGroup(EndpointGroupId group, IpAddress eip);
   // The group's current members (for tests/inspection).
@@ -229,11 +229,13 @@ class DeclarativeCloud {
   struct GroupRecord {
     TenantId tenant;
     std::string name;
-    std::set<IpAddress> members;
+    MemberSnapshot members;  // the current version; never null
   };
 
-  // Pushes a group's membership to every existing enforcement domain.
-  void PropagateGroup(EndpointGroupId group);
+  // Replaces a group's membership with `next` and hands that one snapshot
+  // to every existing enforcement domain.
+  void PropagateGroup(EndpointGroupId group, GroupRecord& record,
+                      MemberSnapshot next);
 
   std::unordered_map<IpAddress, EipRecord> eips_;
   std::unordered_map<InstanceId, IpAddress> eip_by_instance_;

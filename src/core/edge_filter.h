@@ -21,17 +21,19 @@
 // matcher; AdmitsLinear() is the original O(entries) reference kept for
 // equivalence tests and as the bench baseline.
 //
-// Memory model (PR 8, the million-endpoint diet): endpoints map to dense
-// slots via an open-addressed AddrIndex, and everything per-endpoint is a
-// struct-of-arrays column indexed by slot — the bank-wide verdict epoch and
-// master version/set columns, and per edge a version column plus a 4-byte
-// interned set id. Permit-entry lists themselves are refcounted and
-// deduplicated in an InternPool: the master copy, every edge replica and
-// every in-flight install of the same byte-identical list share one
-// std::vector<PermitEntry> and one compiled matcher. Per endpoint per edge
-// the steady-state cost is 12 bytes, vs a ~56-byte unordered_map node plus
-// a private entries vector before the diet. ApproxBytes() feeds E10's
-// bytes/endpoint records and the telemetry gauges.
+// Memory model: endpoints map to dense slots via an open-addressed
+// AddrIndex, and everything per-endpoint is a struct-of-arrays column
+// indexed by slot — the bank-wide verdict epoch and master version/set
+// columns, and per edge a version column plus a 4-byte interned set id.
+// Permit-entry lists themselves are refcounted and deduplicated in an
+// InternPool: the master copy, every edge replica and every in-flight
+// install of the same byte-identical list share one std::vector<PermitEntry>
+// and one compiled matcher. Per endpoint per edge the steady-state cost is
+// 12 bytes. Group memberships are shared the same way without interning:
+// each version is one immutable sorted MemberSnapshot, built once by the
+// caller and held by pointer by the master, every in-flight install and
+// every edge replica, and probed with a binary search. ApproxBytes() feeds
+// E10's bytes/endpoint records and the telemetry gauges.
 
 #ifndef TENANTNET_SRC_CORE_EDGE_FILTER_H_
 #define TENANTNET_SRC_CORE_EDGE_FILTER_H_
@@ -40,7 +42,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -63,6 +64,21 @@ class MetricRegistry;
 // group's membership is replicated to the edges once and every referencing
 // permit list follows automatically.
 using EndpointGroupId = TypedId<struct EndpointGroupIdTag>;
+
+// One version of a group's membership: sorted by address, duplicate-free and
+// immutable. A membership change builds the next version with one copy; the
+// control plane's record, the bank's master, every in-flight install and
+// every edge replica then share it by pointer.
+using MemberSnapshot = std::shared_ptr<const std::vector<IpAddress>>;
+
+// Sorts and deduplicates `members` into a snapshot.
+MemberSnapshot MakeMemberSnapshot(std::vector<IpAddress> members);
+
+// True if both snapshots hold the same members. A shared pointer settles it
+// without reading either vector.
+inline bool SameMembers(const MemberSnapshot& a, const MemberSnapshot& b) {
+  return a == b || (a != nullptr && b != nullptr && *a == *b);
+}
 
 // One permitted source pattern for an endpoint: either a source prefix or
 // an endpoint group (when `source_group` is valid, `source` is ignored).
@@ -94,8 +110,8 @@ struct PermitEntry {
 // trie whose node values hold the port/protocol scopes attached to that
 // source prefix; group entries are deduplicated into one scope set per
 // referenced group. Evaluation is a trie walk over the covering prefixes of
-// flow.src plus one hash probe per distinct referenced group, instead of a
-// linear scan of every entry.
+// flow.src plus one binary search of the edge's member snapshot per distinct
+// referenced group, instead of a linear scan of every entry.
 class CompiledPermitList {
  public:
   // One (protocol, port-range) guard; `admit_all` short-circuits scope sets
@@ -151,7 +167,7 @@ class CompiledPermitList {
 // (data-plane) state is deliberately absent — it survives a control-plane
 // restart and is reconciled against this, not restored from it. All vectors
 // are sorted, so equality is the fixed-point property the snapshot tests
-// assert.
+// assert. Group members are the bank's own snapshots, shared, not copied.
 struct FilterBankSnapshot {
   struct List {
     IpAddress endpoint;
@@ -162,8 +178,11 @@ struct FilterBankSnapshot {
   struct Group {
     EndpointGroupId group;
     uint64_t version = 0;
-    std::vector<IpAddress> members;  // sorted
-    friend bool operator==(const Group& a, const Group& b) = default;
+    MemberSnapshot members;
+    friend bool operator==(const Group& a, const Group& b) {
+      return a.group == b.group && a.version == b.version &&
+             SameMembers(a.members, b.members);
+    }
   };
   std::vector<List> lists;    // sorted by endpoint
   std::vector<Group> groups;  // sorted by group id
@@ -226,7 +245,12 @@ class EdgeFilterBank {
   // Replaces a group's member set on every edge (same fan-out/latency
   // semantics as permit lists). Permit entries referencing the group pick
   // the change up with no per-list updates. Returns last-edge apply time.
+  // Every message carries the whole set, so an edge that applies a newer
+  // version before an older one holds the newer set, never a mix.
   SimTime SetGroup(EndpointGroupId group, std::vector<IpAddress> members);
+  // Same, for a set that is already a snapshot: the master, the in-flight
+  // installs and the edges share it without copying. Null means empty.
+  SimTime SetGroupSnapshot(EndpointGroupId group, MemberSnapshot members);
   void RemoveGroup(EndpointGroupId group);
 
   // Data plane: does edge `edge_index` admit this flow toward flow.dst?
@@ -308,7 +332,9 @@ class EdgeFilterBank {
   // --- Memory accounting (E10) ---------------------------------------------
   // Resident footprint of the bank's endpoint-indexed state: slot index,
   // SoA columns (bank-wide and per edge), interned permit sets including
-  // their compiled matchers, and group replicas. Capacity-based.
+  // their compiled matchers, and the member snapshots the master and the
+  // edges hold, each distinct snapshot once however many share it.
+  // Capacity-based.
   size_t ApproxBytes() const;
   // Distinct interned permit lists alive (master + edges + in flight).
   size_t distinct_permit_sets() const { return sets_.size(); }
@@ -376,9 +402,11 @@ class EdgeFilterBank {
     }
   };
 
-  struct GroupState {
+  // A group's membership at one version: the master's, or an edge's
+  // replica. `members` is never null.
+  struct GroupVersion {
     uint64_t version = 0;
-    std::unordered_set<IpAddress> members;
+    MemberSnapshot members;
   };
   struct EdgeState {
     std::string name;
@@ -386,7 +414,7 @@ class EdgeFilterBank {
     // list version (0 = none) and interned set id (kNilId = none).
     std::vector<uint64_t> list_version;
     std::vector<uint32_t> list_set;
-    std::unordered_map<EndpointGroupId, GroupState> groups;
+    std::unordered_map<EndpointGroupId, GroupVersion> groups;
     uint64_t entry_count = 0;
   };
 
@@ -410,11 +438,6 @@ class EdgeFilterBank {
     }
   };
 
-  struct MasterGroup {
-    uint64_t version = 0;
-    std::unordered_set<IpAddress> members;
-  };
-
   // A mutation accepted while the control plane was down, replayed at
   // CompleteRestart().
   struct PendingOp {
@@ -430,7 +453,7 @@ class EdgeFilterBank {
     std::vector<PermitEntry> entries; // kSetList; kUpdateList: adds
     std::vector<PermitEntry> removes; // kUpdateList only
     EndpointGroupId group;            // group ops
-    std::vector<IpAddress> members;   // kSetGroup
+    MemberSnapshot members;           // kSetGroup
   };
 
   // One message's delivery delay, including any degraded-mode drop/retry
@@ -444,8 +467,7 @@ class EdgeFilterBank {
   // last apply time.
   SimTime PushListTo(IpAddress endpoint, uint32_t set_id,
                      const std::vector<size_t>& targets);
-  SimTime PushGroupTo(EndpointGroupId group,
-                      const std::unordered_set<IpAddress>& members,
+  SimTime PushGroupTo(EndpointGroupId group, const MemberSnapshot& members,
                       const std::vector<size_t>& targets);
   std::vector<size_t> AllEdgeIndices() const;
   // Folds a buffered op into the master copy only (cold completion rebuilds
@@ -502,7 +524,7 @@ class EdgeFilterBank {
   // Interned permit lists shared by master, edges and in-flight applies.
   InternPool<PermitSet, PermitSetHash> sets_;
 
-  std::unordered_map<EndpointGroupId, MasterGroup> latest_groups_;
+  std::unordered_map<EndpointGroupId, GroupVersion> latest_groups_;
   uint64_t next_version_ = 1;
   uint64_t messages_ = 0;
 

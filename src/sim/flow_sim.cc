@@ -465,7 +465,10 @@ void FlowSim::SettleFlow(LiveFlow& flow) {
 }
 
 void FlowSim::EndBatch() {
-  assert(batch_depth_ > 0);
+  if (batch_depth_ == 0) {
+    ++unmatched_end_batches_;  // nothing open: refuse rather than underflow
+    return;
+  }
   if (--batch_depth_ > 0) {
     return;
   }

@@ -191,7 +191,9 @@ class FlowSim final : public FlowControlSurface {
   // one reallocates. Do not run the event queue while a batch is open.
   // (BatchScope / Batch() are inherited from FlowControlSurface.)
   void BeginBatch() override { ++batch_depth_; }
+  // An EndBatch with no open batch is a counted no-op.
   void EndBatch() override;
+  uint64_t unmatched_end_batches() const { return unmatched_end_batches_; }
   // True if the open batch has accumulated work that the outermost
   // EndBatch will reallocate. Lets the shard executor skip its worker-pool
   // dispatch on epochs where no shard touched anything.
@@ -416,6 +418,7 @@ class FlowSim final : public FlowControlSurface {
 
   // Batch state.
   uint32_t batch_depth_ = 0;
+  uint64_t unmatched_end_batches_ = 0;
   std::vector<FlowId> pending_flows_;
   std::vector<size_t> pending_links_;         // capacity/structure dirty
   std::vector<size_t> pending_shrunk_links_;  // demand-only shrink

@@ -509,7 +509,10 @@ void ShardExecutor::BeginBatch() {
 }
 
 void ShardExecutor::EndBatch() {
-  assert(batch_depth_ > 0);
+  if (batch_depth_ == 0) {
+    ++unmatched_end_batches_;  // nothing open: refuse rather than underflow
+    return;
+  }
   if (--batch_depth_ != 0) {
     return;
   }

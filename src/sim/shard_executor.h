@@ -172,9 +172,11 @@ class ShardExecutor final : public FlowControlSurface {
 
   // Executor-wide batch: forwards to every shard sim, so one scope covers
   // flow starts landing anywhere. The outermost EndBatch runs the per-shard
-  // reallocations on the worker pool.
+  // reallocations on the worker pool. An EndBatch with no open batch is a
+  // counted no-op.
   void BeginBatch() override;
   void EndBatch() override;
+  uint64_t unmatched_end_batches() const { return unmatched_end_batches_; }
 
   // --- Telemetry -------------------------------------------------------------
   uint64_t epochs_run() const { return epochs_; }
@@ -279,6 +281,7 @@ class ShardExecutor final : public FlowControlSurface {
   std::vector<double> split_share_;
 
   uint32_t batch_depth_ = 0;
+  uint64_t unmatched_end_batches_ = 0;
   bool in_parallel_ = false;  // written on main; read by workers mid-epoch
   uint64_t epochs_ = 0;
   uint64_t callbacks_deferred_ = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/common/rng.h"
 #include "src/core/edge_filter.h"
 
 namespace tenantnet {
@@ -202,6 +205,95 @@ TEST(EdgeFilterTest, GroupUpdateInvalidatesCachedVerdict) {
   EXPECT_FALSE(bank.Admits(0, flow));
   bank.RemoveGroup(group);
   EXPECT_FALSE(bank.Admits(0, Flow("10.2.2.2", "5.0.0.1", 443)));
+}
+
+// The verdict path's member probe (for all-v4 sets, a binary search of the
+// window the first and last member bound) agrees with AdmitsLinear's search
+// of the whole set on runs of consecutive addresses with one hole, sparse
+// sets and mixed-family sets.
+TEST(EdgeFilterTest, GroupProbeAgreesWithReferenceSearch) {
+  Rng rng(29);
+  for (int shape = 0; shape < 3; ++shape) {  // run with a hole, sparse, mixed
+    for (uint32_t size : {0, 1, 2, 3, 5, 8, 64, 300}) {
+      SCOPED_TRACE("shape=" + std::to_string(shape) +
+                   " size=" + std::to_string(size));
+      auto random_addr = [&] {
+        return shape == 2 && rng.NextBool(0.3)
+                   ? IpAddress::V6(rng.NextU64(4), rng.NextU64(1024))
+                   : IpAddress::V4(static_cast<uint32_t>(rng.NextU64(1024)));
+      };
+      std::vector<IpAddress> members;
+      std::vector<IpAddress> probes;
+      for (uint32_t i = 0; i < size; ++i) {
+        if (shape != 0) {
+          members.push_back(random_addr());
+        } else if (i != size / 2 || size < 3) {
+          members.push_back(IpAddress::V4(100 + i));
+        }
+      }
+      for (uint32_t a = 98; a < 100 + size + 2; ++a) {
+        probes.push_back(IpAddress::V4(a));
+      }
+      for (int i = 0; i < 200; ++i) {
+        probes.push_back(random_addr());
+      }
+      EdgeFilterBank bank("p", nullptr, 1);
+      bank.AddEdge("e0");
+      EndpointGroupId group(1);
+      PermitEntry entry;
+      entry.source_group = group;
+      const IpAddress dst = *IpAddress::Parse("5.0.0.1");
+      bank.SetPermitList(dst, {entry});
+      bank.SetGroup(group, members);
+      auto flow_from = [&](IpAddress src) {
+        FiveTuple t;
+        t.src = src;
+        t.dst = dst;
+        t.dst_port = 443;
+        t.proto = Protocol::kTcp;
+        return t;
+      };
+      // The bank holds the set sorted and without duplicates.
+      std::vector<IpAddress> canonical = members;
+      std::sort(canonical.begin(), canonical.end());
+      canonical.erase(std::unique(canonical.begin(), canonical.end()),
+                      canonical.end());
+      EXPECT_EQ(*bank.Checkpoint().groups.at(0).members, canonical);
+      for (const IpAddress& member : members) {
+        EXPECT_TRUE(bank.AdmitsUncached(0, flow_from(member))) << member;
+        EXPECT_TRUE(bank.AdmitsLinear(0, flow_from(member))) << member;
+      }
+      for (const IpAddress& probe : probes) {
+        EXPECT_EQ(bank.AdmitsUncached(0, flow_from(probe)),
+                  bank.AdmitsLinear(0, flow_from(probe)))
+            << probe;
+      }
+    }
+  }
+}
+
+// The master and every edge replica of one group version share a single
+// member vector, so the bank's footprint counts it once, not once per edge.
+TEST(EdgeFilterTest, SharedGroupSnapshotIsCountedOnce) {
+  std::vector<IpAddress> members;
+  for (uint32_t i = 0; i < 100; ++i) {
+    members.push_back(IpAddress::V4(0x0a000000u + i));
+  }
+  const MemberSnapshot snapshot = MakeMemberSnapshot(members);
+  const size_t snapshot_bytes = snapshot->capacity() * sizeof(IpAddress);
+  for (int edges : {1, 6}) {
+    SCOPED_TRACE("edges=" + std::to_string(edges));
+    EdgeFilterBank bank("p", nullptr, 1);
+    for (int e = 0; e < edges; ++e) {
+      bank.AddEdge("e" + std::to_string(e));
+    }
+    const size_t before = bank.ApproxBytes();
+    bank.SetGroupSnapshot(EndpointGroupId(1), snapshot);
+    EXPECT_EQ(bank.ApproxBytes() - before, snapshot_bytes);
+    // A second group holding the same snapshot adds nothing either.
+    bank.SetGroupSnapshot(EndpointGroupId(2), snapshot);
+    EXPECT_EQ(bank.ApproxBytes() - before, snapshot_bytes);
+  }
 }
 
 TEST(EdgeFilterTest, UnrelatedListUpdateKeepsOtherVerdictsCached) {

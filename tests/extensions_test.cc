@@ -3,10 +3,23 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "src/cloud/presets.h"
+#include "src/common/rng.h"
 #include "src/core/api.h"
 
 namespace tenantnet {
+
+// Names the restart mode in parameterized test names (found by ADL, so it
+// lives in the mode's namespace).
+void PrintTo(RestartMode mode, std::ostream* os) {
+  *os << (mode == RestartMode::kWarm ? "warm" : "cold");
+}
+
 namespace {
 
 FiveTuple Flow(IpAddress src, IpAddress dst, uint16_t dport,
@@ -129,6 +142,29 @@ TEST_F(ExtensionsTest, ReleasedEipLeavesItsGroups) {
   EXPECT_TRUE(cloud_.GroupMembers(group)->empty());
 }
 
+TEST_F(ExtensionsTest, DuplicateGroupAddFansNothingOut) {
+  auto group = *cloud_.CreateEndpointGroup(tw_.tenant, "g");
+  IpAddress eip = *cloud_.RequestEip(Launch(tw_.east));
+  ASSERT_TRUE(cloud_.AddToEndpointGroup(group, eip).ok());
+  std::vector<EdgeFilterBank*> banks = {&cloud_.provider_filters(tw_.provider),
+                                        &cloud_.on_prem_filters(tw_.on_prem)};
+  std::vector<uint64_t> messages;
+  std::vector<uint64_t> epochs;
+  for (const EdgeFilterBank* bank : banks) {
+    messages.push_back(bank->update_messages_sent());
+    epochs.push_back(bank->verdict_epoch());
+  }
+  const uint64_t api_calls = ledger_.api_calls();
+
+  ASSERT_TRUE(cloud_.AddToEndpointGroup(group, eip).ok());
+  for (size_t i = 0; i < banks.size(); ++i) {
+    EXPECT_EQ(banks[i]->update_messages_sent(), messages[i]);
+    EXPECT_EQ(banks[i]->verdict_epoch(), epochs[i]);
+  }
+  EXPECT_EQ(ledger_.api_calls(), api_calls + 1);  // still a tenant call
+  EXPECT_EQ(cloud_.GroupMembers(group)->size(), 1u);
+}
+
 TEST_F(ExtensionsTest, PermitListRejectsUnknownGroup) {
   InstanceId vm = Launch(tw_.east);
   IpAddress eip = *cloud_.RequestEip(vm);
@@ -227,6 +263,121 @@ TEST_F(ExtensionsTest, ExtensionCallsAreLedgered) {
   EXPECT_EQ(ledger_.api_calls(), 5u);
   EXPECT_EQ(ledger_.components(), 0u);  // still no boxes
 }
+
+// --- Group replication semantics ---------------------------------------------
+
+// Every group install carries the whole member set. When a later add's
+// message overtakes an earlier one at an edge, the edge holds both members
+// from that moment, and the earlier message, arriving stale, changes
+// nothing. Per-member delta messages would admit the first member only once
+// its own message landed.
+TEST(GroupReplicationTest, OvertakingInstallCarriesTheEarlierMember) {
+  TestWorld tw = BuildTestWorld();
+  ConfigLedger ledger;
+  EventQueue queue;
+  DeclarativeParams params;
+  params.filter.degraded_drop_prob = 1.0;
+  DeclarativeCloud cloud(*tw.world, ledger, &queue, params);
+  auto launch = [&](RegionId region, int zone) {
+    return *tw.world->LaunchInstance(tw.tenant, tw.provider, region, zone);
+  };
+  InstanceId server = launch(tw.east, 0);
+  InstanceId first = launch(tw.west, 0);
+  InstanceId second = launch(tw.west, 1);
+  IpAddress server_eip = *cloud.RequestEip(server);
+  IpAddress first_eip = *cloud.RequestEip(first);
+  IpAddress second_eip = *cloud.RequestEip(second);
+  EndpointGroupId group = *cloud.CreateEndpointGroup(tw.tenant, "clients");
+  PermitEntry by_group;
+  by_group.source_group = group;
+  ASSERT_TRUE(cloud.SetPermitList(server_eip, {by_group}).ok());
+  queue.RunAll();
+  EdgeFilterBank& bank = cloud.provider_filters(tw.provider);
+  auto delivered = [&](InstanceId src) {
+    return cloud.Evaluate(src, server_eip, 443, Protocol::kTcp)->delivered;
+  };
+
+  // Op 1 goes out while every replication message is lost: each edge gets
+  // it only at the end of the retransmit chain, seconds later.
+  const SimTime start = queue.now();
+  bank.SetReplicationDegraded(true);
+  ASSERT_TRUE(cloud.AddToEndpointGroup(group, first_eip).ok());
+  bank.SetReplicationDegraded(false);
+  ASSERT_TRUE(cloud.AddToEndpointGroup(group, second_eip).ok());
+
+  // Step until op 2 applies at the server's edge: op 1's member is in.
+  while (!delivered(second)) {
+    ASSERT_TRUE(queue.Step());
+  }
+  EXPECT_LT(queue.now(), start + SimDuration::Seconds(1));
+  EXPECT_TRUE(delivered(first));
+
+  // Op 1 lands late, after op 2 reached every edge, and is discarded as
+  // stale: no verdict epoch moves.
+  queue.RunUntil(start + SimDuration::Seconds(1));
+  ASSERT_FALSE(queue.empty());  // op 1 is still in flight
+  const uint64_t epoch = bank.verdict_epoch();
+  queue.RunAll();
+  EXPECT_GT(queue.now(), start + SimDuration::Seconds(3));
+  EXPECT_EQ(bank.verdict_epoch(), epoch);
+  EXPECT_TRUE(delivered(first));
+  EXPECT_TRUE(delivered(second));
+}
+
+// Single adds and removes through DeclarativeCloud, some buffered during a
+// control-plane outage, drain to the same bank state as one bulk SetGroup
+// of the final member set, under both restart completion modes.
+class GroupDifferentialTest : public ::testing::TestWithParam<RestartMode> {};
+
+TEST_P(GroupDifferentialTest, SingleOpsDrainToTheBulkSetState) {
+  TestWorld tw = BuildTestWorld();
+  ConfigLedger ledger;
+  EventQueue queue;
+  DeclarativeCloud cloud(*tw.world, ledger, &queue);
+  std::vector<IpAddress> eips;
+  for (int i = 0; i < 12; ++i) {
+    InstanceId vm = *tw.world->LaunchInstance(
+        tw.tenant, tw.provider, i % 2 == 0 ? tw.east : tw.west, (i / 2) % 2);
+    eips.push_back(*cloud.RequestEip(vm));
+  }
+  EndpointGroupId group = *cloud.CreateEndpointGroup(tw.tenant, "g");
+  std::set<IpAddress> model;
+  Rng rng(17);
+  auto single_ops = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      const IpAddress eip = eips[rng.NextU64(eips.size())];
+      if (rng.NextBool(0.6)) {
+        ASSERT_TRUE(cloud.AddToEndpointGroup(group, eip).ok());
+        model.insert(eip);
+      } else {
+        const bool was_member = model.erase(eip) == 1;
+        EXPECT_EQ(cloud.RemoveFromEndpointGroup(group, eip).ok(), was_member);
+      }
+      // Installs take 5 ms or more, so some are always in flight.
+      queue.RunUntil(queue.now() + SimDuration::Millis(3));
+    }
+  };
+  single_ops(40);
+  EdgeFilterBank& bank = cloud.provider_filters(tw.provider);
+  const FilterBankSnapshot snap = bank.Checkpoint();
+  bank.BeginRestart();
+  single_ops(20);
+  (void)bank.CompleteRestart(GetParam(), snap);
+  queue.RunAll();
+
+  const std::vector<IpAddress> final_set(model.begin(), model.end());
+  EXPECT_EQ(*cloud.GroupMembers(group), final_set);
+  EdgeFilterBank bulk("bulk", nullptr, 1);
+  for (size_t e = 0; e < bank.edge_count(); ++e) {
+    bulk.AddEdge("e" + std::to_string(e));
+  }
+  bulk.SetGroup(group, final_set);
+  EXPECT_EQ(bank.StateFingerprint(), bulk.StateFingerprint());
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, GroupDifferentialTest,
+                         ::testing::Values(RestartMode::kWarm,
+                                           RestartMode::kCold));
 
 }  // namespace
 }  // namespace tenantnet

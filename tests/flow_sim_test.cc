@@ -412,6 +412,27 @@ TEST(FlowSimTest, EmptyBatchDoesNotReallocate) {
   EXPECT_EQ(sim.reallocation_count(), before);
 }
 
+// An EndBatch with no open batch must not underflow the depth counter: if
+// it did, every later mutation would wait for an EndBatch that never comes.
+// Checked without assert, so it holds in Release builds too.
+TEST(FlowSimTest, UnmatchedEndBatchIsACountedNoOp) {
+  Line w;
+  FlowSim sim(w.queue, w.topo);
+  sim.EndBatch();
+  sim.EndBatch();
+  EXPECT_EQ(sim.unmatched_end_batches(), 2u);
+  // Mutations still apply at once ...
+  FlowId f = sim.StartPersistentFlow({w.ab, w.bc});
+  EXPECT_DOUBLE_EQ(*sim.CurrentRate(f), 0.5e9);
+  // ... and a matched batch still defers to its own EndBatch.
+  sim.BeginBatch();
+  FlowId g = sim.StartPersistentFlow({w.ab, w.bc});
+  EXPECT_DOUBLE_EQ(*sim.CurrentRate(g), 0.0);
+  sim.EndBatch();
+  EXPECT_NEAR(*sim.CurrentRate(g), 0.25e9, 1);
+  EXPECT_EQ(sim.unmatched_end_batches(), 2u);
+}
+
 TEST(FlowSimTest, ScopedReallocationLeavesDisjointComponentsAlone) {
   // Two independent bottlenecks; churn on one must not grow the touched
   // set beyond that component.

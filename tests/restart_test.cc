@@ -247,6 +247,37 @@ TEST(FilterRestartTest, WarmReconcileRemovesOrphanedEdgeState) {
   EXPECT_TRUE(bank.Admits(0, Flow("10.1.1.1", "5.0.0.1", 443)));
 }
 
+// The warm sweep re-pushes a group only where an edge's members differ from
+// the restored intent. Edges holding the checkpointed snapshot, or an equal
+// set sent again after the checkpoint, are left alone; edges holding a set
+// changed after the checkpoint get the checkpointed set back.
+TEST(FilterRestartTest, WarmReconcileRepushesOnlyGroupsThatDiffer) {
+  EdgeFilterBank bank("p", nullptr, 3);
+  bank.AddEdge("e0");
+  bank.AddEdge("e1");
+  EndpointGroupId same(1);
+  EndpointGroupId resent(2);
+  EndpointGroupId changed(3);
+  bank.SetGroup(same, {A("10.1.0.1")});
+  bank.SetGroup(resent, {A("10.2.0.1")});
+  bank.SetGroup(changed, {A("10.3.0.1")});
+  bank.SetPermitList(A("5.0.0.1"), {PermitGroup(same), PermitGroup(resent),
+                                    PermitGroup(changed)});
+  FilterBankSnapshot snap = bank.Checkpoint();
+  bank.SetGroup(resent, {A("10.2.0.1")});
+  bank.SetGroup(changed, {A("10.3.0.1"), A("10.3.0.2")});
+  ASSERT_TRUE(bank.Admits(0, Flow("10.3.0.2", "5.0.0.1", 443)));
+
+  bank.BeginRestart();
+  ReconcileStats stats = bank.CompleteRestart(RestartMode::kWarm, snap);
+  EXPECT_EQ(stats.deltas_applied, 2u);  // `changed`, on both edges
+  for (size_t edge : {0u, 1u}) {
+    EXPECT_FALSE(bank.Admits(edge, Flow("10.3.0.2", "5.0.0.1", 443)));
+    EXPECT_TRUE(bank.Admits(edge, Flow("10.3.0.1", "5.0.0.1", 443)));
+    EXPECT_TRUE(bank.Admits(edge, Flow("10.2.0.1", "5.0.0.1", 443)));
+  }
+}
+
 // Warm and cold completions of the same outage land on the same semantic
 // state (version numbers differ; StateFingerprint is version-free).
 // Randomized: identical twin banks, identical op stream, different modes.

@@ -389,6 +389,31 @@ TEST(ShardExecutorTest, SingleFlowBehavesLikeFlowSim) {
   EXPECT_EQ(exec.active_flow_count(), 0u);
 }
 
+// An EndBatch with no open batch is refused, not underflowed: flows started
+// afterwards get their rate at once. Checked without assert, so it holds in
+// Release builds too.
+TEST(ShardExecutorTest, UnmatchedEndBatchIsACountedNoOp) {
+  EventQueue control;
+  std::vector<std::vector<LinkId>> islands;
+  Topology topo = BuildIslands(&islands);
+  ShardExecutor::Options opts;
+  opts.num_threads = 2;
+  ShardExecutor exec(control, topo, opts);
+
+  exec.EndBatch();
+  EXPECT_EQ(exec.unmatched_end_batches(), 1u);
+  FlowId id = exec.StartFlow({islands[0][0]}, 1e9, nullptr);
+  EXPECT_DOUBLE_EQ(*exec.CurrentRate(id), 10e9);
+  exec.BeginBatch();
+  FlowId batched = exec.StartFlow({islands[1][0]}, 1e9, nullptr);
+  EXPECT_DOUBLE_EQ(*exec.CurrentRate(batched), 0.0);
+  exec.EndBatch();
+  EXPECT_DOUBLE_EQ(*exec.CurrentRate(batched), 10e9);
+  EXPECT_EQ(exec.unmatched_end_batches(), 1u);
+  exec.RunAll();
+  EXPECT_EQ(exec.active_flow_count(), 0u);
+}
+
 TEST(ShardExecutorTest, FaultsLandOnTheOwningShard) {
   EventQueue control;
   std::vector<std::vector<LinkId>> islands;
