@@ -166,7 +166,8 @@ void RunAll() {
 }  // namespace
 }  // namespace tenantnet
 
-int main() {
+int main(int argc, char** argv) {
+  tenantnet::ParseBenchArgs(argc, argv);
   tenantnet::RunAll();
   return 0;
 }

@@ -393,7 +393,8 @@ void RunE12(BenchJsonWriter& json) {
 }  // namespace tenantnet
 
 int main(int argc, char** argv) {
-  tenantnet::BenchJsonWriter json("config_fragility", argc, argv);
+  tenantnet::BenchJsonWriter json("config_fragility",
+                                  tenantnet::ParseBenchArgs(argc, argv));
   tenantnet::Run();
   tenantnet::RunE12(json);
   return 0;

@@ -146,7 +146,8 @@ void Run() {
 }  // namespace
 }  // namespace tenantnet
 
-int main() {
+int main(int argc, char** argv) {
+  tenantnet::ParseBenchArgs(argc, argv);
   tenantnet::Run();
   return 0;
 }

@@ -12,8 +12,8 @@
 //
 // Metrics per run: events/sec (starts+cancels+cap changes+completions over
 // wall time), reallocation_count, mean flows-touched-per-realloc, and the
-// reallocation wall-time histogram mean. Run with arg "small" for the CI
-// smoke (N=1e3 only).
+// reallocation wall-time histogram mean. Run with --smoke for the CI sizes
+// (N=1e3 only).
 
 #include <chrono>
 #include <cstdio>
@@ -274,9 +274,9 @@ void RunBatch(size_t n) {
 // thread-count sweep. Each record carries the measured speedup over the
 // 1-thread run plus `matches_1thread` (completions and delivered bytes are
 // byte-identical by the executor's determinism contract — checked here too,
-// not just in the unit tests). check_bench_regression.py gates the 4-thread
-// speedup against bench/baselines/shard_smoke_baseline.json, skipping the
-// speedup check when the runner has fewer hardware threads than the record.
+// not just in the unit tests). bench/baselines/smoke_gates.json gates the
+// 4-thread speedup, skipping it when the runner has fewer hardware threads
+// than the record.
 
 struct ShardRunResult {
   double wall_s = 0;
@@ -361,8 +361,7 @@ void RunShardSweep(size_t islands, size_t flows_per_island,
 // region's host links become epoch-synchronized shared links with capacity
 // leases. Records carry the partition quality (border links, cut fraction)
 // and live crossing-flow count next to the speedup/determinism columns;
-// check_bench_regression.py gates the 4-thread speedup against
-// bench/baselines/crossshard_smoke_baseline.json.
+// bench/baselines/smoke_gates.json gates the 4-thread speedup.
 
 struct CrossWorld {
   EventQueue queue;
@@ -502,20 +501,21 @@ void RunCrossSweep(size_t regions, size_t hosts, size_t flows_per_region,
 }  // namespace tenantnet
 
 int main(int argc, char** argv) {
-  bool small = argc > 1 && std::strcmp(argv[1], "small") == 0;
-  tenantnet::BenchJsonWriter json("flow_sim", argc, argv);
+  const tenantnet::BenchArgs args = tenantnet::ParseBenchArgs(argc, argv);
+  const bool smoke = args.smoke;
+  tenantnet::BenchJsonWriter json("flow_sim", args);
   tenantnet::g_json = &json;
-  std::vector<size_t> sizes = small ? std::vector<size_t>{1000}
+  std::vector<size_t> sizes = smoke ? std::vector<size_t>{1000}
                                     : std::vector<size_t>{1000, 10000, 100000};
   for (size_t n : sizes) {
     // Churn long enough that steady-state throughput dominates the few-ms
     // run (the CI gate compares events/sec; sub-10ms runs are scheduler
     // noise). Incremental re-leveling makes even the shared-link scenarios
     // O(affected-groups) per event, so 20k events stays interactive.
-    size_t churn = small ? 20000 : std::min<size_t>(n, 20000);
+    size_t churn = smoke ? 20000 : std::min<size_t>(n, 20000);
     tenantnet::RunChurn("disjoint", n, churn);
     tenantnet::RunChurn("overlapping", n, churn);
-    tenantnet::RunChurn("bottleneck_chain", n, small ? 10000 : churn);
+    tenantnet::RunChurn("bottleneck_chain", n, smoke ? 10000 : churn);
     tenantnet::RunBatch(n);
   }
   if (std::getenv("TN_SCENARIO") != nullptr) {
@@ -523,7 +523,7 @@ int main(int argc, char** argv) {
   }
   // Thread sweep through ShardExecutor over the disjoint world. The smoke
   // size (32 islands x 32 flows) is what the CI speedup gate is baselined on.
-  if (small) {
+  if (smoke) {
     tenantnet::RunShardSweep(/*islands=*/32, /*flows_per_island=*/32,
                              /*sim_seconds=*/3.0);
   } else {
@@ -533,7 +533,7 @@ int main(int argc, char** argv) {
   // Cross-shard sweep over one WAN-stitched giant component (Fig. 1 shape):
   // the link-cut partitioner's target case. The smoke size (8 regions x 40
   // flows, 10% crossing) is what the crossshard CI gate is baselined on.
-  if (small) {
+  if (smoke) {
     tenantnet::RunCrossSweep(/*regions=*/8, /*hosts=*/8,
                              /*flows_per_region=*/40, /*sim_seconds=*/2.0);
   } else {

@@ -21,13 +21,12 @@
 //     the record; the per-population gauge is ApproxBytes).
 //
 // JSON rows (kind "million_diet") land in BENCH_million.json for the CI
-// gate in scripts/check_bench_regression.py. Args: `smoke` shrinks the
+// gate in bench/baselines/smoke_gates.json. Args: `--smoke` shrinks the
 // sweep to {100k, 1M}; `--json_out=<path>` moves the artifact.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -338,8 +337,9 @@ void RunSweep(BenchJsonWriter& json, bool smoke) {
 }  // namespace tenantnet
 
 int main(int argc, char** argv) {
-  bool smoke = argc > 1 && std::strcmp(argv[1], "smoke") == 0;
-  tenantnet::BenchJsonWriter json("million", argc, argv);
+  const tenantnet::BenchArgs args = tenantnet::ParseBenchArgs(argc, argv);
+  const bool smoke = args.smoke;
+  tenantnet::BenchJsonWriter json("million", args);
   tenantnet::Banner("E10", "Million-endpoint memory diet (§6 i at scale)");
   tenantnet::RunSweep(json, smoke);
   return 0;

@@ -162,7 +162,8 @@ void RunPair(const char* title, bool far_pair) {
 }  // namespace
 }  // namespace tenantnet
 
-int main() {
+int main(int argc, char** argv) {
+  tenantnet::ParseBenchArgs(argc, argv);
   tenantnet::Banner("E5",
                     "QoS: potato routing + guarantees vs dedicated (§6 ii)");
   tenantnet::RunPair("Near pair: spark (A us-east) -> db (B us-east)",

@@ -15,10 +15,9 @@
 // A second sweep measures the permit-staleness window: how long a revoked
 // peer keeps slipping through some edge filter when the revocation races a
 // degraded replication plane, as a function of the per-message drop
-// probability. Run with arg "smoke" for the CI fast path.
+// probability. Run with --smoke for the CI fast path.
 
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -378,8 +377,9 @@ void RunStaleness(double drop_prob, int rounds) {
 }  // namespace tenantnet
 
 int main(int argc, char** argv) {
-  bool smoke = argc > 1 && std::strcmp(argv[1], "smoke") == 0;
-  tenantnet::BenchJsonWriter json("resilience", argc, argv);
+  const tenantnet::BenchArgs args = tenantnet::ParseBenchArgs(argc, argv);
+  const bool smoke = args.smoke;
+  tenantnet::BenchJsonWriter json("resilience", args);
   tenantnet::g_json = &json;
   tenantnet::StormConfig cfg;
   if (smoke) {

@@ -14,14 +14,13 @@
 //     original linear scan, plus compile cost and cache hit rates. JSON
 //     rows land in BENCH_scale_permits.json for the CI regression gate.
 //
-// Args: `smoke` shrinks the sweeps for CI; `--json_out=<path>` moves the
+// Args: `--smoke` shrinks the sweeps for CI; `--json_out=<path>` moves the
 // JSON artifact.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <set>
 #include <vector>
@@ -383,8 +382,9 @@ void VerdictSweep(BenchJsonWriter& json, bool smoke) {
 }  // namespace tenantnet
 
 int main(int argc, char** argv) {
-  bool smoke = argc > 1 && std::strcmp(argv[1], "smoke") == 0;
-  tenantnet::BenchJsonWriter json("scale_permits", argc, argv);
+  const tenantnet::BenchArgs args = tenantnet::ParseBenchArgs(argc, argv);
+  const bool smoke = args.smoke;
+  tenantnet::BenchJsonWriter json("scale_permits", args);
   tenantnet::Banner("E4b", "Scalability: dynamic shared permit-lists (§6 i)");
   tenantnet::StaticSweep(smoke);
   tenantnet::ChurnReplay(smoke);

@@ -28,7 +28,7 @@
 // hit rate; contrast with the per-endpoint epochs of the declarative
 // world's permit lists in bench_scale_permits.
 //
-// Args: `smoke` shrinks the sweeps for CI; `--json_out=<path>` moves the
+// Args: `--smoke` shrinks the sweeps for CI; `--json_out=<path>` moves the
 // JSON artifact (default BENCH_scale_routing.json).
 
 #include <benchmark/benchmark.h>
@@ -36,7 +36,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -488,8 +487,9 @@ void BaselineVerdictSweep(BenchJsonWriter& json, bool smoke) {
 }  // namespace tenantnet
 
 int main(int argc, char** argv) {
-  bool smoke = argc > 1 && std::strcmp(argv[1], "smoke") == 0;
-  tenantnet::BenchJsonWriter json("scale_routing", argc, argv);
+  const tenantnet::BenchArgs args = tenantnet::ParseBenchArgs(argc, argv);
+  const bool smoke = args.smoke;
+  tenantnet::BenchJsonWriter json("scale_routing", args);
   tenantnet::Run(smoke);
   tenantnet::ChurnSweep(json, smoke);
   tenantnet::AggregateTiming(json, smoke);

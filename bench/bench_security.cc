@@ -357,7 +357,8 @@ void LateralMovement(Worlds& w) {
 }  // namespace
 }  // namespace tenantnet
 
-int main() {
+int main(int argc, char** argv) {
+  tenantnet::ParseBenchArgs(argc, argv);
   tenantnet::Banner("E6", "Security: permit-list + API auth vs network stack "
                           "(§6 iii)");
   auto w = tenantnet::BuildWorlds();

@@ -267,7 +267,8 @@ void Run() {
 }  // namespace tenantnet
 
 int main(int argc, char** argv) {
-  tenantnet::BenchJsonWriter json("table1_surface", argc, argv);
+  tenantnet::BenchJsonWriter json("table1_surface",
+                                  tenantnet::ParseBenchArgs(argc, argv));
   tenantnet::Run();
   tenantnet::RunPermitSurface(json);
   return 0;

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/cloud/presets.h"
 #include "src/core/api.h"
 
@@ -136,4 +137,13 @@ BENCHMARK(BM_SipResolve)->Arg(4)->Arg(64)->Arg(1024);
 }  // namespace
 }  // namespace tenantnet
 
-BENCHMARK_MAIN();
+// google-benchmark takes its --benchmark_* flags first; the rest go through the
+// shared bench parser, so --smoke is accepted (it changes nothing here) and
+// anything else is refused.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  tenantnet::ParseBenchArgs(argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -9,6 +9,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <initializer_list>
 #include <string>
@@ -67,22 +68,43 @@ inline std::string FmtF(double v, int decimals = 2) {
   return buf;
 }
 
+// The command line every bench takes. `--smoke` selects the quick sizes CI
+// runs (benches without a sweep to shrink run as usual); `--json_out=<path>`
+// moves the JSON artifact. Any other argument prints usage and exits 2, so a
+// typo cannot silently run the full sweep.
+struct BenchArgs {
+  bool smoke = false;
+  std::string json_out;
+};
+
+inline BenchArgs ParseBenchArgs(int argc, char** argv) {
+  BenchArgs args;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      args.smoke = true;
+    } else if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
+      args.json_out = argv[i] + 11;
+    } else {
+      std::fprintf(stderr, "%s: unknown argument '%s'\n"
+                   "usage: %s [--smoke] [--json_out=<path>]\n",
+                   argv[0], argv[i], argv[0]);
+      std::exit(2);
+    }
+  }
+  return args;
+}
+
 // Standard bench JSON artifact. Each Record()ed line is one JSON object:
 // it is printed to stdout (the JSONL stream EXPERIMENTS.md greps) and
 // buffered; the destructor writes all lines as a JSON array to
 // BENCH_<name>.json in the working directory (run_experiments.sh runs from
-// the repo root) or wherever `--json_out=<path>` points. CI uploads these
-// artifacts and diffs them against checked-in baselines.
+// the repo root) or to `args.json_out`. CI uploads these artifacts and
+// checks them against bench/baselines/smoke_gates.json.
 class BenchJsonWriter {
  public:
-  BenchJsonWriter(std::string name, int argc = 0, char** argv = nullptr)
-      : path_("BENCH_" + name + ".json") {
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-        path_ = argv[i] + 11;
-      }
-    }
-  }
+  BenchJsonWriter(const std::string& name, const BenchArgs& args)
+      : path_(args.json_out.empty() ? "BENCH_" + name + ".json"
+                                    : args.json_out) {}
 
   ~BenchJsonWriter() {
     std::FILE* f = std::fopen(path_.c_str(), "w");

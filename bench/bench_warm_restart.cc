@@ -23,13 +23,11 @@
 //     rebuild exactly.
 //
 // A summary record per seed carries the warm/cold blackholed-bytes ratio;
-// CI gates it (< 0.10) via scripts/check_bench_regression.py against
-// bench/baselines/warm_restart_smoke_baseline.json. Run with arg "smoke"
-// for the CI fast path.
+// CI gates it (< 0.10) via bench/baselines/smoke_gates.json. Run with
+// --smoke for the CI fast path.
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -335,8 +333,9 @@ RoutingRunResult RunRoutingStorm(RestartMode mode,
 }  // namespace tenantnet
 
 int main(int argc, char** argv) {
-  bool smoke = argc > 1 && std::strcmp(argv[1], "smoke") == 0;
-  tenantnet::BenchJsonWriter json("warm_restart", argc, argv);
+  const tenantnet::BenchArgs args = tenantnet::ParseBenchArgs(argc, argv);
+  const bool smoke = args.smoke;
+  tenantnet::BenchJsonWriter json("warm_restart", args);
   tenantnet::g_json = &json;
 
   tenantnet::RestartBenchConfig cfg;

@@ -1,455 +1,120 @@
 #!/usr/bin/env python3
-"""Gate bench results: compare BENCH_*.json against a checked-in baseline.
+"""Check bench JSON artifacts against a declarative gates file.
 
-Usage:
-  check_bench_regression.py BASELINE CURRENT [CURRENT ...] [--max-regression R]
+Usage: check_bench_regression.py GATES CURRENT [CURRENT ...]
 
-BASELINE is a checked-in JSON array of gate records. Two record kinds are
-understood; a baseline may mix them:
+GATES (bench/baselines/smoke_gates.json) and every CURRENT file (a
+BENCH_<name>.json artifact) hold a JSON array of objects. Each gate object
+may have only these keys:
 
-Verdict-sweep records (see bench/baselines/verdict_smoke_baseline.json),
-matched on (bench, endpoints|instances, entries_per_ep): a matched record
-whose warm_vps fell more than R (default 0.30) below the baseline fails the
-gate, as does a baseline record with no current counterpart. warm_hit_rate
-is also checked (absolute drop > 0.2 fails): throughput is
-machine-dependent, but hit rate is not — a cache that stopped caching shows
-up there regardless of how fast the runner is.
+  match                  {key: value, ...}: a current record matches the gate
+                         when it has every key with an equal value. Every
+                         matching record, in every CURRENT file, is checked.
+  min, max               {field: bound, ...}: fails below min, above max.
+  eq                     {field: value, ...}: fails unless equal.
+  max_drop               {field: [reference, fraction], ...}: fails below
+                         reference * (1 - fraction).
+  skip_if_hw_threads_lt  n: when the matched record's hw_threads is below n,
+                         its min, max and max_drop bounds are skipped (a small
+                         runner cannot show parallel speedup); eq never is.
+  comment                free text: reasons, and reference numbers not gated.
 
-Churn-convergence records (see bench/baselines/routing_churn_smoke_baseline.json),
-matched on (bench, prefixes, speakers): the baseline states a
-min_speedup_incremental floor and the current record (from the
-bench_scale_routing churn sweep) reports the measured speedup_incremental —
-incremental convergence per churn op vs a from-scratch convergence. The
-ratio of two timings on the same machine is hardware-independent enough to
-gate everywhere, unlike raw throughput.
+A gate needs a non-empty match and at least one bound. A gate that no record
+matches fails, and so does a bounded field missing from a matched record.
 
-Shard-scaling records (see bench/baselines/shard_smoke_baseline.json),
-matched on (bench, scenario, flows, threads): the baseline states a
-min_speedup_vs_1thread floor and the current record (from the
-bench_flow_sim thread sweep) reports the measured speedup_vs_1thread. The
-speedup check is SKIPPED when the runner has fewer hardware threads than
-the record's thread count (a 1-core container cannot exhibit parallel
-speedup), but matches_1thread — the determinism cross-check, which is
-hardware-independent — must hold everywhere.
-
-Warm-restart records (see bench/baselines/warm_restart_smoke_baseline.json),
-matched on (bench, storm_seed): the baseline states a max_blackhole_ratio
-ceiling and the current record (from the bench_warm_restart summary line)
-reports warm_cold_blackhole_ratio — bytes blackholed during warm restarts
-as a fraction of the cold-restart figure for the same seeded storm. The
-ratio of two sim-time measurements on the same machine is fully
-hardware-independent. When the baseline sets require_routing_match, the
-current record's routing_matches_full_rebuild must be 1 (the reconciled
-routing state diffed clean against a from-scratch rebuild).
-
-Reach-revalidation records (see bench/baselines/reach_smoke_baseline.json),
-matched on (bench, world, pairs): the baseline states a
-min_revalidate_speedup floor and an (optional) max_recompute_fraction
-ceiling for the E12 sweep (bench_config_fragility) — the current record
-reports revalidate_speedup (a from-scratch reachability sweep vs the mean
-incremental revalidation after one mutation, same machine, so the ratio is
-hardware-independent) and recompute_fraction (pairs recomputed / total,
-pure counting). When the baseline sets require_identical, the current
-record's fingerprint_identical must be 1: the incremental sweep landed on
-bytes identical to a from-scratch verifier, i.e. it is an optimization,
-never an approximation.
-
-Flow-churn records (see bench/baselines/flowsim_churn_smoke_baseline.json),
-matched on (bench, scenario, flows, mode): the baseline may state a
-min_events_per_sec floor and a max_realloc_mean_us ceiling for the
-bench_flow_sim churn scenarios — raw throughput, so the floors carry large
-margins for slow runners — plus two hardware-INDEPENDENT gates:
-max_mean_flows_touched (pure counting; the incremental re-leveler losing
-its scoping shows up here as ~component-size regardless of machine speed)
-and max_full_fills (an incremental run that falls back to from-scratch
-fills has lost the optimization even if the box is fast enough to hide it).
-
-Memory-diet records (see bench/baselines/million_smoke_baseline.json),
-matched on (bench, endpoints, entries_per_ep): the baseline states a
-max_bytes_per_endpoint ceiling and a min_reduction_vs_prediet floor for
-the E10 sweep (bench_million) — both byte-accounting ratios, fully
-hardware-independent. warm_vps is gated with the same R tolerance as the
-verdict records (the fast path must survive the diet), warm_hit_rate
-against min_warm_hit_rate, and streaming_pending_events against
-max_streaming_pending (the open-loop generator must stay O(patterns), not
-O(transactions)).
+Exit status: 0 when every gate holds, 1 when any gate fails, 2 on a usage
+error or a malformed GATES or CURRENT file.
 """
 
-import argparse
 import json
+import numbers
 import sys
 
 
-def verdict_key(rec):
-    return (
-        rec.get("bench"),
-        rec.get("endpoints"),
-        rec.get("instances"),
-        rec.get("entries_per_ep"),
-    )
+def number(x):
+    return isinstance(x, numbers.Real)
 
 
-def shard_key(rec):
-    return (
-        rec.get("bench"),
-        rec.get("scenario"),
-        rec.get("flows"),
-        rec.get("threads"),
-    )
+# kind: (is the gate's bound well formed, does a record's value satisfy it)
+BOUNDS = {
+    "min": (number, lambda value, bound: number(value) and value >= bound),
+    "max": (number, lambda value, bound: number(value) and value <= bound),
+    "eq": (lambda bound: True, lambda value, bound: value == bound),
+    "max_drop": (
+        lambda b: isinstance(b, list) and len(b) == 2 and all(map(number, b)),
+        lambda value, b: number(value) and value >= b[0] * (1 - b[1])),
+}
+KEYS = {"match", "skip_if_hw_threads_lt", "comment", *BOUNDS}
 
 
-def load_records(path):
-    with open(path) as f:
-        data = json.load(f)
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a JSON array")
-    return [r for r in data if isinstance(r, dict)]
+def load_array(path):
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except (OSError, ValueError) as e:
+        raise ValueError(f"{path}: {e}")
+    if not isinstance(data, list) or not all(isinstance(r, dict) for r in data):
+        raise ValueError(f"{path}: expected a JSON array of objects")
+    return data
 
 
-def check_verdicts(baseline, current_files, max_regression):
-    current = {}
-    for recs in current_files:
-        for rec in recs:
-            if "warm_vps" in rec:
-                current[verdict_key(rec)] = rec
-
-    failed = False
-    floor = 1.0 - max_regression
-    print(f"{'bench':<28} {'size':>8} {'baseline':>14} {'current':>14} {'ratio':>7}")
-    for base in baseline:
-        k = verdict_key(base)
-        size = base.get("endpoints") or base.get("instances") or "-"
-        cur = current.get(k)
-        if cur is None:
-            print(f"{k[0]:<28} {size:>8} {base['warm_vps']:>14.0f} {'MISSING':>14}")
-            failed = True
-            continue
-        ratio = cur["warm_vps"] / base["warm_vps"] if base["warm_vps"] else 0.0
-        verdict = "" if ratio >= floor else "  << REGRESSION"
-        print(
-            f"{k[0]:<28} {size:>8} {base['warm_vps']:>14.0f} "
-            f"{cur['warm_vps']:>14.0f} {ratio:>7.2f}{verdict}"
-        )
-        if ratio < floor:
-            failed = True
-        base_hr = base.get("warm_hit_rate")
-        cur_hr = cur.get("warm_hit_rate")
-        if base_hr is not None and cur_hr is not None and cur_hr < base_hr - 0.2:
-            print(f"  warm_hit_rate fell {base_hr:.3f} -> {cur_hr:.3f}")
-            failed = True
-    return failed
+def check_gate_shape(gate):
+    """Raises ValueError unless `gate` follows the schema in the docstring."""
+    problem = None
+    if set(gate) - KEYS:
+        problem = f"unknown keys {sorted(set(gate) - KEYS)}"
+    elif not isinstance(gate.get("match"), dict) or not gate["match"]:
+        problem = "needs a non-empty match object"
+    elif not all(isinstance(gate.get(k, {}), dict) for k in BOUNDS):
+        problem = "each bound kind must be an object"
+    elif not any(gate.get(k) for k in BOUNDS):
+        problem = "no bound"
+    elif not all(BOUNDS[k][0](b) for k in BOUNDS for b in gate.get(k, {}).values()):
+        problem = "min/max want a number, max_drop [reference, fraction]"
+    elif not number(gate.get("skip_if_hw_threads_lt", 0)):
+        problem = "skip_if_hw_threads_lt wants a number"
+    if problem:
+        raise ValueError(f"gate {json.dumps(gate.get('match'))}: {problem}")
 
 
-def check_shards(baseline, current_files):
-    current = {}
-    for recs in current_files:
-        for rec in recs:
-            if "speedup_vs_1thread" in rec:
-                current[shard_key(rec)] = rec
-
-    failed = False
-    print(f"{'bench':<20} {'scenario':<12} {'flows':>7} {'threads':>7} "
-          f"{'min':>6} {'got':>6}")
-    for base in baseline:
-        k = shard_key(base)
-        cur = current.get(k)
-        if cur is None:
-            print(f"{k[0]:<20} {k[1]:<12} {k[2]:>7} {k[3]:>7} "
-                  f"{base['min_speedup_vs_1thread']:>6.2f} {'MISSING':>7}")
-            failed = True
-            continue
-        # Determinism is hardware-independent: a thread sweep whose counters
-        # diverge from the 1-thread run is broken no matter how fast it is.
-        if cur.get("matches_1thread") is False:
-            print(f"{k[0]:<20} {k[1]:<12} {k[2]:>7} {k[3]:>7} "
-                  "NONDETERMINISTIC (diverged from 1-thread run)")
-            failed = True
-            continue
-        hw = cur.get("hw_threads")
-        threads = base.get("threads") or 0
-        if hw is not None and hw < threads:
-            print(f"{k[0]:<20} {k[1]:<12} {k[2]:>7} {k[3]:>7} "
-                  f"{base['min_speedup_vs_1thread']:>6.2f} "
-                  f"SKIP (only {hw} hw threads)")
-            continue
-        got = cur["speedup_vs_1thread"]
-        floor = base["min_speedup_vs_1thread"]
-        verdict = "" if got >= floor else "  << TOO SLOW"
-        print(f"{k[0]:<20} {k[1]:<12} {k[2]:>7} {k[3]:>7} "
-              f"{floor:>6.2f} {got:>6.2f}{verdict}")
-        if got < floor:
-            failed = True
-    return failed
-
-
-def churn_key(rec):
-    return (rec.get("bench"), rec.get("prefixes"), rec.get("speakers"))
-
-
-def check_churn(baseline, current_files):
-    current = {}
-    for recs in current_files:
-        for rec in recs:
-            if "speedup_incremental" in rec:
-                current[churn_key(rec)] = rec
-
-    failed = False
-    print(f"{'bench':<20} {'prefixes':>9} {'speakers':>9} {'min':>7} {'got':>9}")
-    for base in baseline:
-        k = churn_key(base)
-        floor = base["min_speedup_incremental"]
-        cur = current.get(k)
-        if cur is None:
-            print(f"{k[0]:<20} {k[1]:>9} {k[2]:>9} {floor:>7.1f} {'MISSING':>9}")
-            failed = True
-            continue
-        got = cur["speedup_incremental"]
-        verdict = "" if got >= floor else "  << TOO SLOW"
-        print(f"{k[0]:<20} {k[1]:>9} {k[2]:>9} {floor:>7.1f} {got:>9.1f}"
-              f"{verdict}")
-        if got < floor:
-            failed = True
-    return failed
-
-
-def restart_key(rec):
-    return (rec.get("bench"), rec.get("storm_seed"))
-
-
-def check_restarts(baseline, current_files):
-    current = {}
-    for recs in current_files:
-        for rec in recs:
-            if "warm_cold_blackhole_ratio" in rec:
-                current[restart_key(rec)] = rec
-
-    failed = False
-    print(f"{'bench':<24} {'seed':>6} {'max':>6} {'got':>8}")
-    for base in baseline:
-        k = restart_key(base)
-        ceiling = base["max_blackhole_ratio"]
-        cur = current.get(k)
-        if cur is None:
-            print(f"{k[0]:<24} {k[1]:>6} {ceiling:>6.2f} {'MISSING':>8}")
-            failed = True
-            continue
-        got = cur["warm_cold_blackhole_ratio"]
-        verdict = "" if got <= ceiling else "  << TOO MUCH BLACKHOLE"
-        print(f"{k[0]:<24} {k[1]:>6} {ceiling:>6.2f} {got:>8.4f}{verdict}")
-        if got > ceiling:
-            failed = True
-        if base.get("require_routing_match") and \
-                cur.get("routing_matches_full_rebuild") != 1:
-            print(f"{k[0]:<24} {k[1]:>6} reconciled routing state diverged "
-                  "from full rebuild")
-            failed = True
-    return failed
-
-
-def reach_key(rec):
-    return (rec.get("bench"), rec.get("world"), rec.get("pairs"))
-
-
-def check_reach(baseline, current_files):
-    current = {}
-    for recs in current_files:
-        for rec in recs:
-            if "revalidate_speedup" in rec:
-                current[reach_key(rec)] = rec
-
-    failed = False
-    print(f"{'bench':<20} {'world':<12} {'pairs':>7} {'min':>6} {'got':>7} "
-          f"{'frac':>7}")
-    for base in baseline:
-        k = reach_key(base)
-        floor = base["min_revalidate_speedup"]
-        cur = current.get(k)
-        if cur is None:
-            print(f"{k[0]:<20} {k[1]:<12} {k[2]:>7} {floor:>6.1f} "
-                  f"{'MISSING':>7}")
-            failed = True
-            continue
-        got = cur["revalidate_speedup"]
-        frac = cur.get("recompute_fraction", 0.0)
-        problems = []
-        if got < floor:
-            problems.append("TOO SLOW")
-        max_frac = base.get("max_recompute_fraction")
-        if max_frac is not None and frac > max_frac:
-            problems.append("RECOMPUTES TOO MUCH")
-        if base.get("require_identical") and \
-                cur.get("fingerprint_identical") != 1:
-            problems.append("INCREMENTAL DIVERGED FROM SCRATCH")
-        verdict = ("  << " + ", ".join(problems)) if problems else ""
-        print(f"{k[0]:<20} {k[1]:<12} {k[2]:>7} {floor:>6.1f} {got:>7.2f} "
-              f"{frac:>7.4f}{verdict}")
-        if problems:
-            failed = True
-    return failed
-
-
-def flow_churn_key(rec):
-    return (
-        rec.get("bench"),
-        rec.get("scenario"),
-        rec.get("flows"),
-        rec.get("mode"),
-    )
-
-
-def check_flow_churn(baseline, current_files):
-    current = {}
-    for recs in current_files:
-        for rec in recs:
-            if rec.get("bench") == "flow_sim_churn" and "events_per_sec" in rec:
-                current[flow_churn_key(rec)] = rec
-
-    failed = False
-    print(f"{'bench':<16} {'scenario':<18} {'flows':>6} {'ev/s floor':>10} "
-          f"{'got':>8} {'us max':>6} {'got':>7} {'touch max':>9} {'got':>7}")
-    for base in baseline:
-        k = flow_churn_key(base)
-        cur = current.get(k)
-        if cur is None:
-            print(f"{k[0]:<16} {k[1]:<18} {k[2]:>6} {'MISSING':>10}")
-            failed = True
-            continue
-        problems = []
-        min_eps = base.get("min_events_per_sec")
-        if min_eps is not None and cur["events_per_sec"] < min_eps:
-            problems.append("TOO SLOW")
-        max_us = base.get("max_realloc_mean_us")
-        if max_us is not None and cur.get("realloc_mean_us", 0.0) > max_us:
-            problems.append("REALLOC TOO SLOW")
-        max_touch = base.get("max_mean_flows_touched")
-        touch = cur.get("mean_flows_touched_per_realloc", 0.0)
-        if max_touch is not None and touch > max_touch:
-            problems.append("SCOPING LOST")
-        max_full = base.get("max_full_fills")
-        if max_full is not None and cur.get("full_fills", 0) > max_full:
-            problems.append("FELL BACK TO FULL FILLS")
-        verdict = ("  << " + ", ".join(problems)) if problems else ""
-        print(f"{k[0]:<16} {k[1]:<18} {k[2]:>6} "
-              f"{min_eps if min_eps is not None else '-':>10} "
-              f"{cur['events_per_sec']:>8.0f} "
-              f"{max_us if max_us is not None else '-':>6} "
-              f"{cur.get('realloc_mean_us', 0.0):>7.2f} "
-              f"{max_touch if max_touch is not None else '-':>9} "
-              f"{touch:>7.1f}{verdict}")
-        if problems:
-            failed = True
-    return failed
-
-
-def million_key(rec):
-    return (rec.get("bench"), rec.get("endpoints"), rec.get("entries_per_ep"))
-
-
-def check_million(baseline, current_files, max_regression):
-    current = {}
-    for recs in current_files:
-        for rec in recs:
-            if "bytes_per_endpoint" in rec:
-                current[million_key(rec)] = rec
-
-    failed = False
-    floor = 1.0 - max_regression
-    print(f"{'bench':<16} {'endpoints':>9} {'B/ep':>7} {'max':>6} "
-          f"{'redux':>6} {'min':>5} {'vps ratio':>9} {'pending':>7}")
-    for base in baseline:
-        k = million_key(base)
-        cur = current.get(k)
-        if cur is None:
-            print(f"{k[0]:<16} {k[1]:>9} {'MISSING':>7}")
-            failed = True
-            continue
-        bpe = cur["bytes_per_endpoint"]
-        max_bpe = base["max_bytes_per_endpoint"]
-        redux = cur.get("reduction_vs_prediet", 0.0)
-        min_redux = base.get("min_reduction_vs_prediet", 0.0)
-        ratio = (cur["warm_vps"] / base["warm_vps"]
-                 if base.get("warm_vps") else 1.0)
-        pending = cur.get("streaming_pending_events")
-        max_pending = base.get("max_streaming_pending")
-        problems = []
-        if bpe > max_bpe:
-            problems.append("TOO FAT")
-        if redux < min_redux:
-            problems.append("REDUCTION BELOW FLOOR")
-        if ratio < floor:
-            problems.append("VERDICT REGRESSION")
-        min_hit = base.get("min_warm_hit_rate")
-        if min_hit is not None and cur.get("warm_hit_rate", 0.0) < min_hit:
-            problems.append("CACHE STOPPED CACHING")
-        if max_pending is not None and pending is not None \
-                and pending > max_pending:
-            problems.append("GENERATOR NOT FLAT")
-        verdict = ("  << " + ", ".join(problems)) if problems else ""
-        print(f"{k[0]:<16} {k[1]:>9} {bpe:>7.1f} {max_bpe:>6.0f} "
-              f"{redux:>6.1f} {min_redux:>5.1f} {ratio:>9.2f} "
-              f"{pending if pending is not None else '-':>7}{verdict}")
-        if problems:
-            failed = True
-    return failed
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline")
-    parser.add_argument("current", nargs="+")
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.30,
-        help="allowed fractional drop in warm_vps before failing (default 0.30)",
-    )
-    args = parser.parse_args()
-
-    baseline = load_records(args.baseline)
-    million_base = [r for r in baseline if "max_bytes_per_endpoint" in r]
-    verdict_base = [r for r in baseline
-                    if "warm_vps" in r and "max_bytes_per_endpoint" not in r]
-    shard_base = [r for r in baseline if "min_speedup_vs_1thread" in r]
-    churn_base = [r for r in baseline if "min_speedup_incremental" in r]
-    restart_base = [r for r in baseline if "max_blackhole_ratio" in r]
-    reach_base = [r for r in baseline if "min_revalidate_speedup" in r]
-    flow_churn_base = [r for r in baseline
-                       if r.get("bench") == "flow_sim_churn"
-                       and ("min_events_per_sec" in r
-                            or "max_mean_flows_touched" in r)]
-    if not verdict_base and not shard_base and not churn_base \
-            and not restart_base and not million_base and not reach_base \
-            and not flow_churn_base:
-        print(f"error: no gate records in baseline {args.baseline}")
-        return 1
-
-    current_files = [load_records(p) for p in args.current]
-
-    failed = False
-    if verdict_base:
-        failed |= check_verdicts(verdict_base, current_files,
-                                 args.max_regression)
-    if shard_base:
-        failed |= check_shards(shard_base, current_files)
-    if churn_base:
-        failed |= check_churn(churn_base, current_files)
-    if restart_base:
-        failed |= check_restarts(restart_base, current_files)
-    if million_base:
-        failed |= check_million(million_base, current_files,
-                                args.max_regression)
-    if reach_base:
-        failed |= check_reach(reach_base, current_files)
-    if flow_churn_base:
-        failed |= check_flow_churn(flow_churn_base, current_files)
-
-    if failed:
-        print("\nFAIL: bench gate violated (regression, missing record, "
-              "insufficient parallel/incremental speedup, or nondeterminism)")
-        return 1
-    print("\nOK: all bench gates within tolerance")
-    return 0
+def main(argv):
+    if len(argv) < 3 or any(a.startswith("-") for a in argv[1:]):
+        print(__doc__, file=sys.stderr)
+        return 2
+    try:
+        gates = load_array(argv[1])
+        for gate in gates:
+            check_gate_shape(gate)
+        records = [r for path in argv[2:] for r in load_array(path)]
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    failed = 0
+    for gate in gates:
+        name = " ".join(f"{k}={json.dumps(v)}" for k, v in gate["match"].items())
+        matched = [r for r in records
+                   if all(k in r and r[k] == v for k, v in gate["match"].items())]
+        bad = not matched
+        lines = ["      MISSING: no record matches"] if bad else []
+        for rec in matched:
+            hw = rec.get("hw_threads")
+            skip = number(hw) and hw < gate.get("skip_if_hw_threads_lt", 0)
+            for kind, (_, holds) in BOUNDS.items():
+                for field, bound in gate.get(kind, {}).items():
+                    got = json.dumps(rec[field]) if field in rec else "MISSING"
+                    if skip and kind != "eq":
+                        verdict = f"skipped: hw_threads {hw}"
+                    elif field in rec and holds(rec[field], bound):
+                        verdict = "ok"
+                    else:
+                        verdict, bad = "<< FAIL", True
+                    lines.append(f"      {field:<31} {kind:<8} "
+                                 f"{json.dumps(bound):<20} got {got:<12} {verdict}")
+        print(f"{'FAIL' if bad else 'ok':<5} {name}", *lines, sep="\n")
+        failed += bad
+    print(f"\n{len(gates)} gates, {failed} failed")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))

@@ -1,44 +1,25 @@
 #!/usr/bin/env bash
 # Regenerates bench_output.txt (all experiment tables) and test_output.txt.
-# bench_flow_sim emits JSON lines (the flow-churn cost model); set
-# BENCH_FLOW_SIM_SMALL=1 to run only its quick N=1e3 sweep.
-# bench_resilience (E8b) emits JSON lines comparing both worlds under
-# identical fault storms; set E8_SMOKE=1 for the quick single-seed run.
-# bench_warm_restart (E9b) emits JSON lines comparing cold vs warm
-# control-plane restarts; set E9B_SMOKE=1 for the quick single-seed run.
-# bench_scale_permits / bench_scale_routing run the verdict fast-path
-# sweeps (E4b/E5b); set VERDICT_SMOKE=1 for the quick sizes.
-# bench_million (E10) sweeps the memory diet 100k->1M endpoints; set
-# E10_SMOKE=1 for the quick {100k, 1M} pair.
-# JSON-emitting benches each write BENCH_<name>.json at the repo root
-# (override per bench with --json_out=<path>); CI uploads these as
-# artifacts and gates on them via scripts/check_bench_regression.py.
-set -u
+# SMOKE=1 passes --smoke to every bench: the quick CI sizes where a bench has
+# them; the other benches run as usual.
+# JSON-emitting benches each write BENCH_<name>.json at the repo root; CI
+# checks them with scripts/check_bench_regression.py against
+# bench/baselines/smoke_gates.json.
+# Exits non-zero if the build, any test or any bench fails.
+set -uo pipefail
 cd "$(dirname "$0")/.."
-cmake -B build -G Ninja && cmake --build build || exit 1
-ctest --test-dir build 2>&1 | tee test_output.txt
+cmake -B build && cmake --build build || exit 1
+smoke=""
+[ "${SMOKE:-0}" = 1 ] && smoke="--smoke"
+failed=""
+ctest --test-dir build 2>&1 | tee test_output.txt || failed+=" ctest"
 : > bench_output.txt
 for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
   echo "### $(basename "$b")" | tee -a bench_output.txt
-  args=""
-  if [ "$(basename "$b")" = bench_flow_sim ] &&
-     [ "${BENCH_FLOW_SIM_SMALL:-0}" = 1 ]; then
-    args="small"
-  fi
-  if [ "$(basename "$b")" = bench_resilience ] &&
-     [ "${E8_SMOKE:-0}" = 1 ]; then
-    args="smoke"
-  fi
-  if [ "$(basename "$b")" = bench_warm_restart ] &&
-     [ "${E9B_SMOKE:-0}" = 1 ]; then
-    args="smoke"
-  fi
-  case "$(basename "$b")" in
-    bench_scale_permits|bench_scale_routing)
-      [ "${VERDICT_SMOKE:-0}" = 1 ] && args="smoke" ;;
-    bench_million)
-      [ "${E10_SMOKE:-0}" = 1 ] && args="smoke" ;;
-  esac
-  "$b" $args 2>&1 | tee -a bench_output.txt
+  "$b" $smoke 2>&1 | tee -a bench_output.txt || failed+=" $(basename "$b")"
 done
+if [ -n "$failed" ]; then
+  echo "FAILED:$failed" >&2
+  exit 1
+fi
