@@ -110,7 +110,7 @@ EdgeFilterBank::EdgeFilterBank(std::string domain, EventQueue* queue,
 EdgeFilterBank::~EdgeFilterBank() = default;
 
 size_t EdgeFilterBank::AddEdge(const std::string& name) {
-  edges_.push_back(EdgeState{name, {}, {}, {}, 0});
+  edges_.push_back(EdgeState{name, {}, {}, {}, {}, 0, 0});
   return edges_.size() - 1;
 }
 
@@ -219,16 +219,11 @@ void EdgeFilterBank::EnsureCompiled(uint32_t set_id) {
 SimTime EdgeFilterBank::UpdatePermitList(
     IpAddress endpoint, std::vector<PermitEntry> add,
     const std::vector<PermitEntry>& remove) {
-  if (in_restart_) {
-    // The master copy is gone until CompleteRestart restores it, so the
-    // merge must wait too: buffer the op whole.
-    PendingOp op;
-    op.kind = PendingOp::Kind::kUpdateList;
-    op.endpoint = endpoint;
-    op.entries = std::move(add);
-    op.removes = remove;
-    pending_ops_.push_back(std::move(op));
-    return queue_ != nullptr ? queue_->now() : SimTime::Epoch();
+  // The master copy is gone until CompleteRestart restores it, so the
+  // merge must wait too: the whole call is logged.
+  if (outage_.Defer(&EdgeFilterBank::UpdatePermitList, endpoint,
+                    std::move(add), remove)) {
+    return Now();
   }
   std::vector<PermitEntry> merged;
   const uint32_t slot = SlotOf(endpoint);
@@ -249,17 +244,20 @@ SimTime EdgeFilterBank::UpdatePermitList(
 
 SimTime EdgeFilterBank::SetPermitList(IpAddress endpoint,
                                       std::vector<PermitEntry> entries) {
-  if (in_restart_) {
-    PendingOp op;
-    op.kind = PendingOp::Kind::kSetList;
-    op.endpoint = endpoint;
-    op.entries = std::move(entries);
-    pending_ops_.push_back(std::move(op));
-    return queue_ != nullptr ? queue_->now() : SimTime::Epoch();
+  if (outage_.Defer(&EdgeFilterBank::SetPermitList, endpoint,
+                    std::move(entries))) {
+    return Now();
   }
   const uint32_t set_id =
       sets_.Intern(PermitSet{std::move(entries), nullptr});
   return PushListTo(endpoint, set_id, AllEdgeIndices());
+}
+
+void EdgeFilterBank::CoverSlot(EdgeState& edge, uint32_t slot) const {
+  if (edge.list_set.size() <= slot) {
+    edge.list_version.resize(slot_epoch_.size(), 0);
+    edge.list_set.resize(slot_epoch_.size(), kNilId);
+  }
 }
 
 std::vector<size_t> EdgeFilterBank::AllEdgeIndices() const {
@@ -280,21 +278,17 @@ SimTime EdgeFilterBank::PushListTo(IpAddress endpoint, uint32_t set_id,
   // installed for another endpoint — or re-pushed for this one — reuses the
   // same immutable matcher, shared by every edge's apply.
   EnsureCompiled(set_id);
-  SimTime last_applied =
-      queue_ != nullptr ? queue_->now() : SimTime::Epoch();
+  SimTime last_applied = Now();
 
   for (size_t i : targets) {
     ++messages_;
     sets_.AddRef(set_id);  // in-flight reference, handed to the edge on apply
     auto apply = [this, i, slot, set_id, version]() {
       EdgeState& edge = edges_[i];
-      if (edge.list_set.size() <= slot) {
-        edge.list_version.resize(slot_epoch_.size(), 0);
-        edge.list_set.resize(slot_epoch_.size(), kNilId);
-      }
-      if (edge.list_version[slot] >= version) {
+      CoverSlot(edge, slot);
+      if (version < edge.flush_version || edge.list_version[slot] >= version) {
         sets_.Release(set_id);
-        return;  // stale update arrived after a newer one
+        return;  // stale: a newer install, removal or flush got there first
       }
       if (edge.list_set[slot] != kNilId) {
         edge.entry_count -= sets_.Get(edge.list_set[slot]).entries.size();
@@ -317,29 +311,27 @@ SimTime EdgeFilterBank::PushListTo(IpAddress endpoint, uint32_t set_id,
 }
 
 void EdgeFilterBank::RemovePermitList(IpAddress endpoint) {
-  if (in_restart_) {
-    PendingOp op;
-    op.kind = PendingOp::Kind::kRemoveList;
-    op.endpoint = endpoint;
-    pending_ops_.push_back(std::move(op));
+  if (outage_.Defer(&EdgeFilterBank::RemovePermitList, endpoint)) {
     return;
   }
+  messages_ += edges_.size();
   const uint32_t slot = SlotOf(endpoint);
-  if (slot != kNilId) {
-    master_version_[slot] = 0;
-    ClearMasterSet(slot);
+  if (slot == kNilId) {
+    return;  // never installed: nothing to remove, nothing in flight
   }
+  master_version_[slot] = 0;
+  ClearMasterSet(slot);
+  const uint64_t version = next_version_++;
   bool removed_any = false;
   for (EdgeState& edge : edges_) {
-    if (slot != kNilId && slot < edge.list_set.size() &&
-        edge.list_set[slot] != kNilId) {
+    CoverSlot(edge, slot);
+    if (edge.list_set[slot] != kNilId) {
       edge.entry_count -= sets_.Get(edge.list_set[slot]).entries.size();
       sets_.Release(edge.list_set[slot]);
       edge.list_set[slot] = kNilId;
-      edge.list_version[slot] = 0;
       removed_any = true;
     }
-    ++messages_;
+    edge.list_version[slot] = version;
   }
   if (removed_any) {
     BumpEndpointEpoch(slot);
@@ -418,16 +410,11 @@ SimTime EdgeFilterBank::SetGroup(EndpointGroupId group,
 
 SimTime EdgeFilterBank::SetGroupSnapshot(EndpointGroupId group,
                                          MemberSnapshot members) {
+  if (outage_.Defer(&EdgeFilterBank::SetGroupSnapshot, group, members)) {
+    return Now();
+  }
   if (members == nullptr) {
     members = MakeMemberSnapshot({});
-  }
-  if (in_restart_) {
-    PendingOp op;
-    op.kind = PendingOp::Kind::kSetGroup;
-    op.group = group;
-    op.members = std::move(members);
-    pending_ops_.push_back(std::move(op));
-    return queue_ != nullptr ? queue_->now() : SimTime::Epoch();
   }
   return PushGroupTo(group, members, AllEdgeIndices());
 }
@@ -437,11 +424,17 @@ SimTime EdgeFilterBank::PushGroupTo(EndpointGroupId group,
                                     const std::vector<size_t>& targets) {
   uint64_t version = next_version_++;
   latest_groups_[group] = GroupVersion{version, members};
-  SimTime last_applied = queue_ != nullptr ? queue_->now() : SimTime::Epoch();
+  SimTime last_applied = Now();
   for (size_t i : targets) {
     ++messages_;
     auto apply = [this, i, group, version, members]() {
       EdgeState& edge = edges_[i];
+      auto removed = edge.group_removed_at.find(group);
+      if (version < edge.flush_version ||
+          (removed != edge.group_removed_at.end() &&
+           removed->second >= version)) {
+        return;  // stale: removed or flushed after it was sent
+      }
       GroupVersion& held = edge.groups[group];
       if (held.members != nullptr && held.version >= version) {
         return;  // stale
@@ -461,17 +454,15 @@ SimTime EdgeFilterBank::PushGroupTo(EndpointGroupId group,
 }
 
 void EdgeFilterBank::RemoveGroup(EndpointGroupId group) {
-  if (in_restart_) {
-    PendingOp op;
-    op.kind = PendingOp::Kind::kRemoveGroup;
-    op.group = group;
-    pending_ops_.push_back(std::move(op));
+  if (outage_.Defer(&EdgeFilterBank::RemoveGroup, group)) {
     return;
   }
   latest_groups_.erase(group);
+  const uint64_t version = next_version_++;
   bool removed_any = false;
   for (EdgeState& edge : edges_) {
     removed_any |= edge.groups.erase(group) > 0;
+    edge.group_removed_at[group] = version;
     ++messages_;
   }
   if (removed_any) {
@@ -631,10 +622,10 @@ void EdgeFilterBank::RestoreFromSnapshot(const FilterBankSnapshot& snap) {
 }
 
 void EdgeFilterBank::BeginRestart() {
-  if (in_restart_) {
+  if (outage_.active()) {
     return;  // overlapping restarts extend the same outage
   }
-  in_restart_ = true;
+  outage_.Begin();
   // The process is gone: volatile master state with it. Edge (data-plane)
   // state and in-flight applies survive; next_version_ models a monotonic
   // version fountain (provider-durable), see RestoreFromSnapshot.
@@ -645,78 +636,38 @@ void EdgeFilterBank::BeginRestart() {
   latest_groups_.clear();
 }
 
-void EdgeFilterBank::ApplyOpToMaster(const PendingOp& op) {
-  switch (op.kind) {
-    case PendingOp::Kind::kSetList:
-      AssignMasterSet(SlotFor(op.endpoint),
-                      sets_.Intern(PermitSet{op.entries, nullptr}));
-      break;
-    case PendingOp::Kind::kUpdateList: {
-      const uint32_t slot = SlotFor(op.endpoint);
-      std::vector<PermitEntry> merged;
-      if (master_set_[slot] != kNilId) {
-        for (const PermitEntry& entry : sets_.Get(master_set_[slot]).entries) {
-          if (std::find(op.removes.begin(), op.removes.end(), entry) ==
-              op.removes.end()) {
-            merged.push_back(entry);
-          }
-        }
-      }
-      for (const PermitEntry& entry : op.entries) {
-        if (std::find(merged.begin(), merged.end(), entry) == merged.end()) {
-          merged.push_back(entry);
-        }
-      }
-      AssignMasterSet(slot, sets_.Intern(PermitSet{std::move(merged), nullptr}));
-      break;
-    }
-    case PendingOp::Kind::kRemoveList: {
-      const uint32_t slot = SlotOf(op.endpoint);
-      if (slot != kNilId) {
-        master_version_[slot] = 0;
-        ClearMasterSet(slot);
-      }
-      break;
-    }
-    case PendingOp::Kind::kSetGroup:
-      latest_groups_[op.group] = GroupVersion{0, op.members};
-      break;
-    case PendingOp::Kind::kRemoveGroup:
-      latest_groups_.erase(op.group);
-      break;
+std::vector<EndpointGroupId> EdgeFilterBank::SortedMasterGroups() const {
+  std::vector<EndpointGroupId> groups;
+  groups.reserve(latest_groups_.size());
+  for (const auto& [group, master] : latest_groups_) {
+    groups.push_back(group);
   }
+  std::sort(groups.begin(), groups.end());
+  return groups;
 }
 
 ReconcileStats EdgeFilterBank::CompleteRestart(RestartMode mode,
                                                const FilterBankSnapshot& snap) {
   ReconcileStats stats;
-  stats.converged_at = queue_ != nullptr ? queue_->now() : SimTime::Epoch();
-  RestoreFromSnapshot(snap);
-  in_restart_ = false;
-  std::vector<PendingOp> ops;
-  ops.swap(pending_ops_);
-  stats.replayed_mutations = ops.size();
-
-  auto sorted_groups = [this] {
-    std::vector<EndpointGroupId> groups;
-    groups.reserve(latest_groups_.size());
-    for (const auto& [group, master] : latest_groups_) {
-      groups.push_back(group);
-    }
-    std::sort(groups.begin(), groups.end());
-    return groups;
-  };
+  stats.converged_at = Now();
 
   if (mode == RestartMode::kCold) {
-    // Fold the buffered mutations into the master only, then flush every
-    // edge and re-program the whole intent from scratch. Between the flush
-    // and each re-install landing, default-off denies everything — the
-    // cold-rebuild blackhole window E9b measures.
-    for (const PendingOp& op : ops) {
-      ApplyOpToMaster(op);
-    }
+    // Fold the outage log into the intent through a bank with no edges and
+    // no queue (its mutators touch only its master), adopt that intent,
+    // then flush every edge and re-program the whole intent from scratch.
+    // Between the flush and each re-install landing, default-off denies
+    // everything — the cold-rebuild blackhole window E9b measures.
+    EdgeFilterBank intent(domain_, nullptr, 0);
+    intent.RestoreFromSnapshot(snap);
+    outage_.Replay(intent, stats);
+    RestoreFromSnapshot(intent.Checkpoint());
+    // The flush takes a fresh version: an install sent before the crash
+    // that lands afterwards is stale, so it cannot bring back state the
+    // intent no longer has.
+    const uint64_t flush_version = next_version_++;
     bool flushed_any = false;
     for (EdgeState& edge : edges_) {
+      edge.flush_version = flush_version;
       for (uint32_t slot = 0; slot < edge.list_set.size(); ++slot) {
         if (edge.list_set[slot] == kNilId) {
           continue;
@@ -728,6 +679,7 @@ ReconcileStats EdgeFilterBank::CompleteRestart(RestartMode mode,
       }
       flushed_any |= !edge.groups.empty();
       edge.groups.clear();
+      edge.group_removed_at.clear();  // the flush version outranks them
       edge.entry_count = 0;
     }
     if (flushed_any) {
@@ -740,7 +692,7 @@ ReconcileStats EdgeFilterBank::CompleteRestart(RestartMode mode,
       stats.converged_at = std::max(
           stats.converged_at, PushListTo(endpoint, master_set_[slot], all));
     }
-    for (EndpointGroupId group : sorted_groups()) {
+    for (EndpointGroupId group : SortedMasterGroups()) {
       stats.deltas_applied += all.size();
       stats.converged_at = std::max(
           stats.converged_at,
@@ -749,45 +701,20 @@ ReconcileStats EdgeFilterBank::CompleteRestart(RestartMode mode,
     return stats;
   }
 
-  // Warm: replay the buffered mutations through the normal incremental
-  // paths (they fan out exactly what changed during the outage)...
-  std::unordered_set<IpAddress> replayed_lists;
-  std::unordered_set<EndpointGroupId> replayed_groups;
-  for (const PendingOp& op : ops) {
-    switch (op.kind) {
-      case PendingOp::Kind::kSetList:
-        stats.converged_at = std::max(
-            stats.converged_at, SetPermitList(op.endpoint, op.entries));
-        replayed_lists.insert(op.endpoint);
-        break;
-      case PendingOp::Kind::kUpdateList:
-        stats.converged_at = std::max(
-            stats.converged_at,
-            UpdatePermitList(op.endpoint, op.entries, op.removes));
-        replayed_lists.insert(op.endpoint);
-        break;
-      case PendingOp::Kind::kRemoveList:
-        RemovePermitList(op.endpoint);
-        replayed_lists.insert(op.endpoint);
-        break;
-      case PendingOp::Kind::kSetGroup:
-        stats.converged_at = std::max(stats.converged_at,
-                                      SetGroupSnapshot(op.group, op.members));
-        replayed_groups.insert(op.group);
-        break;
-      case PendingOp::Kind::kRemoveGroup:
-        RemoveGroup(op.group);
-        replayed_groups.insert(op.group);
-        break;
-    }
-  }
+  // Warm: replay the outage log through the normal incremental paths (they
+  // fan out exactly what changed during the outage). Every push the replay
+  // makes takes a version at or above `replayed_from`...
+  RestoreFromSnapshot(snap);
+  const uint64_t replayed_from = next_version_;
+  outage_.Replay(*this, stats);
 
-  // ...then diff the restored intent against live edge state and re-push
-  // only mismatches. Interned set ids are canonical, so an id compare *is*
-  // a content compare. Edges already holding the intended entries are left
-  // alone — no message, no epoch bump, their cached verdicts survive.
+  // ...so the diff of the restored intent against live edge state skips
+  // those, and re-pushes only mismatches. Interned set ids are canonical, so
+  // an id compare *is* a content compare. Edges already holding the
+  // intended entries are left alone — no message, no epoch bump, their
+  // cached verdicts survive.
   for (const auto& [endpoint, slot] : SortedMasterEndpoints()) {
-    if (replayed_lists.contains(endpoint)) {
+    if (master_version_[slot] >= replayed_from) {
       continue;  // already converging via the replay above
     }
     const uint32_t want = master_set_[slot];
@@ -806,11 +733,11 @@ ReconcileStats EdgeFilterBank::CompleteRestart(RestartMode mode,
           std::max(stats.converged_at, PushListTo(endpoint, want, lagging));
     }
   }
-  for (EndpointGroupId group : sorted_groups()) {
-    if (replayed_groups.contains(group)) {
+  for (EndpointGroupId group : SortedMasterGroups()) {
+    const GroupVersion& master = latest_groups_[group];
+    if (master.version >= replayed_from) {
       continue;
     }
-    const GroupVersion& master = latest_groups_[group];
     std::vector<size_t> lagging;
     for (size_t i = 0; i < edges_.size(); ++i) {
       ++stats.checked;
@@ -830,7 +757,8 @@ ReconcileStats EdgeFilterBank::CompleteRestart(RestartMode mode,
   }
 
   // Orphan sweep: state still installed on edges with no master intent (the
-  // snapshot predates its removal). The removal paths are the delta ops.
+  // snapshot predates its removal). The removal paths are the delta ops. A
+  // removal the replay made has already cleared every edge.
   const std::vector<IpAddress> addr_of = SlotAddresses();
   std::vector<IpAddress> orphan_lists;
   std::vector<EndpointGroupId> orphan_groups;
@@ -840,15 +768,13 @@ ReconcileStats EdgeFilterBank::CompleteRestart(RestartMode mode,
         continue;
       }
       ++stats.checked;
-      if (master_set_[slot] == kNilId &&
-          !replayed_lists.contains(addr_of[slot])) {
+      if (master_set_[slot] == kNilId) {
         orphan_lists.push_back(addr_of[slot]);
       }
     }
     for (const auto& [group, state] : edge.groups) {
       ++stats.checked;
-      if (latest_groups_.find(group) == latest_groups_.end() &&
-          !replayed_groups.contains(group)) {
+      if (latest_groups_.find(group) == latest_groups_.end()) {
         orphan_groups.push_back(group);
       }
     }
@@ -891,12 +817,7 @@ std::string EdgeFilterBank::StateFingerprint() const {
     out += "M " + endpoint.ToString() + " " +
            entries_fp(sets_.Get(master_set_[slot]).entries) + "\n";
   }
-  std::vector<EndpointGroupId> groups;
-  for (const auto& [group, master] : latest_groups_) {
-    groups.push_back(group);
-  }
-  std::sort(groups.begin(), groups.end());
-  for (EndpointGroupId group : groups) {
+  for (EndpointGroupId group : SortedMasterGroups()) {
     out += "MG " + std::to_string(group.value()) + " [";
     for (IpAddress m : *latest_groups_.at(group).members) {
       out += m.ToString() + ",";

@@ -239,7 +239,9 @@ class EdgeFilterBank {
   SimTime UpdatePermitList(IpAddress endpoint, std::vector<PermitEntry> add,
                            const std::vector<PermitEntry>& remove);
 
-  // Removes the endpoint's list everywhere (endpoint released).
+  // Removes the endpoint's list everywhere (endpoint released). The removal
+  // outranks every install still in flight: one that lands afterwards is
+  // stale and cannot bring the list back.
   void RemovePermitList(IpAddress endpoint);
 
   // Replaces a group's member set on every edge (same fan-out/latency
@@ -251,6 +253,8 @@ class EdgeFilterBank {
   // Same, for a set that is already a snapshot: the master, the in-flight
   // installs and the edges share it without copying. Null means empty.
   SimTime SetGroupSnapshot(EndpointGroupId group, MemberSnapshot members);
+  // Removes the group everywhere; like RemovePermitList, it outranks every
+  // install still in flight.
   void RemoveGroup(EndpointGroupId group);
 
   // Data plane: does edge `edge_index` admit this flow toward flow.dst?
@@ -295,24 +299,27 @@ class EdgeFilterBank {
   void RestoreFromSnapshot(const FilterBankSnapshot& snap);
 
   // The control plane dies: the master copy is wiped, and mutating calls
-  // (Set/Update/RemovePermitList, Set/RemoveGroup) buffer instead of
-  // fanning out until CompleteRestart(). The data plane keeps answering
-  // Admits() from the edges' last-programmed state. Idempotent.
+  // (Set/Update/RemovePermitList, Set/RemoveGroup) go to the outage log
+  // instead of fanning out until CompleteRestart(). The data plane keeps
+  // answering Admits() from the edges' last-programmed state. Idempotent.
   void BeginRestart();
-  bool in_restart() const { return in_restart_; }
+  bool in_restart() const { return outage_.active(); }
 
-  // The control plane comes back. Both modes restore `snap`, drain the
-  // buffered mutations, and leave the bank byte-identical (modulo version
-  // numbers) to a from-scratch rebuild of the same intent; they differ in
-  // data-plane churn:
-  //   kWarm: buffered ops replay through the normal incremental fan-out,
-  //     then a reconcile sweep compares every (endpoint, edge) pair against
-  //     the master and re-pushes only mismatches — matching edges keep
-  //     their verdict-cache epochs, and traffic never sees a default-off
-  //     window.
-  //   kCold: every edge is flushed (one global epoch bump — all cached
-  //     verdicts die) and the full intent is re-fanned-out with install
-  //     latency; until the re-installs land, default-off denies everything.
+  // The control plane comes back. Both modes restore `snap`, replay the
+  // outage log, and leave the bank byte-identical (modulo version numbers)
+  // to a from-scratch rebuild of the same intent; they differ in data-plane
+  // churn:
+  //   kWarm: the log replays into this bank through the normal incremental
+  //     fan-out, then a reconcile sweep compares every (endpoint, edge) pair
+  //     the replay did not push (version below the counter's value when
+  //     replay began) against the master and re-pushes only mismatches —
+  //     matching edges keep their verdict-cache epochs, and traffic never
+  //     sees a default-off window.
+  //   kCold: the log replays into an edgeless, queueless scratch bank
+  //     restored from `snap`, whose Checkpoint() becomes the intent; every
+  //     edge is flushed (one global epoch bump — all cached verdicts die)
+  //     and the full intent is re-fanned-out with install latency; until
+  //     the re-installs land, default-off denies everything.
   ReconcileStats CompleteRestart(RestartMode mode,
                                  const FilterBankSnapshot& snap);
 
@@ -408,14 +415,21 @@ class EdgeFilterBank {
     uint64_t version = 0;
     MemberSnapshot members;
   };
+  // Every removal and every cold flush takes a fresh version, kept on the
+  // edge, so an install sent earlier that lands afterwards is stale and
+  // cannot bring back what was removed.
   struct EdgeState {
     std::string name;
-    // Struct-of-arrays, indexed by endpoint slot (grown lazily): installed
-    // list version (0 = none) and interned set id (kNilId = none).
+    // Struct-of-arrays, indexed by endpoint slot (grown lazily): the version
+    // of the last install or removal applied (0 = none) and the interned set
+    // id (kNilId = none).
     std::vector<uint64_t> list_version;
     std::vector<uint32_t> list_set;
     std::unordered_map<EndpointGroupId, GroupVersion> groups;
+    // Version of the last removal of each group applied here.
+    std::unordered_map<EndpointGroupId, uint64_t> group_removed_at;
     uint64_t entry_count = 0;
+    uint64_t flush_version = 0;  // installs numbered below it are stale
   };
 
   struct VerdictKey {
@@ -438,24 +452,6 @@ class EdgeFilterBank {
     }
   };
 
-  // A mutation accepted while the control plane was down, replayed at
-  // CompleteRestart().
-  struct PendingOp {
-    enum class Kind : uint8_t {
-      kSetList,
-      kUpdateList,
-      kRemoveList,
-      kSetGroup,
-      kRemoveGroup,
-    };
-    Kind kind = Kind::kSetList;
-    IpAddress endpoint;               // list ops
-    std::vector<PermitEntry> entries; // kSetList; kUpdateList: adds
-    std::vector<PermitEntry> removes; // kUpdateList only
-    EndpointGroupId group;            // group ops
-    MemberSnapshot members;           // kSetGroup
-  };
-
   // One message's delivery delay, including any degraded-mode drop/retry
   // rounds. Advances the RNG; all draws happen here, at send time.
   SimDuration SampleDeliveryLatency();
@@ -470,9 +466,13 @@ class EdgeFilterBank {
   SimTime PushGroupTo(EndpointGroupId group, const MemberSnapshot& members,
                       const std::vector<size_t>& targets);
   std::vector<size_t> AllEdgeIndices() const;
-  // Folds a buffered op into the master copy only (cold completion rebuilds
-  // the data plane afterwards in one pass).
-  void ApplyOpToMaster(const PendingOp& op);
+  // Grows an edge's columns to the slot count if they do not cover `slot`.
+  void CoverSlot(EdgeState& edge, uint32_t slot) const;
+  // Master groups, sorted by id (the deterministic sweep order).
+  std::vector<EndpointGroupId> SortedMasterGroups() const;
+  SimTime Now() const {
+    return queue_ != nullptr ? queue_->now() : SimTime::Epoch();
+  }
 
   // Dense slot for an endpoint address, creating it (and growing the
   // bank-wide columns) on first sight. Slots are never recycled: the
@@ -528,9 +528,8 @@ class EdgeFilterBank {
   uint64_t next_version_ = 1;
   uint64_t messages_ = 0;
 
-  // Restart protocol state (see reconcile.h).
-  bool in_restart_ = false;
-  std::vector<PendingOp> pending_ops_;
+  // Mutations accepted while the control plane is down (see reconcile.h).
+  OutageLog<EdgeFilterBank> outage_;
 
   // Verdict fast path. Scoped epochs: list applies/removals bump the
   // endpoint's epoch, group applies/removals bump the bank-wide one; gen_

@@ -6,8 +6,7 @@
 namespace tenantnet {
 
 Status SipLoadBalancer::AddSip(IpAddress sip) {
-  if (in_restart_) {
-    pending_ops_.push_back(PendingOp{PendingOp::Kind::kAddSip, {}, sip});
+  if (outage_.Defer(&SipLoadBalancer::AddSip, sip)) {
     return Status::Ok();  // accepted asynchronously; validated at replay
   }
   auto [it, inserted] = bindings_.try_emplace(sip);
@@ -19,8 +18,7 @@ Status SipLoadBalancer::AddSip(IpAddress sip) {
 }
 
 Status SipLoadBalancer::RemoveSip(IpAddress sip) {
-  if (in_restart_) {
-    pending_ops_.push_back(PendingOp{PendingOp::Kind::kRemoveSip, {}, sip});
+  if (outage_.Defer(&SipLoadBalancer::RemoveSip, sip)) {
     return Status::Ok();
   }
   if (bindings_.erase(sip) == 0) {
@@ -31,9 +29,7 @@ Status SipLoadBalancer::RemoveSip(IpAddress sip) {
 }
 
 Status SipLoadBalancer::Bind(IpAddress eip, IpAddress sip, double weight) {
-  if (in_restart_) {
-    pending_ops_.push_back(
-        PendingOp{PendingOp::Kind::kBind, eip, sip, weight});
+  if (outage_.Defer(&SipLoadBalancer::Bind, eip, sip, weight)) {
     return Status::Ok();
   }
   auto it = bindings_.find(sip);
@@ -56,8 +52,7 @@ Status SipLoadBalancer::Bind(IpAddress eip, IpAddress sip, double weight) {
 }
 
 Status SipLoadBalancer::Unbind(IpAddress eip, IpAddress sip) {
-  if (in_restart_) {
-    pending_ops_.push_back(PendingOp{PendingOp::Kind::kUnbind, eip, sip});
+  if (outage_.Defer(&SipLoadBalancer::Unbind, eip, sip)) {
     return Status::Ok();
   }
   auto it = bindings_.find(sip);
@@ -76,9 +71,7 @@ Status SipLoadBalancer::Unbind(IpAddress eip, IpAddress sip) {
 }
 
 void SipLoadBalancer::UnbindEverywhere(IpAddress eip) {
-  if (in_restart_) {
-    pending_ops_.push_back(
-        PendingOp{PendingOp::Kind::kUnbindEverywhere, eip, {}});
+  if (outage_.Defer(&SipLoadBalancer::UnbindEverywhere, eip)) {
     return;
   }
   for (auto& [sip, vec] : bindings_) {
@@ -90,12 +83,10 @@ void SipLoadBalancer::UnbindEverywhere(IpAddress eip) {
 }
 
 void SipLoadBalancer::SetHealth(IpAddress eip, bool healthy) {
-  if (in_restart_) {
-    // The health prober writes into the (dead) control plane; the live
-    // table keeps its stale verdicts until reconcile — the stale-backend
-    // window the restart tests measure.
-    pending_ops_.push_back(
-        PendingOp{PendingOp::Kind::kSetHealth, eip, {}, 1.0, healthy});
+  // The health prober writes into the (dead) control plane; the live
+  // table keeps its stale verdicts until reconcile — the stale-backend
+  // window the restart tests measure.
+  if (outage_.Defer(&SipLoadBalancer::SetHealth, eip, healthy)) {
     return;
   }
   for (auto& [sip, vec] : bindings_) {
@@ -176,55 +167,15 @@ void SipLoadBalancer::RestoreFromSnapshot(const SipLbSnapshot& snap) {
   ++config_revision_;
 }
 
-void SipLoadBalancer::BeginRestart() {
-  if (in_restart_) {
-    return;  // overlapping restarts extend the same outage
-  }
-  // Unlike the filter bank, the binding table IS the programmed data plane,
-  // so nothing is wiped — it freezes (no mutation lands until reconcile).
-  in_restart_ = true;
-}
-
 ReconcileStats SipLoadBalancer::CompleteRestart(RestartMode mode,
                                                 const SipLbSnapshot& snap) {
+  // Rebuild the intended state out of line: the outage log replayed into a
+  // scratch balancer restored from the snapshot. The live table is the
+  // programmed data plane; it stays frozen until the rewrite below.
   ReconcileStats stats;
-  in_restart_ = false;
-  std::vector<PendingOp> ops;
-  ops.swap(pending_ops_);
-  stats.replayed_mutations = ops.size();
-
-  // Rebuild the intended state out of line: snapshot + buffered mutations
-  // replayed through the normal paths (invalid ops — e.g. a bind to a SIP
-  // removed during the same outage — drop here, where they would have
-  // failed synchronously).
   SipLoadBalancer intended;
   intended.RestoreFromSnapshot(snap);
-  for (const PendingOp& op : ops) {
-    Status status = Status::Ok();
-    switch (op.kind) {
-      case PendingOp::Kind::kAddSip:
-        status = intended.AddSip(op.sip);
-        break;
-      case PendingOp::Kind::kRemoveSip:
-        status = intended.RemoveSip(op.sip);
-        break;
-      case PendingOp::Kind::kBind:
-        status = intended.Bind(op.eip, op.sip, op.weight);
-        break;
-      case PendingOp::Kind::kUnbind:
-        status = intended.Unbind(op.eip, op.sip);
-        break;
-      case PendingOp::Kind::kUnbindEverywhere:
-        intended.UnbindEverywhere(op.eip);
-        break;
-      case PendingOp::Kind::kSetHealth:
-        intended.SetHealth(op.eip, op.healthy);
-        break;
-    }
-    if (!status.ok()) {
-      ++stats.dropped_mutations;
-    }
-  }
+  outage_.Replay(intended, stats);
 
   if (mode == RestartMode::kCold) {
     // Rewrite the whole table (pick counter survives: it is data-plane

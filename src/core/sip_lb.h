@@ -71,15 +71,17 @@ class SipLoadBalancer {
   // Reinstates exactly what Checkpoint() captured (bindings + pick counter).
   void RestoreFromSnapshot(const SipLbSnapshot& snap);
 
-  // The control plane dies: Bind/Unbind/SetHealth/Add/RemoveSip buffer
-  // (accepted asynchronously, validated at replay) until CompleteRestart().
-  // The binding table doubles as the programmed data plane, so Resolve()
-  // keeps serving the frozen state — including stale health for backends
-  // that died during the outage. Idempotent.
-  void BeginRestart();
-  bool in_restart() const { return in_restart_; }
+  // The control plane dies: every mutator (AddSip, RemoveSip, Bind, Unbind,
+  // UnbindEverywhere, SetHealth) goes to the outage log (accepted
+  // asynchronously, validated at replay) until CompleteRestart(). The
+  // binding table doubles as the programmed data plane, so Resolve() keeps
+  // serving the frozen state — including stale health for backends that
+  // died during the outage. Idempotent.
+  void BeginRestart() { outage_.Begin(); }
+  bool in_restart() const { return outage_.active(); }
 
-  // Builds the intended state (snapshot + buffered mutations replayed), then
+  // Builds the intended state (the log replayed into a scratch balancer
+  // restored from the snapshot), then
   //   kWarm: diffs it against the live table per SIP, rewriting only the
   //     SIPs whose bindings actually changed;
   //   kCold: rewrites the whole table.
@@ -88,27 +90,10 @@ class SipLoadBalancer {
   ReconcileStats CompleteRestart(RestartMode mode, const SipLbSnapshot& snap);
 
  private:
-  struct PendingOp {
-    enum class Kind : uint8_t {
-      kAddSip,
-      kRemoveSip,
-      kBind,
-      kUnbind,
-      kUnbindEverywhere,
-      kSetHealth,
-    };
-    Kind kind = Kind::kBind;
-    IpAddress eip;
-    IpAddress sip;
-    double weight = 1.0;
-    bool healthy = true;
-  };
-
   std::unordered_map<IpAddress, std::vector<Binding>> bindings_;
   uint64_t pick_seq_ = 0;
   uint64_t config_revision_ = 0;
-  bool in_restart_ = false;
-  std::vector<PendingOp> pending_ops_;
+  OutageLog<SipLoadBalancer> outage_;
 };
 
 struct SipLbSnapshot {

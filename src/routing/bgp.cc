@@ -15,14 +15,8 @@ SpeakerId BgpMesh::AddSpeaker(uint32_t asn, std::string name) {
 
 Status BgpMesh::AddSession(SpeakerId a, SpeakerId b, SessionPolicy a_to_b,
                            SessionPolicy b_to_a) {
-  if (in_restart_) {
-    PendingOp op;
-    op.kind = PendingOp::Kind::kAddSession;
-    op.a = a;
-    op.b = b;
-    op.policy_ab = std::move(a_to_b);
-    op.policy_ba = std::move(b_to_a);
-    pending_ops_.push_back(std::move(op));
+  if (outage_.Defer(&BgpMesh::AddSession, a, b, std::move(a_to_b),
+                    std::move(b_to_a))) {
     return Status::Ok();  // accepted asynchronously; validated at replay
   }
   if (!Valid(a) || !Valid(b)) {
@@ -50,12 +44,7 @@ Status BgpMesh::AddSession(SpeakerId a, SpeakerId b, SessionPolicy a_to_b,
 }
 
 Status BgpMesh::RemoveSession(SpeakerId a, SpeakerId b) {
-  if (in_restart_) {
-    PendingOp op;
-    op.kind = PendingOp::Kind::kRemoveSession;
-    op.a = a;
-    op.b = b;
-    pending_ops_.push_back(std::move(op));
+  if (outage_.Defer(&BgpMesh::RemoveSession, a, b)) {
     return Status::Ok();
   }
   if (!Valid(a) || !Valid(b)) {
@@ -86,13 +75,8 @@ Status BgpMesh::RemoveSession(SpeakerId a, SpeakerId b) {
 
 Status BgpMesh::SetSessionPolicy(SpeakerId speaker, SpeakerId peer,
                                  SessionPolicy policy) {
-  if (in_restart_) {
-    PendingOp op;
-    op.kind = PendingOp::Kind::kSetSessionPolicy;
-    op.a = speaker;
-    op.b = peer;
-    op.policy_ab = std::move(policy);
-    pending_ops_.push_back(std::move(op));
+  if (outage_.Defer(&BgpMesh::SetSessionPolicy, speaker, peer,
+                    std::move(policy))) {
     return Status::Ok();
   }
   if (!Valid(speaker) || !Valid(peer)) {
@@ -114,12 +98,7 @@ Status BgpMesh::SetSessionPolicy(SpeakerId speaker, SpeakerId peer,
 }
 
 Status BgpMesh::Originate(SpeakerId speaker, const IpPrefix& prefix) {
-  if (in_restart_) {
-    PendingOp op;
-    op.kind = PendingOp::Kind::kOriginate;
-    op.a = speaker;
-    op.prefix = prefix;
-    pending_ops_.push_back(std::move(op));
+  if (outage_.Defer(&BgpMesh::Originate, speaker, prefix)) {
     return Status::Ok();
   }
   if (!Valid(speaker)) {
@@ -135,12 +114,7 @@ Status BgpMesh::Originate(SpeakerId speaker, const IpPrefix& prefix) {
 }
 
 Status BgpMesh::WithdrawOrigin(SpeakerId speaker, const IpPrefix& prefix) {
-  if (in_restart_) {
-    PendingOp op;
-    op.kind = PendingOp::Kind::kWithdrawOrigin;
-    op.a = speaker;
-    op.prefix = prefix;
-    pending_ops_.push_back(std::move(op));
+  if (outage_.Defer(&BgpMesh::WithdrawOrigin, speaker, prefix)) {
     return Status::Ok();
   }
   if (!Valid(speaker)) {
@@ -351,7 +325,7 @@ void BgpMesh::ClearAdjRib(Speaker& s) {
 
 BgpMesh::ConvergenceStats BgpMesh::Converge(uint64_t max_rounds) {
   ConvergenceStats stats;
-  if (in_restart_) {
+  if (outage_.active()) {
     return stats;  // dead control plane: dirty work waits for the replay
   }
   bool changed_any = false;
@@ -443,7 +417,7 @@ BgpMesh::ConvergenceStats BgpMesh::Converge(uint64_t max_rounds) {
 }
 
 BgpMesh::ConvergenceStats BgpMesh::ConvergeFull(uint64_t max_rounds) {
-  if (in_restart_) {
+  if (outage_.active()) {
     return ConvergenceStats{};  // must not wipe surviving forwarding state
   }
   // Record pre-delta state for everything we are about to clear, so the
@@ -629,15 +603,6 @@ void BgpMesh::RestoreFromSnapshot(const BgpMeshSnapshot& snap) {
   ++mutations_;  // downstream caches must conservatively drop
 }
 
-void BgpMesh::BeginRestart() {
-  if (in_restart_) {
-    return;  // overlapping restarts extend the same outage
-  }
-  // Graceful restart: RIBs survive (they are what the data plane forwards
-  // with); only the convergence machinery stops.
-  in_restart_ = true;
-}
-
 uint64_t BgpMesh::ReconcileFromSnapshot(const BgpMeshSnapshot& snap) {
   uint64_t divergent = 0;
   for (size_t i = 0; i < speakers_.size(); ++i) {
@@ -705,39 +670,10 @@ uint64_t BgpMesh::ReconcileFromSnapshot(const BgpMeshSnapshot& snap) {
   return divergent;
 }
 
-std::pair<uint64_t, uint64_t> BgpMesh::EndRestartAndReplay() {
-  if (!in_restart_) {
-    return {0, 0};
-  }
-  in_restart_ = false;
-  std::vector<PendingOp> ops;
-  ops.swap(pending_ops_);
-  uint64_t dropped = 0;
-  for (PendingOp& op : ops) {
-    Status status = Status::Ok();
-    switch (op.kind) {
-      case PendingOp::Kind::kOriginate:
-        status = Originate(op.a, op.prefix);
-        break;
-      case PendingOp::Kind::kWithdrawOrigin:
-        status = WithdrawOrigin(op.a, op.prefix);
-        break;
-      case PendingOp::Kind::kAddSession:
-        status = AddSession(op.a, op.b, std::move(op.policy_ab),
-                            std::move(op.policy_ba));
-        break;
-      case PendingOp::Kind::kRemoveSession:
-        status = RemoveSession(op.a, op.b);
-        break;
-      case PendingOp::Kind::kSetSessionPolicy:
-        status = SetSessionPolicy(op.a, op.b, std::move(op.policy_ab));
-        break;
-    }
-    if (!status.ok()) {
-      ++dropped;  // became invalid during the outage
-    }
-  }
-  return {ops.size(), dropped};
+ReconcileStats BgpMesh::EndRestartAndReplay() {
+  ReconcileStats stats;
+  outage_.Replay(*this, stats);
+  return stats;
 }
 
 }  // namespace tenantnet

@@ -227,9 +227,10 @@ class BgpMesh {
   // The control plane dies. Graceful-restart semantics: the RIBs are
   // forwarding state and survive (peers keep forwarding), but no convergence
   // runs and config mutations (originate/withdraw, session add/remove,
-  // policy changes) buffer until EndRestartAndReplay(). Idempotent.
-  void BeginRestart();
-  bool in_restart() const { return in_restart_; }
+  // policy changes) go to the outage log until EndRestartAndReplay().
+  // Idempotent.
+  void BeginRestart() { outage_.Begin(); }
+  bool in_restart() const { return outage_.active(); }
 
   // Verification pass of the warm path: compares retained RIBs against the
   // checkpoint and marks every divergent (speaker, prefix) dirty so the next
@@ -238,11 +239,11 @@ class BgpMesh {
   // divergent entry count; zero when the checkpoint was taken at the kill.
   uint64_t ReconcileFromSnapshot(const BgpMeshSnapshot& snap);
 
-  // Exits buffering and replays the buffered config mutations through the
-  // normal incremental paths. Returns {replayed, dropped} — an op can drop
-  // when it became invalid during the outage (e.g. originating a prefix a
-  // later buffered op already originated).
-  std::pair<uint64_t, uint64_t> EndRestartAndReplay();
+  // Ends the outage and replays the logged config mutations into this mesh
+  // through the normal incremental paths. Reports replayed and dropped
+  // mutations — one drops when it became invalid during the outage (e.g.
+  // originating a prefix an earlier logged call already originated).
+  ReconcileStats EndRestartAndReplay();
 
  private:
   struct Session {
@@ -351,23 +352,6 @@ class BgpMesh {
   // Drops every Adj-RIB-In entry `at` learned from `peer`.
   void FlushLearnedFrom(SpeakerId at, SpeakerId peer);
 
-  // A config mutation buffered while the control plane is restarting.
-  struct PendingOp {
-    enum class Kind : uint8_t {
-      kOriginate,
-      kWithdrawOrigin,
-      kAddSession,
-      kRemoveSession,
-      kSetSessionPolicy,
-    };
-    Kind kind = Kind::kOriginate;
-    SpeakerId a;
-    SpeakerId b;  // peer for session ops
-    IpPrefix prefix;
-    SessionPolicy policy_ab;
-    SessionPolicy policy_ba;
-  };
-
   std::vector<Speaker> speakers_;
   // Adj-RIB-In buckets (shared slab: one allocation pool for the mesh) and
   // the mesh-wide deduplicated AS-path pool.
@@ -375,8 +359,8 @@ class BgpMesh {
   InternPool<std::vector<uint32_t>, PathHash> paths_;
   size_t session_count_ = 0;
   uint64_t mutations_ = 0;
-  bool in_restart_ = false;
-  std::vector<PendingOp> pending_ops_;
+  // Config mutations accepted while the control plane is restarting.
+  OutageLog<BgpMesh> outage_;
 
   // Dirty work queue: per speaker, the prefixes whose best path must be
   // re-selected. Ordered sets keep round processing deterministic.

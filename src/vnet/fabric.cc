@@ -972,11 +972,8 @@ uint64_t BaselineNetwork::ReconcileTgwFibs(uint64_t* checked) {
 
 ReconcileStats BaselineNetwork::CompleteRoutingRestart(
     RestartMode mode, const RoutingSnapshot& snap) {
-  ReconcileStats stats;
   if (mode == RestartMode::kCold) {
-    auto [replayed, dropped] = bgp_.EndRestartAndReplay();
-    stats.replayed_mutations = replayed;
-    stats.dropped_mutations = dropped;
+    ReconcileStats stats = bgp_.EndRestartAndReplay();
     PropagateRoutesFull();
     // Wholesale work: every RIB re-derived, every FIB rewritten.
     stats.deltas_applied = bgp_.TotalRibEntries();
@@ -986,12 +983,10 @@ ReconcileStats BaselineNetwork::CompleteRoutingRestart(
     return stats;
   }
   // Warm: verify retained RIBs against the checkpoint (divergent prefixes
-  // queue for re-selection), replay the buffered mutations, converge
+  // queue for re-selection), replay the logged mutations, converge
   // incrementally, and fix only the FIB entries that differ.
   (void)bgp_.ReconcileFromSnapshot(snap.mesh);
-  auto [replayed, dropped] = bgp_.EndRestartAndReplay();
-  stats.replayed_mutations = replayed;
-  stats.dropped_mutations = dropped;
+  ReconcileStats stats = bgp_.EndRestartAndReplay();
   stats.checked = bgp_.TotalRibEntries() + bgp_.TotalAdjRibInEntries();
   bgp_.Converge();
   std::vector<std::vector<RibDelta>> deltas = bgp_.TakeDeltas();

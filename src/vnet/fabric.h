@@ -199,18 +199,18 @@ class BaselineNetwork {
   // warm reconciliation goes through CompleteRoutingRestart instead).
   void RestoreRoutingFromSnapshot(const RoutingSnapshot& snap);
 
-  // Kills the routing control plane: BGP config mutations buffer,
-  // PropagateRoutes()/PropagateRoutesFull() become no-ops, and the RIBs and
-  // TGW FIBs keep forwarding their frozen state. Idempotent.
+  // Kills the routing control plane: BGP config mutations go to the mesh's
+  // outage log, PropagateRoutes()/PropagateRoutesFull() become no-ops, and
+  // the RIBs and TGW FIBs keep forwarding their frozen state. Idempotent.
   void BeginRoutingRestart();
   bool routing_in_restart() const { return bgp_.in_restart(); }
 
   //   kWarm: verify retained RIBs against the checkpoint (divergent prefixes
-  //     re-selected), replay buffered mutations, converge incrementally,
+  //     re-selected), replay logged mutations, converge incrementally,
   //     apply the resulting Loc-RIB deltas, then sweep every TGW FIB against
   //     its speaker's Loc-RIB with change-only installs/withdraws. FIBs that
   //     match are untouched — no revision bump, verdict caches survive.
-  //   kCold: replay buffered mutations, then PropagateRoutesFull() — every
+  //   kCold: replay logged mutations, then PropagateRoutesFull() — every
   //     RIB rebuilt, every propagated FIB entry dropped and reinstalled
   //     (the revision storm the warm path exists to avoid).
   // Both paths land on the same bytes (asserted by the restart oracle test).

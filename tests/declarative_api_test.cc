@@ -67,6 +67,31 @@ TEST_F(DeclarativeTest, ReleaseEipCleansEverything) {
   EXPECT_EQ(*cloud_.RequestEip(vm2), eip);
 }
 
+// A released address that is issued again must come back default-off, even
+// when the old owner's permit list was still being installed at release.
+TEST(DeclarativeReleaseTest, ReissuedEipDoesNotInheritInstallInFlight) {
+  TestWorld tw = BuildTestWorld();
+  ConfigLedger ledger;
+  EventQueue queue;
+  DeclarativeCloud cloud(*tw.world, ledger, &queue);
+  auto launch = [&] {
+    return *tw.world->LaunchInstance(tw.tenant, tw.provider, tw.east, 0);
+  };
+  InstanceId client = launch();
+  ASSERT_TRUE(cloud.RequestEip(client).ok());
+  IpAddress eip1 = *cloud.RequestEip(launch());
+  ASSERT_TRUE(cloud.SetPermitList(eip1, {Permit(*cloud.EipOf(client))}).ok());
+  ASSERT_TRUE(cloud.ReleaseEip(eip1).ok());  // before the install lands
+  IpAddress eip2 = *cloud.RequestEip(launch());
+  ASSERT_EQ(eip2, eip1);  // lowest-first reuse hands the address back
+  queue.RunAll();
+
+  auto result = cloud.Evaluate(client, eip2, 443, Protocol::kTcp);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result->delivered);
+  EXPECT_EQ(result->drop_stage, "edge-filter");
+}
+
 TEST_F(DeclarativeTest, EipsAreFlatNonAggregatableForTheTenant) {
   // Two instances in the same zone get adjacent pool addresses; two in
   // different regions still come from the same provider pool — the tenant

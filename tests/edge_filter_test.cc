@@ -141,6 +141,64 @@ TEST(EdgeFilterTest, StaleUpdateNeverOverwritesNewer) {
   EXPECT_FALSE(bank.Admits(0, Flow("10.1.1.1", "5.0.0.1", 443)));
 }
 
+// A removal outranks every install still in flight: the install lands after
+// the removal and is discarded, so the list does not come back. An install
+// sent after the removal still wins.
+TEST(EdgeFilterTest, RemovalOutranksListInstallInFlight) {
+  EventQueue queue;
+  EdgeFilterBank bank("p", &queue, 7);
+  bank.AddEdge("e0");
+  bank.AddEdge("e1");
+  IpAddress endpoint = *IpAddress::Parse("5.0.0.1");
+  bank.SetPermitList(endpoint, {Permit("10.0.0.0/8")});
+  bank.RemovePermitList(endpoint);  // before either install lands
+  queue.RunAll();
+  for (size_t edge : {0u, 1u}) {
+    EXPECT_FALSE(bank.HasList(edge, endpoint));
+    EXPECT_FALSE(bank.Admits(edge, Flow("10.1.1.1", "5.0.0.1", 443)));
+  }
+  EXPECT_TRUE(bank.IsConverged(endpoint));
+
+  SimTime last = bank.SetPermitList(endpoint, {Permit("11.0.0.0/8")});
+  EXPECT_FALSE(bank.IsConverged(endpoint));
+  queue.RunUntil(last);
+  EXPECT_TRUE(bank.IsConverged(endpoint));
+  for (size_t edge : {0u, 1u}) {
+    EXPECT_TRUE(bank.HasList(edge, endpoint));
+    EXPECT_TRUE(bank.Admits(edge, Flow("11.1.1.1", "5.0.0.1", 443)));
+  }
+}
+
+TEST(EdgeFilterTest, RemovalOutranksGroupInstallInFlight) {
+  EventQueue queue;
+  EdgeFilterBank bank("p", &queue, 7);
+  bank.AddEdge("e0");
+  bank.AddEdge("e1");
+  EndpointGroupId web(1);
+  PermitEntry by_group;
+  by_group.source_group = web;
+  bank.SetPermitList(*IpAddress::Parse("5.0.0.1"), {by_group});
+  bank.SetGroup(web, {*IpAddress::Parse("10.1.0.1")});
+  queue.RunAll();
+  ASSERT_TRUE(bank.Admits(0, Flow("10.1.0.1", "5.0.0.1", 443)));
+
+  bank.SetGroup(web, {*IpAddress::Parse("10.1.0.1"),
+                      *IpAddress::Parse("10.1.0.2")});
+  bank.RemoveGroup(web);  // before either new member set lands
+  queue.RunAll();
+  for (size_t edge : {0u, 1u}) {
+    EXPECT_FALSE(bank.Admits(edge, Flow("10.1.0.1", "5.0.0.1", 443)));
+    EXPECT_FALSE(bank.Admits(edge, Flow("10.1.0.2", "5.0.0.1", 443)));
+  }
+  EXPECT_EQ(bank.StateFingerprint().find("EG"), std::string::npos);
+
+  bank.SetGroup(web, {*IpAddress::Parse("10.1.0.2")});
+  queue.RunAll();
+  for (size_t edge : {0u, 1u}) {
+    EXPECT_TRUE(bank.Admits(edge, Flow("10.1.0.2", "5.0.0.1", 443)));
+  }
+}
+
 // --- Verdict fast path -------------------------------------------------------
 
 TEST(EdgeFilterTest, RepeatedVerdictsHitTheCache) {

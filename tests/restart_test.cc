@@ -15,7 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -278,19 +282,62 @@ TEST(FilterRestartTest, WarmReconcileRepushesOnlyGroupsThatDiffer) {
   }
 }
 
+// A cold flush outranks every install still in flight: an install sent
+// before the crash lands after the flush and must not bring back a list the
+// intent dropped during the outage.
+TEST(FilterRestartTest, ColdFlushOutranksInstallsInFlight) {
+  EventQueue queue;
+  EdgeFilterBank bank("p", &queue, 3);
+  bank.AddEdge("e0");
+  IpAddress endpoint = A("5.0.0.1");
+  bank.SetPermitList(endpoint, {Permit("10.0.0.0/8")});  // still in flight
+  FilterBankSnapshot snap = bank.Checkpoint();
+  bank.BeginRestart();
+  bank.RemovePermitList(endpoint);
+  (void)bank.CompleteRestart(RestartMode::kCold, snap);
+  queue.RunAll();
+  EXPECT_FALSE(bank.HasList(0, endpoint));
+  EXPECT_FALSE(bank.Admits(0, Flow("10.1.1.1", "5.0.0.1", 443)));
+  EXPECT_TRUE(bank.IsConverged(endpoint));
+}
+
+// Every list and group an edge holds in `fingerprint` (E<i> / EG<i> lines)
+// is also in the master (M / MG lines): nothing the intent dropped survives
+// on an edge.
+void ExpectEdgesHoldOnlyMasterState(const std::string& fingerprint) {
+  std::set<std::string> master;
+  std::vector<std::string> held;
+  std::istringstream lines(fingerprint);
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream words(line);
+    std::string tag;
+    std::string key;
+    words >> tag >> key;
+    if (tag == "M" || tag == "MG") {
+      master.insert(tag + " " + key);
+    } else {
+      held.push_back((tag[1] == 'G' ? "MG " : "M ") + key);
+    }
+  }
+  for (const std::string& entry : held) {
+    EXPECT_TRUE(master.contains(entry)) << "edge holds " << entry;
+  }
+}
+
 // Warm and cold completions of the same outage land on the same semantic
 // state (version numbers differ; StateFingerprint is version-free).
 // Randomized: identical twin banks, identical op stream, different modes.
-class FilterRestartEquivalenceTest
-    : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(FilterRestartEquivalenceTest, WarmAndColdAgreeOnSemantics) {
-  const uint64_t seed = GetParam();
+// With an event queue, installs are in flight at the crash, the queue runs
+// during the outage, the checkpoint is taken at the kill (the coordinator's
+// default), and the banks are compared once both queues drain.
+void ExpectWarmAndColdAgree(uint64_t seed, bool with_queue) {
   SCOPED_TRACE("TN_SEED=" + std::to_string(seed));
   const int ops = static_cast<int>(test_env::ItersOverride(60));
 
-  EdgeFilterBank warm("p", nullptr, 1234);
-  EdgeFilterBank cold("p", nullptr, 1234);
+  EventQueue warm_queue;
+  EventQueue cold_queue;
+  EdgeFilterBank warm("p", with_queue ? &warm_queue : nullptr, 1234);
+  EdgeFilterBank cold("p", with_queue ? &cold_queue : nullptr, 1234);
   for (int e = 0; e < 3; ++e) {
     warm.AddEdge("e" + std::to_string(e));
     cold.AddEdge("e" + std::to_string(e));
@@ -322,13 +369,24 @@ TEST_P(FilterRestartEquivalenceTest, WarmAndColdAgreeOnSemantics) {
         break;
     }
   };
-  // Pre-outage history (identical on both banks).
-  for (int i = 0; i < ops; ++i) {
+  // One op on both banks; with queues, both then run the same stretch of
+  // simulated time (drawn only then, so null-queue op streams stay put).
+  auto step = [&] {
     uint64_t draw = rng.NextU64(1 << 30);
     uint64_t ep = rng.NextU64(1 << 30);
     uint64_t grp = rng.NextU64(1 << 30);
     random_op(warm, draw, ep, grp);
     random_op(cold, draw, ep, grp);
+    if (with_queue) {
+      const SimDuration run = SimDuration::Millis(
+          static_cast<int64_t>(rng.NextU64(25)));
+      warm_queue.RunUntil(warm_queue.now() + run);
+      cold_queue.RunUntil(cold_queue.now() + run);
+    }
+  };
+  // Pre-outage history (identical on both banks).
+  for (int i = 0; i < ops; ++i) {
+    step();
   }
   FilterBankSnapshot warm_snap = warm.Checkpoint();
   FilterBankSnapshot cold_snap = cold.Checkpoint();
@@ -336,23 +394,41 @@ TEST_P(FilterRestartEquivalenceTest, WarmAndColdAgreeOnSemantics) {
 
   warm.BeginRestart();
   cold.BeginRestart();
-  // Outage-time mutations (buffered, identical).
+  // Outage-time mutations (logged, identical).
   for (int i = 0; i < ops / 3; ++i) {
-    uint64_t draw = rng.NextU64(1 << 30);
-    uint64_t ep = rng.NextU64(1 << 30);
-    uint64_t grp = rng.NextU64(1 << 30);
-    random_op(warm, draw, ep, grp);
-    random_op(cold, draw, ep, grp);
+    step();
   }
   ReconcileStats ws = warm.CompleteRestart(RestartMode::kWarm, warm_snap);
   ReconcileStats cs = cold.CompleteRestart(RestartMode::kCold, cold_snap);
   EXPECT_EQ(ws.replayed_mutations, cs.replayed_mutations);
-  EXPECT_EQ(warm.StateFingerprint(), cold.StateFingerprint());
+  warm_queue.RunAll();
+  cold_queue.RunAll();
+  const std::string fingerprint = warm.StateFingerprint();
+  EXPECT_EQ(fingerprint, cold.StateFingerprint());
+  ExpectEdgesHoldOnlyMasterState(fingerprint);
   // Warm touches at most as much data plane as cold rewrites.
   EXPECT_LE(ws.deltas_applied, cs.deltas_applied);
 }
 
+class FilterRestartEquivalenceTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FilterRestartEquivalenceTest, WarmAndColdAgreeOnSemantics) {
+  ExpectWarmAndColdAgree(GetParam(), /*with_queue=*/false);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FilterRestartEquivalenceTest,
+                         ::testing::ValuesIn(test_env::SeedList(
+                             {5, 21, 1009})));
+
+class FilterRestartLatencyEquivalenceTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FilterRestartLatencyEquivalenceTest, WarmAndColdAgreeAfterDrain) {
+  ExpectWarmAndColdAgree(GetParam(), /*with_queue=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FilterRestartLatencyEquivalenceTest,
                          ::testing::ValuesIn(test_env::SeedList(
                              {5, 21, 1009})));
 
@@ -432,6 +508,253 @@ TEST(SipLbRestartTest, WarmAndColdAgreeOnBindings) {
   ReconcileStats cs = cold.CompleteRestart(RestartMode::kCold, snap);
   EXPECT_TRUE(warm.Checkpoint() == cold.Checkpoint());
   EXPECT_LE(ws.deltas_applied, cs.deltas_applied);
+}
+
+// ---------------------------------------------------------------------------
+// Outage log: every mutator of every component defers. Table-driven, one row
+// per mutator (plus rows that become invalid by replay time): during the
+// outage the call is accepted and the live state does not move; at
+// completion the mutation lands, or counts as dropped.
+// ---------------------------------------------------------------------------
+
+TEST(OutageDeferralTest, FilterBankDefersEveryMutator) {
+  const IpAddress listed = A("5.0.0.1");
+  const IpAddress other = A("5.0.0.2");
+  const EndpointGroupId web(1);
+  auto admits = [](EdgeFilterBank& bank, const char* src) {
+    return bank.Admits(0, Flow(src, "5.0.0.1", 443)) &&
+           bank.Admits(1, Flow(src, "5.0.0.1", 443));
+  };
+  struct Row {
+    const char* mutator;
+    std::function<void(EdgeFilterBank&)> mutate;
+    std::function<bool(EdgeFilterBank&)> landed;
+  };
+  const std::vector<Row> rows = {
+      {"SetPermitList",
+       [&](EdgeFilterBank& b) {
+         b.SetPermitList(listed, {Permit("172.16.0.0/12")});
+       },
+       [&](EdgeFilterBank& b) { return admits(b, "172.16.0.9"); }},
+      {"UpdatePermitList",
+       [&](EdgeFilterBank& b) {
+         b.UpdatePermitList(listed, {Permit("192.168.0.0/16")},
+                            {Permit("10.0.0.0/8")});
+       },
+       // The merge keeps the group entry: it ran against the restored
+       // master, not the wiped one.
+       [&](EdgeFilterBank& b) {
+         return admits(b, "192.168.0.9") && !admits(b, "10.9.9.9") &&
+                admits(b, "100.64.0.1");
+       }},
+      {"RemovePermitList",
+       [&](EdgeFilterBank& b) { b.RemovePermitList(other); },
+       [&](EdgeFilterBank& b) {
+         return !b.HasList(0, other) && !b.HasList(1, other);
+       }},
+      {"SetGroup",
+       [&](EdgeFilterBank& b) { b.SetGroup(web, {A("100.64.0.2")}); },
+       [&](EdgeFilterBank& b) { return admits(b, "100.64.0.2"); }},
+      {"RemoveGroup",
+       [&](EdgeFilterBank& b) { b.RemoveGroup(web); },
+       [&](EdgeFilterBank& b) {
+         return !b.Admits(0, Flow("100.64.0.1", "5.0.0.1", 443)) &&
+                !b.Admits(1, Flow("100.64.0.1", "5.0.0.1", 443));
+       }},
+  };
+  for (RestartMode mode : {RestartMode::kWarm, RestartMode::kCold}) {
+    for (const Row& row : rows) {
+      SCOPED_TRACE(std::string(row.mutator) + " " + RestartModeName(mode));
+      EdgeFilterBank bank("p", nullptr, 3);
+      bank.AddEdge("e0");
+      bank.AddEdge("e1");
+      bank.SetGroup(web, {A("100.64.0.1")});
+      bank.SetPermitList(listed, {Permit("10.0.0.0/8"), PermitGroup(web)});
+      bank.SetPermitList(other, {Permit("10.0.0.0/8")});
+      ASSERT_FALSE(row.landed(bank));
+      FilterBankSnapshot snap = bank.Checkpoint();
+      bank.BeginRestart();
+      const std::string frozen = bank.StateFingerprint();
+      const uint64_t messages = bank.update_messages_sent();
+      row.mutate(bank);
+      EXPECT_EQ(bank.StateFingerprint(), frozen);
+      EXPECT_EQ(bank.update_messages_sent(), messages);
+      EXPECT_FALSE(row.landed(bank));
+      ReconcileStats stats = bank.CompleteRestart(mode, snap);
+      EXPECT_EQ(stats.replayed_mutations, 1u);
+      EXPECT_EQ(stats.dropped_mutations, 0u);
+      EXPECT_TRUE(row.landed(bank));
+    }
+  }
+}
+
+std::optional<SipLoadBalancer::Binding> BindingOf(const SipLoadBalancer& lb,
+                                                  IpAddress sip,
+                                                  IpAddress eip) {
+  Result<std::vector<SipLoadBalancer::Binding>> bindings = lb.Bindings(sip);
+  if (bindings.ok()) {
+    for (const SipLoadBalancer::Binding& b : *bindings) {
+      if (b.eip == eip) {
+        return b;
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(OutageDeferralTest, SipLoadBalancerDefersEveryMutator) {
+  const IpAddress sip1 = A("6.0.0.1");
+  const IpAddress sip2 = A("6.0.0.2");
+  const IpAddress sip3 = A("6.0.0.3");
+  const IpAddress eip1 = A("10.0.0.1");
+  const IpAddress eip2 = A("10.0.0.2");
+  const IpAddress eip3 = A("10.0.0.3");
+  const IpAddress eip4 = A("10.0.0.4");
+  struct Row {
+    const char* mutator;
+    std::function<Status(SipLoadBalancer&)> mutate;
+    // Null for a row that is invalid by replay time: it must drop.
+    std::function<bool(const SipLoadBalancer&)> landed;
+  };
+  auto ok = [](auto&& apply) {
+    return [apply](SipLoadBalancer& lb) {
+      apply(lb);
+      return Status::Ok();
+    };
+  };
+  const std::vector<Row> rows = {
+      {"AddSip", [&](SipLoadBalancer& lb) { return lb.AddSip(sip3); },
+       [&](const SipLoadBalancer& lb) { return lb.IsSip(sip3); }},
+      {"AddSip (already registered)",
+       [&](SipLoadBalancer& lb) { return lb.AddSip(sip1); }, nullptr},
+      {"RemoveSip", [&](SipLoadBalancer& lb) { return lb.RemoveSip(sip2); },
+       [&](const SipLoadBalancer& lb) { return !lb.IsSip(sip2); }},
+      {"RemoveSip (unknown)",
+       [&](SipLoadBalancer& lb) { return lb.RemoveSip(sip3); }, nullptr},
+      {"Bind", [&](SipLoadBalancer& lb) { return lb.Bind(eip4, sip1, 2.0); },
+       [&](const SipLoadBalancer& lb) {
+         auto b = BindingOf(lb, sip1, eip4);
+         return b.has_value() && b->weight == 2.0;
+       }},
+      {"Bind (unknown SIP)",
+       [&](SipLoadBalancer& lb) { return lb.Bind(eip4, sip3); }, nullptr},
+      {"Unbind", [&](SipLoadBalancer& lb) { return lb.Unbind(eip2, sip1); },
+       [&](const SipLoadBalancer& lb) {
+         return !BindingOf(lb, sip1, eip2).has_value();
+       }},
+      {"Unbind (not bound)",
+       [&](SipLoadBalancer& lb) { return lb.Unbind(eip3, sip1); }, nullptr},
+      {"UnbindEverywhere",
+       ok([&](SipLoadBalancer& lb) { lb.UnbindEverywhere(eip1); }),
+       [&](const SipLoadBalancer& lb) {
+         return !BindingOf(lb, sip1, eip1).has_value() &&
+                !BindingOf(lb, sip2, eip1).has_value();
+       }},
+      {"SetHealth", ok([&](SipLoadBalancer& lb) { lb.SetHealth(eip1, false); }),
+       [&](const SipLoadBalancer& lb) {
+         return !BindingOf(lb, sip1, eip1)->healthy &&
+                !BindingOf(lb, sip2, eip1)->healthy;
+       }},
+  };
+  for (RestartMode mode : {RestartMode::kWarm, RestartMode::kCold}) {
+    for (const Row& row : rows) {
+      SCOPED_TRACE(std::string(row.mutator) + " " + RestartModeName(mode));
+      SipLoadBalancer lb;
+      ASSERT_TRUE(lb.AddSip(sip1).ok());
+      ASSERT_TRUE(lb.AddSip(sip2).ok());
+      ASSERT_TRUE(lb.Bind(eip1, sip1).ok());
+      ASSERT_TRUE(lb.Bind(eip2, sip1).ok());
+      ASSERT_TRUE(lb.Bind(eip1, sip2).ok());
+      ASSERT_TRUE(lb.Bind(eip3, sip2).ok());
+      SipLbSnapshot snap = lb.Checkpoint();
+      ASSERT_TRUE(row.landed == nullptr || !row.landed(lb));
+      lb.BeginRestart();
+      const uint64_t revision = lb.config_revision();
+      EXPECT_TRUE(row.mutate(lb).ok());  // accepted, validated at replay
+      EXPECT_TRUE(lb.Checkpoint() == snap);
+      EXPECT_EQ(lb.config_revision(), revision);
+      ReconcileStats stats = lb.CompleteRestart(mode, snap);
+      EXPECT_EQ(stats.replayed_mutations, 1u);
+      if (row.landed == nullptr) {
+        EXPECT_EQ(stats.dropped_mutations, 1u);
+        EXPECT_TRUE(lb.Checkpoint() == snap);
+      } else {
+        EXPECT_EQ(stats.dropped_mutations, 0u);
+        EXPECT_TRUE(row.landed(lb));
+      }
+    }
+  }
+}
+
+TEST(OutageDeferralTest, BgpMeshDefersEveryMutator) {
+  const SpeakerId a(1);
+  const SpeakerId b(2);
+  const SpeakerId c(3);
+  const IpPrefix p1 = P("10.0.0.0/16");
+  const IpPrefix p2 = P("10.2.0.0/16");
+  struct Row {
+    const char* mutator;
+    std::function<Status(BgpMesh&)> mutate;
+    // Null for a row that is invalid by replay time: it must drop.
+    std::function<bool(const BgpMesh&)> landed;
+  };
+  const std::vector<Row> rows = {
+      {"AddSession", [&](BgpMesh& m) { return m.AddSession(a, c); },
+       [&](const BgpMesh& m) { return m.session_count() == 3; }},
+      {"AddSession (exists)", [&](BgpMesh& m) { return m.AddSession(a, b); },
+       nullptr},
+      {"RemoveSession", [&](BgpMesh& m) { return m.RemoveSession(b, c); },
+       [&](const BgpMesh& m) { return m.BestRoute(c, p1) == nullptr; }},
+      {"RemoveSession (none)",
+       [&](BgpMesh& m) { return m.RemoveSession(a, c); }, nullptr},
+      {"SetSessionPolicy",
+       [&](BgpMesh& m) {
+         SessionPolicy closed;
+         closed.export_filter = [](const BgpRoute&) { return false; };
+         return m.SetSessionPolicy(b, c, std::move(closed));
+       },
+       [&](const BgpMesh& m) { return m.BestRoute(c, p1) == nullptr; }},
+      {"SetSessionPolicy (no session)",
+       [&](BgpMesh& m) { return m.SetSessionPolicy(a, c, {}); }, nullptr},
+      {"Originate", [&](BgpMesh& m) { return m.Originate(c, p2); },
+       [&](const BgpMesh& m) { return m.BestRoute(a, p2) != nullptr; }},
+      {"Originate (already)", [&](BgpMesh& m) { return m.Originate(a, p1); },
+       nullptr},
+      {"WithdrawOrigin", [&](BgpMesh& m) { return m.WithdrawOrigin(a, p1); },
+       [&](const BgpMesh& m) { return m.BestRoute(c, p1) == nullptr; }},
+      {"WithdrawOrigin (not here)",
+       [&](BgpMesh& m) { return m.WithdrawOrigin(b, p1); }, nullptr},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.mutator);
+    BgpMesh mesh;
+    mesh.AddSpeaker(100, "a");
+    mesh.AddSpeaker(200, "b");
+    mesh.AddSpeaker(300, "c");
+    ASSERT_TRUE(mesh.AddSession(a, b).ok());
+    ASSERT_TRUE(mesh.AddSession(b, c).ok());
+    ASSERT_TRUE(mesh.Originate(a, p1).ok());
+    mesh.Converge();
+    ASSERT_TRUE(row.landed == nullptr || !row.landed(mesh));
+    BgpMeshSnapshot snap = mesh.Checkpoint();
+    mesh.BeginRestart();
+    const uint64_t mutations = mesh.mutation_count();
+    EXPECT_TRUE(row.mutate(mesh).ok());  // accepted, validated at replay
+    EXPECT_TRUE(mesh.Checkpoint() == snap);
+    EXPECT_EQ(mesh.mutation_count(), mutations);
+    EXPECT_EQ(mesh.session_count(), 2u);
+    EXPECT_EQ(mesh.pending_work(), 0u);
+    EXPECT_EQ(mesh.ReconcileFromSnapshot(snap), 0u);
+    ReconcileStats stats = mesh.EndRestartAndReplay();
+    mesh.Converge();
+    EXPECT_EQ(stats.replayed_mutations, 1u);
+    EXPECT_EQ(stats.dropped_mutations, row.landed == nullptr ? 1u : 0u);
+    if (row.landed != nullptr) {
+      EXPECT_TRUE(row.landed(mesh));
+    } else {
+      EXPECT_TRUE(mesh.Checkpoint() == snap);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
