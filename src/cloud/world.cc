@@ -414,24 +414,4 @@ Result<std::vector<LinkId>> CloudWorld::ResolveInstancePath(
   return ResolvePath(a->host_node, b->host_node, policy);
 }
 
-const TopologyComponents& CloudWorld::Components() const {
-  if (!components_valid_ ||
-      components_node_count_ != topology_.node_count() ||
-      components_link_count_ != topology_.link_count()) {
-    components_cache_ = ComputeTopologyComponents(topology_);
-    components_node_count_ = topology_.node_count();
-    components_link_count_ = topology_.link_count();
-    components_valid_ = true;
-  }
-  return components_cache_;
-}
-
-uint32_t CloudWorld::TopologyComponentOf(NodeId node) const {
-  return Components().node_component[node.value() - 1];
-}
-
-uint32_t CloudWorld::topology_component_count() const {
-  return Components().count;
-}
-
 }  // namespace tenantnet

@@ -213,18 +213,7 @@ class CloudWorld {
                                                   InstanceId dst,
                                                   EgressPolicy policy) const;
 
-  // --- Components ------------------------------------------------------------
-  // Connected component of the topology a node belongs to, and how many
-  // components the world has. This is the unit of parallelism for
-  // ShardExecutor (disjoint worlds — e.g. isolated provider islands —
-  // advance on separate shards). Computed on demand and cached; adding
-  // nodes or links invalidates the cache.
-  uint32_t TopologyComponentOf(NodeId node) const;
-  uint32_t topology_component_count() const;
-
  private:
-  const TopologyComponents& Components() const;
-
   NodeId NearestTransit(GeoPoint position) const;
   SimDuration DelayFor(GeoPoint a, GeoPoint b) const;
 
@@ -242,13 +231,6 @@ class CloudWorld {
   IdGenerator<InstanceId> instance_ids_;
   size_t live_instance_count_ = 0;
   uint64_t instance_state_epoch_ = 0;
-
-  // Component cache, invalidated by topology growth (node/link count
-  // change). mutable: recomputed lazily from const accessors.
-  mutable TopologyComponents components_cache_;
-  mutable size_t components_node_count_ = 0;
-  mutable size_t components_link_count_ = 0;
-  mutable bool components_valid_ = false;
 };
 
 }  // namespace tenantnet

@@ -112,11 +112,6 @@ double Rng::NextPareto(double x_min, double alpha) {
   return x_min / std::pow(u, 1.0 / alpha);
 }
 
-uint64_t Rng::NextZipf(uint64_t n, double s) {
-  ZipfSampler sampler(n, s);
-  return sampler.Sample(*this);
-}
-
 Rng Rng::Fork() {
   // Child seed derived from two parent draws; streams are independent for
   // simulation purposes.

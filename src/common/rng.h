@@ -51,10 +51,6 @@ class Rng {
   // Pareto (heavy-tailed) with scale x_min > 0 and shape alpha > 0.
   double NextPareto(double x_min, double alpha);
 
-  // Zipf-distributed rank in [0, n): rank k has probability proportional to
-  // 1/(k+1)^s. Precomputed-CDF sampler; construct ZipfSampler for hot loops.
-  uint64_t NextZipf(uint64_t n, double s);
-
   // Fork an independent stream (e.g. one per tenant) such that the child
   // sequence does not overlap the parent's in practice.
   Rng Fork();
@@ -66,7 +62,8 @@ class Rng {
   double spare_normal_ = 0.0;
 };
 
-// Precomputed Zipf sampler for hot paths (O(log n) per draw).
+// Zipf-distributed ranks in [0, n): rank k has probability proportional to
+// 1/(k+1)^s. Precomputed CDF, O(log n) per draw.
 class ZipfSampler {
  public:
   // Ranks [0, n), exponent s >= 0 (s = 0 is uniform).

@@ -54,49 +54,73 @@ DeclarativeCloud::ProviderState& DeclarativeCloud::Provider(ProviderId id) {
   // for SIPs (a provider implementation detail tenants never see).
   auto halves = site.address_space.Split();
   assert(halves.ok());
-  // Lowest-first reuse keeps the live EIP range dense, which is what lets
-  // the provider aggregate its table under churn (E4a's ablation).
-  state.eip_pool = std::make_unique<HostAllocator>(
-      halves->first, HostAllocator::ReusePolicy::kLowestFirst);
   state.sip_pool = std::make_unique<HostAllocator>(halves->second);
-  state.filters = std::make_unique<EdgeFilterBank>(
-      site.name, queue_, params_.rng_seed ^ id.value(), params_.filter);
+  std::vector<std::string> edges;
   for (RegionId region_id : site.regions) {
     const RegionSite& region = world_->region(region_id);
-    size_t edge = state.filters->AddEdge(site.name + ":" + region.name);
-    state.edge_index[region_id] = edge;
+    state.edge_index[region_id] = edges.size();
+    edges.push_back(site.name + ":" + region.name);
     // Quota enforcement points: one per zone of each region.
     for (const ZoneSite& zone : region.zones) {
       qos_.RegisterPoint(region_id, zone.name);
     }
   }
-  // Late-created domains replay existing group state.
-  for (const auto& [group, record] : groups_) {
-    state.filters->SetGroupSnapshot(group, record.members);
-  }
+  state.domain =
+      NewDomain(site.name, halves->first, params_.rng_seed ^ id.value(), edges);
   return providers_.emplace(id, std::move(state)).first->second;
 }
 
-DeclarativeCloud::OnPremState& DeclarativeCloud::OnPrem(OnPremId id) {
+DeclarativeCloud::Domain& DeclarativeCloud::OnPrem(OnPremId id) {
   auto it = on_prems_.find(id);
   if (it != on_prems_.end()) {
     return it->second;
   }
   const OnPremSite& site = world_->on_prem(id);
-  OnPremState state;
   // Public default-off space for the site's endpoints (its ISP block).
   IpPrefix pool = *IpPrefix::Create(
       IpAddress::V4(198, 51, static_cast<uint8_t>(id.value() % 256), 0), 24);
-  state.eip_pool = std::make_unique<HostAllocator>(
-      pool, HostAllocator::ReusePolicy::kLowestFirst);
-  state.filters = std::make_unique<EdgeFilterBank>(
-      site.name, queue_, params_.rng_seed ^ (id.value() << 32),
-      params_.filter);
-  state.filters->AddEdge(site.name + ":router");
-  for (const auto& [group, record] : groups_) {
-    state.filters->SetGroupSnapshot(group, record.members);
+  return on_prems_
+      .emplace(id, NewDomain(site.name, pool,
+                             params_.rng_seed ^ (id.value() << 32),
+                             {site.name + ":router"}))
+      .first->second;
+}
+
+DeclarativeCloud::Domain DeclarativeCloud::NewDomain(
+    const std::string& name, const IpPrefix& eip_space, uint64_t rng_seed,
+    const std::vector<std::string>& edges) {
+  Domain domain;
+  // Lowest-first reuse keeps the live EIP range dense, which is what lets
+  // the provider aggregate its table under churn (E4a's ablation).
+  domain.eip_pool = std::make_unique<HostAllocator>(
+      eip_space, HostAllocator::ReusePolicy::kLowestFirst);
+  domain.filters = std::make_unique<EdgeFilterBank>(name, queue_, rng_seed,
+                                                    params_.filter);
+  for (const std::string& edge : edges) {
+    domain.filters->AddEdge(edge);
   }
-  return on_prems_.emplace(id, std::move(state)).first->second;
+  for (const auto& [group, record] : groups_) {
+    domain.filters->SetGroupSnapshot(group, record.members);
+  }
+  return domain;
+}
+
+template <typename Fn>
+void DeclarativeCloud::ForEachDomain(Fn fn) {
+  for (auto& [id, provider] : providers_) {
+    fn(provider.domain);
+  }
+  for (auto& [id, site] : on_prems_) {
+    fn(site);
+  }
+}
+
+void DeclarativeCloud::InstallHostRoute(const EipRecord& record) {
+  Provider(record.provider)
+      .rib.Install(IpPrefix::Host(record.addr),
+                   RouteEntry{world_->region(record.region).edge_node,
+                              RouteOrigin::kLocal, 0,
+                              RouteLabels().Intern("eip")});
 }
 
 // --------------------------------------------------------------------------
@@ -112,33 +136,39 @@ Result<IpAddress> DeclarativeCloud::RequestEip(InstanceId vm) {
     return AlreadyExistsError("instance already has an EIP");
   }
 
-  EipRecord record;
+  Endpoint endpoint;
+  EipRecord& record = endpoint.record;
   record.instance = vm;
   record.tenant = inst->tenant;
+  record.provider = inst->provider;
+  record.region = inst->region;
+  record.on_prem = inst->on_prem;
   record.host_node = inst->host_node;
   record.zone_index = inst->zone_index;
 
+  // The one place an endpoint's enforcement point is decided: the on-prem
+  // site router, or its region's edge in the provider's domain.
   if (inst->on_prem.valid()) {
-    record.on_prem = inst->on_prem;
-    OnPremState& site = OnPrem(inst->on_prem);
-    TN_ASSIGN_OR_RETURN(record.addr, site.eip_pool->Allocate());
+    endpoint.domain = &OnPrem(inst->on_prem);
   } else {
-    record.provider = inst->provider;
-    record.region = inst->region;
     ProviderState& provider = Provider(inst->provider);
-    TN_ASSIGN_OR_RETURN(record.addr, provider.eip_pool->Allocate());
-    // The provider carries a host route; how it aggregates is its business.
-    if (provider.rib.Install(
-            IpPrefix::Host(record.addr),
-            RouteEntry{world_->region(inst->region).edge_node,
-                       RouteOrigin::kLocal, 0, RouteLabels().Intern("eip")})) {
-      ++provider.rib_revision;
+    auto edge = provider.edge_index.find(inst->region);
+    if (edge == provider.edge_index.end()) {
+      return FailedPreconditionError(
+          "region was added after its provider's enforcement domain");
     }
+    endpoint.domain = &provider.domain;
+    endpoint.edge = edge->second;
+  }
+  TN_ASSIGN_OR_RETURN(record.addr, endpoint.domain->eip_pool->Allocate());
+  if (record.provider.valid()) {
+    // The provider carries a host route; how it aggregates is its business.
+    InstallHostRoute(record);
   }
 
   ledger_->ApiCall("request_eip", "vm=" + std::to_string(vm.value()));
   IpAddress addr = record.addr;
-  eips_.emplace(addr, record);
+  eips_.emplace(addr, std::move(endpoint));
   eip_by_instance_[vm] = addr;
   ++endpoint_revision_;
   return addr;
@@ -149,18 +179,13 @@ Status DeclarativeCloud::ReleaseEip(IpAddress eip) {
   if (it == eips_.end()) {
     return NotFoundError("no such EIP");
   }
-  const EipRecord& record = it->second;
-  if (record.on_prem.valid()) {
-    OnPremState& site = OnPrem(record.on_prem);
-    site.filters->RemovePermitList(eip);
-    TN_RETURN_IF_ERROR(site.eip_pool->Release(eip));
-  } else {
-    ProviderState& provider = Provider(record.provider);
-    provider.filters->RemovePermitList(eip);
-    TN_RETURN_IF_ERROR(provider.rib.Withdraw(IpPrefix::Host(eip)));
-    ++provider.rib_revision;
-    TN_RETURN_IF_ERROR(provider.eip_pool->Release(eip));
+  const Endpoint& endpoint = it->second;
+  endpoint.domain->filters->RemovePermitList(eip);
+  if (endpoint.record.provider.valid()) {
+    TN_RETURN_IF_ERROR(
+        Provider(endpoint.record.provider).rib.Withdraw(IpPrefix::Host(eip)));
   }
+  TN_RETURN_IF_ERROR(endpoint.domain->eip_pool->Release(eip));
   sip_lb_.UnbindEverywhere(eip);
   // Drop the address from any groups it belonged to (provider-side
   // hygiene: a recycled address must not inherit old permissions).
@@ -169,7 +194,7 @@ Status DeclarativeCloud::ReleaseEip(IpAddress eip) {
       PropagateGroup(group, record, std::move(next));
     }
   }
-  eip_by_instance_.erase(record.instance);
+  eip_by_instance_.erase(endpoint.record.instance);
   eips_.erase(it);
   ledger_->ApiCall("release_eip", eip.ToString());
   ++endpoint_revision_;
@@ -209,7 +234,7 @@ Status DeclarativeCloud::Bind(IpAddress eip, IpAddress sip, double weight) {
   if (sit == sips_.end()) {
     return NotFoundError("no such SIP");
   }
-  if (eit->second.tenant != sit->second.tenant) {
+  if (eit->second.record.tenant != sit->second.tenant) {
     return PermissionDeniedError("EIP and SIP belong to different tenants");
   }
   TN_RETURN_IF_ERROR(sip_lb_.Bind(eip, sip, weight));
@@ -244,13 +269,7 @@ Result<SimTime> DeclarativeCloud::SetPermitList(
   for (size_t i = 0; i < entries.size(); ++i) {
     ledger_->SetParameter("set_permit_list", "entry");
   }
-  const EipRecord& record = it->second;
-  if (record.on_prem.valid()) {
-    return OnPrem(record.on_prem)
-        .filters->SetPermitList(eip, std::move(entries));
-  }
-  return Provider(record.provider)
-      .filters->SetPermitList(eip, std::move(entries));
+  return it->second.domain->filters->SetPermitList(eip, std::move(entries));
 }
 
 Result<SimTime> DeclarativeCloud::UpdatePermitList(
@@ -266,13 +285,8 @@ Result<SimTime> DeclarativeCloud::UpdatePermitList(
   for (size_t i = 0; i < add.size() + remove.size(); ++i) {
     ledger_->SetParameter("update_permit_list", "entry");
   }
-  const EipRecord& record = it->second;
-  if (record.on_prem.valid()) {
-    return OnPrem(record.on_prem)
-        .filters->UpdatePermitList(eip, std::move(add), remove);
-  }
-  return Provider(record.provider)
-      .filters->UpdatePermitList(eip, std::move(add), remove);
+  return it->second.domain->filters->UpdatePermitList(eip, std::move(add),
+                                                      remove);
 }
 
 // --------------------------------------------------------------------------
@@ -283,12 +297,9 @@ void DeclarativeCloud::PropagateGroup(EndpointGroupId group,
                                       GroupRecord& record,
                                       MemberSnapshot next) {
   record.members = std::move(next);
-  for (auto& [id, provider] : providers_) {
-    provider.filters->SetGroupSnapshot(group, record.members);
-  }
-  for (auto& [id, site] : on_prems_) {
-    site.filters->SetGroupSnapshot(group, record.members);
-  }
+  ForEachDomain([&](Domain& domain) {
+    domain.filters->SetGroupSnapshot(group, record.members);
+  });
 }
 
 Result<EndpointGroupId> DeclarativeCloud::CreateEndpointGroup(
@@ -305,12 +316,7 @@ Status DeclarativeCloud::DeleteEndpointGroup(EndpointGroupId group) {
     return NotFoundError("no such group");
   }
   groups_.erase(it);
-  for (auto& [id, provider] : providers_) {
-    provider.filters->RemoveGroup(group);
-  }
-  for (auto& [id, site] : on_prems_) {
-    site.filters->RemoveGroup(group);
-  }
+  ForEachDomain([&](Domain& domain) { domain.filters->RemoveGroup(group); });
   ledger_->ApiCall("delete_group", std::to_string(group.value()));
   return Status::Ok();
 }
@@ -325,7 +331,7 @@ Status DeclarativeCloud::AddToEndpointGroup(EndpointGroupId group,
   if (eit == eips_.end()) {
     return NotFoundError("no such EIP");
   }
-  if (eit->second.tenant != it->second.tenant) {
+  if (eit->second.record.tenant != it->second.tenant) {
     return PermissionDeniedError("EIP belongs to a different tenant");
   }
   // An address already in the group changes nothing, so nothing fans out
@@ -362,27 +368,20 @@ Result<std::vector<IpAddress>> DeclarativeCloud::GroupMembers(
 }
 
 Status DeclarativeCloud::SetQos(TenantId tenant, RegionId region,
-                                double bandwidth_bps) {
+                                double bandwidth_bps,
+                                std::optional<QosSelector> selector) {
   const RegionSite& site = world_->region(region);
   Provider(site.provider);  // ensures enforcement points exist
   SimTime now = queue_ != nullptr ? queue_->now() : SimTime::Epoch();
-  TN_RETURN_IF_ERROR(qos_.SetQuota(tenant, region, bandwidth_bps, now));
-  ledger_->ApiCall("set_qos", site.name + " bw=" +
-                                  std::to_string(bandwidth_bps));
-  return Status::Ok();
-}
-
-Status DeclarativeCloud::SetQos(TenantId tenant, RegionId region,
-                                double bandwidth_bps, QosSelector selector) {
-  const RegionSite& site = world_->region(region);
-  Provider(site.provider);
-  SimTime now = queue_ != nullptr ? queue_->now() : SimTime::Epoch();
+  const bool scoped = selector.has_value();
   TN_RETURN_IF_ERROR(
       qos_.SetQuota(tenant, region, bandwidth_bps, now, std::move(selector)));
   ledger_->ApiCall("set_qos", site.name + " bw=" +
                                   std::to_string(bandwidth_bps) +
-                                  " (scoped)");
-  ledger_->SetParameter("set_qos", "traffic-selector");
+                                  (scoped ? " (scoped)" : ""));
+  if (scoped) {
+    ledger_->SetParameter("set_qos", "traffic-selector");
+  }
   return Status::Ok();
 }
 
@@ -418,13 +417,10 @@ void DeclarativeCloud::NotifyInstanceDown(InstanceId instance) {
   // host route leaves the RIB (the BGP analogue of WithdrawOrigin), so
   // routed delivery fails fast instead of blackholing into the host.
   auto eit = eips_.find(eip);
-  if (eit != eips_.end() && eit->second.provider.valid()) {
-    ProviderState& provider = Provider(eit->second.provider);
-    // Idempotent: a second Down for the same instance finds no route (and
-    // does not bump the revision).
-    if (provider.rib.Withdraw(IpPrefix::Host(eip)).ok()) {
-      ++provider.rib_revision;
-    }
+  if (eit != eips_.end() && eit->second.record.provider.valid()) {
+    // Idempotent: a second Down for the same instance finds no route.
+    (void)Provider(eit->second.record.provider)
+        .rib.Withdraw(IpPrefix::Host(eip));
   }
 }
 
@@ -436,14 +432,8 @@ void DeclarativeCloud::NotifyInstanceUp(InstanceId instance) {
   IpAddress eip = it->second;
   sip_lb_.SetHealth(eip, true);
   auto eit = eips_.find(eip);
-  if (eit != eips_.end() && eit->second.provider.valid()) {
-    ProviderState& provider = Provider(eit->second.provider);
-    if (provider.rib.Install(
-            IpPrefix::Host(eip),
-            RouteEntry{world_->region(eit->second.region).edge_node,
-                       RouteOrigin::kLocal, 0, RouteLabels().Intern("eip")})) {
-      ++provider.rib_revision;
-    }
+  if (eit != eips_.end() && eit->second.record.provider.valid()) {
+    InstallHostRoute(eit->second.record);
   }
 }
 
@@ -451,43 +441,67 @@ void DeclarativeCloud::NotifyInstanceUp(InstanceId instance) {
 // Data plane.
 // --------------------------------------------------------------------------
 
-bool DeclarativeCloud::AdmittedAtDestination(const EipRecord& dst,
-                                             const FiveTuple& flow,
-                                             std::string* where) const {
-  if (dst.on_prem.valid()) {
-    auto it = on_prems_.find(dst.on_prem);
-    assert(it != on_prems_.end());
-    *where = world_->on_prem(dst.on_prem).name + ":router";
-    return it->second.filters->Admits(0, flow);
-  }
-  auto it = providers_.find(dst.provider);
-  assert(it != providers_.end());
-  size_t edge = it->second.edge_index.at(dst.region);
-  *where = world_->provider(dst.provider).name + ":" +
-           world_->region(dst.region).name;
-  return it->second.filters->Admits(edge, flow);
-}
-
 Result<DeclarativeCloud::DestinationEdge> DeclarativeCloud::DestinationEdgeOf(
-    IpAddress eip) {
+    IpAddress eip) const {
   auto it = eips_.find(eip);
   if (it == eips_.end()) {
     return NotFoundError("no endpoint holds " + eip.ToString());
   }
-  const EipRecord& record = it->second;
-  DestinationEdge edge;
-  if (record.on_prem.valid()) {
-    edge.bank = OnPrem(record.on_prem).filters.get();
-    edge.edge_index = 0;
-    edge.where = world_->on_prem(record.on_prem).name + ":router";
-    return edge;
+  const Endpoint& endpoint = it->second;
+  EdgeFilterBank* bank = endpoint.domain->filters.get();
+  return DestinationEdge{bank, endpoint.edge, bank->edge_name(endpoint.edge)};
+}
+
+const EipRecord* DeclarativeCloud::Deliver(const Instance* src,
+                                           FiveTuple flow,
+                                           DeclarativeDelivery& d) {
+  // SIP resolution (provider anycast load balancer).
+  if (IsSip(flow.dst)) {
+    d.provider_hops.push_back("sip-lb");
+    Result<IpAddress> backend = sip_lb_.Resolve(flow.dst);
+    if (!backend.ok()) {
+      d.drop_stage = "sip";
+      d.drop_reason = backend.status().message();
+      return nullptr;
+    }
+    flow.dst = *backend;
+    d.effective_dst = *backend;
   }
-  ProviderState& provider = Provider(record.provider);
-  edge.bank = provider.filters.get();
-  edge.edge_index = provider.edge_index.at(record.region);
-  edge.where = world_->provider(record.provider).name + ":" +
-               world_->region(record.region).name;
-  return edge;
+
+  auto it = eips_.find(flow.dst);
+  if (it == eips_.end()) {
+    d.drop_stage = "no-such-endpoint";
+    d.drop_reason = "no endpoint holds " + flow.dst.ToString();
+    return nullptr;
+  }
+  const Endpoint& dst = it->second;
+
+  // Only tenant traffic is refused toward a stopped endpoint; the baseline
+  // world's external path does not check liveness either.
+  if (src != nullptr) {
+    const Instance* dst_inst = world_->FindInstance(dst.record.instance);
+    if (dst_inst == nullptr || !dst_inst->running) {
+      d.drop_stage = "instance-down";
+      d.drop_reason = "endpoint " + flow.dst.ToString() + " is not running";
+      return nullptr;
+    }
+  }
+
+  const EdgeFilterBank& bank = *dst.domain->filters;
+  const std::string& where = bank.edge_name(dst.edge);
+  d.provider_hops.push_back("edge-filter@" + where);
+  if (!bank.Admits(dst.edge, flow)) {
+    d.drop_stage = "edge-filter";
+    d.drop_reason = src != nullptr
+                        ? "default-off: " + flow.src.ToString() +
+                              " is not on the permit list of " +
+                              flow.dst.ToString()
+                        : "default-off at " + where;
+    return nullptr;
+  }
+  d.delivered = true;
+  d.dst_node = dst.record.host_node;
+  return &dst.record;
 }
 
 Result<DeclarativeDelivery> DeclarativeCloud::Evaluate(InstanceId src,
@@ -516,50 +530,14 @@ Result<DeclarativeDelivery> DeclarativeCloud::Evaluate(InstanceId src,
   flow.dst_port = dst_port;
   flow.proto = proto;
 
-  // SIP resolution (provider anycast load balancer).
-  if (IsSip(dst)) {
-    d.provider_hops.push_back("sip-lb");
-    Result<IpAddress> backend = sip_lb_.Resolve(dst);
-    if (!backend.ok()) {
-      d.drop_stage = "sip";
-      d.drop_reason = backend.status().message();
-      return d;
-    }
-    flow.dst = *backend;
-    d.effective_dst = *backend;
-  }
-
-  auto dit = eips_.find(flow.dst);
-  if (dit == eips_.end()) {
-    d.drop_stage = "no-such-endpoint";
-    d.drop_reason = "no endpoint holds " + flow.dst.ToString();
+  const EipRecord* dst_record = Deliver(src_inst, flow, d);
+  if (dst_record == nullptr) {
     return d;
   }
-  const EipRecord& dst_record = dit->second;
-
-  const Instance* dst_inst = world_->FindInstance(dst_record.instance);
-  if (dst_inst == nullptr || !dst_inst->running) {
-    d.drop_stage = "instance-down";
-    d.drop_reason = "endpoint " + flow.dst.ToString() + " is not running";
-    return d;
-  }
-
-  std::string where;
-  bool admitted = AdmittedAtDestination(dst_record, flow, &where);
-  d.provider_hops.push_back("edge-filter@" + where);
-  if (!admitted) {
-    d.drop_stage = "edge-filter";
-    d.drop_reason = "default-off: " + flow.src.ToString() +
-                    " is not on the permit list of " + flow.dst.ToString();
-    return d;
-  }
-
-  d.delivered = true;
-  d.dst_node = dst_record.host_node;
   // Intra-provider traffic rides the backbone; external traffic follows the
   // tenant's potato profile.
-  if (dst_record.provider.valid() && src_inst->provider.valid() &&
-      dst_record.provider == src_inst->provider) {
+  if (dst_record->provider.valid() && src_inst->provider.valid() &&
+      dst_record->provider == src_inst->provider) {
     d.egress_policy = EgressPolicy::kColdPotato;
   } else {
     d.egress_policy = EgressProfileOf(src_inst->tenant);
@@ -582,35 +560,7 @@ DeclarativeDelivery DeclarativeCloud::EvaluateExternal(IpAddress src,
   flow.src_port = 55555;
   flow.dst_port = dst_port;
   flow.proto = proto;
-
-  if (IsSip(dst)) {
-    d.provider_hops.push_back("sip-lb");
-    Result<IpAddress> backend = sip_lb_.Resolve(dst);
-    if (!backend.ok()) {
-      d.drop_stage = "sip";
-      d.drop_reason = backend.status().message();
-      return d;
-    }
-    flow.dst = *backend;
-    d.effective_dst = *backend;
-  }
-
-  auto dit = eips_.find(flow.dst);
-  if (dit == eips_.end()) {
-    d.drop_stage = "no-such-endpoint";
-    d.drop_reason = "no endpoint holds " + flow.dst.ToString();
-    return d;
-  }
-  std::string where;
-  if (!AdmittedAtDestination(dit->second, flow, &where)) {
-    d.drop_stage = "edge-filter";
-    d.drop_reason = "default-off at " + where;
-    d.provider_hops.push_back("edge-filter@" + where);
-    return d;
-  }
-  d.provider_hops.push_back("edge-filter@" + where);
-  d.delivered = true;
-  d.dst_node = dit->second.host_node;
+  Deliver(nullptr, flow, d);
   return d;
 }
 
@@ -620,7 +570,7 @@ DeclarativeDelivery DeclarativeCloud::EvaluateExternal(IpAddress src,
 
 const EipRecord* DeclarativeCloud::FindEip(IpAddress addr) const {
   auto it = eips_.find(addr);
-  return it == eips_.end() ? nullptr : &it->second;
+  return it == eips_.end() ? nullptr : &it->second.record;
 }
 
 std::optional<IpAddress> DeclarativeCloud::EipOf(InstanceId instance) const {
@@ -632,7 +582,7 @@ std::optional<IpAddress> DeclarativeCloud::EipOf(InstanceId instance) const {
 }
 
 EdgeFilterBank& DeclarativeCloud::provider_filters(ProviderId provider) {
-  return *Provider(provider).filters;
+  return *Provider(provider).domain.filters;
 }
 
 EdgeFilterBank& DeclarativeCloud::on_prem_filters(OnPremId site) {
@@ -643,23 +593,8 @@ size_t DeclarativeCloud::ProviderRibEntries(ProviderId provider) {
   return Provider(provider).rib.entry_count();
 }
 
-size_t DeclarativeCloud::ProviderRibNodes(ProviderId provider) {
-  return Provider(provider).rib.node_count();
-}
-
 size_t DeclarativeCloud::ProviderAggregatedRibEntries(ProviderId provider) {
-  ProviderState& state = Provider(provider);
-  if (!state.aggregated_valid || state.aggregated_at != state.rib_revision) {
-    state.aggregated_entries =
-        AggregatePrefixes(state.rib.Prefixes()).size();
-    state.aggregated_at = state.rib_revision;
-    state.aggregated_valid = true;
-  }
-  return state.aggregated_entries;
-}
-
-uint64_t DeclarativeCloud::ProviderRibRevision(ProviderId provider) {
-  return Provider(provider).rib_revision;
+  return AggregatePrefixes(Provider(provider).rib.Prefixes()).size();
 }
 
 }  // namespace tenantnet

@@ -122,11 +122,10 @@ class DeclarativeCloud {
   // The group's current members (for tests/inspection).
   Result<std::vector<IpAddress>> GroupMembers(EndpointGroupId group) const;
 
-  Status SetQos(TenantId tenant, RegionId region, double bandwidth_bps);
-  // Scoped variant (extension, §4 footnote): only traffic matching the
-  // selector consumes the reservation.
+  // With a selector (extension, §4 footnote), only traffic matching it
+  // consumes the reservation.
   Status SetQos(TenantId tenant, RegionId region, double bandwidth_bps,
-                QosSelector selector);
+                std::optional<QosSelector> selector = std::nullopt);
 
   // The hot/cold potato profile (per tenant; §4 adopts this unchanged).
   Status SetEgressProfile(TenantId tenant, EgressPolicy profile);
@@ -160,16 +159,18 @@ class DeclarativeCloud {
   EdgeFilterBank& provider_filters(ProviderId provider);
   EdgeFilterBank& on_prem_filters(OnPremId site);
 
-  // The enforcing filter bank and ingress edge for an EIP's hosting domain
-  // (provider region edge, or the on-prem site router), plus the label
-  // AdmittedAtDestination reports. The reach query engine walks the
-  // compiled matchers through this without evaluating traffic.
+  // An EIP's enforcement point: the filter bank and ingress edge of its
+  // hosting domain (the region's edge in its provider's domain, or the
+  // on-prem site router), and that edge's name, which Evaluate reports as
+  // the "edge-filter@<where>" hop. RequestEip binds it once; this reads the
+  // record and creates nothing. The reach query engine walks the compiled
+  // matchers through it without evaluating traffic.
   struct DestinationEdge {
     EdgeFilterBank* bank = nullptr;
     size_t edge_index = 0;
     std::string where;
   };
-  Result<DestinationEdge> DestinationEdgeOf(IpAddress eip);
+  Result<DestinationEdge> DestinationEdgeOf(IpAddress eip) const;
 
   // Revision hook (reach-verifier keying): bumped when the address topology
   // changes — EIP/SIP allocation or release. Permit-list and binding churn
@@ -179,44 +180,52 @@ class DeclarativeCloud {
 
   // E4a: the provider's routing state under flat EIPs.
   size_t ProviderRibEntries(ProviderId provider);
-  size_t ProviderRibNodes(ProviderId provider);
   // Minimal table if the provider aggregates its (contiguous) allocations.
-  // Cached against ProviderRibRevision: repeated calls with no intervening
-  // RIB change do not re-aggregate.
   size_t ProviderAggregatedRibEntries(ProviderId provider);
-  // Bumped only when the provider's EIP RIB actually changes (install of a
-  // new/different host route, or a successful withdraw) — the declarative
-  // analogue of the BGP mesh's mutation count.
-  uint64_t ProviderRibRevision(ProviderId provider);
 
   size_t eip_count() const { return eips_.size(); }
 
  private:
+  // An enforcement domain: a provider (one edge per region) or an on-prem
+  // site (one edge, its router). Its EIPs come from `eip_pool` and are
+  // admitted at one of the edges of `filters`.
+  struct Domain {
+    std::unique_ptr<HostAllocator> eip_pool;
+    std::unique_ptr<EdgeFilterBank> filters;
+  };
+  // A provider's domain plus its extras: the SIP pool, the host-route RIB
+  // and (registered with `qos_` when the domain is created) quota points.
   struct ProviderState {
-    std::unique_ptr<HostAllocator> eip_pool;
-    std::unique_ptr<HostAllocator> sip_pool;
-    std::unique_ptr<EdgeFilterBank> filters;  // one edge per region
+    Domain domain;
     std::unordered_map<RegionId, size_t> edge_index;  // region -> edge
+    std::unique_ptr<HostAllocator> sip_pool;
     RouteTable rib;  // flat host routes for every live EIP
-    // Change-only revision of `rib`; keys the aggregation cache below.
-    uint64_t rib_revision = 0;
-    // Memoized AggregatePrefixes(rib).size() and the revision it was
-    // computed at (valid once aggregated_at != 0 or a computation ran).
-    bool aggregated_valid = false;
-    uint64_t aggregated_at = 0;
-    size_t aggregated_entries = 0;
   };
-  struct OnPremState {
-    std::unique_ptr<HostAllocator> eip_pool;
-    std::unique_ptr<EdgeFilterBank> filters;  // single site-router edge
+  // A live EIP and the enforcement point RequestEip bound it to.
+  struct Endpoint {
+    EipRecord record;
+    Domain* domain = nullptr;
+    size_t edge = 0;
   };
 
+  // Domains are created on first use; a late one replays existing groups.
   ProviderState& Provider(ProviderId id);
-  OnPremState& OnPrem(OnPremId id);
+  Domain& OnPrem(OnPremId id);
+  Domain NewDomain(const std::string& name, const IpPrefix& eip_space,
+                   uint64_t rng_seed, const std::vector<std::string>& edges);
+  // Every domain, providers first (the group fan-out order).
+  template <typename Fn>
+  void ForEachDomain(Fn fn);
 
-  // Default-off admission check at the destination's ingress edge.
-  bool AdmittedAtDestination(const EipRecord& dst, const FiveTuple& flow,
-                             std::string* where) const;
+  void InstallHostRoute(const EipRecord& record);
+
+  // The verdict tail Evaluate and EvaluateExternal share: SIP resolution,
+  // the endpoint lookup and the default-off check at the endpoint's
+  // enforcement point. `src` is the sending tenant instance, or null for an
+  // internet source. Returns the admitted endpoint's record, or null with
+  // `d`'s drop stage set.
+  const EipRecord* Deliver(const Instance* src, FiveTuple flow,
+                           DeclarativeDelivery& d);
 
   CloudWorld* world_;
   ConfigLedger* ledger_;
@@ -224,7 +233,7 @@ class DeclarativeCloud {
   DeclarativeParams params_;
 
   std::unordered_map<ProviderId, ProviderState> providers_;
-  std::unordered_map<OnPremId, OnPremState> on_prems_;
+  std::unordered_map<OnPremId, Domain> on_prems_;
 
   struct GroupRecord {
     TenantId tenant;
@@ -237,7 +246,7 @@ class DeclarativeCloud {
   void PropagateGroup(EndpointGroupId group, GroupRecord& record,
                       MemberSnapshot next);
 
-  std::unordered_map<IpAddress, EipRecord> eips_;
+  std::unordered_map<IpAddress, Endpoint> eips_;
   std::unordered_map<InstanceId, IpAddress> eip_by_instance_;
   std::unordered_map<IpAddress, SipRecord> sips_;
   std::unordered_map<TenantId, EgressPolicy> profiles_;

@@ -479,22 +479,14 @@ bool EdgeFilterBank::HasList(size_t edge_index, IpAddress endpoint) const {
 
 bool EdgeFilterBank::IsConverged(IpAddress endpoint) const {
   const uint32_t slot = slots_.Lookup(endpoint);
-  const uint64_t latest = slot == kNilId ? 0 : master_version_[slot];
-  if (latest == 0) {
-    // Converged means "gone everywhere".
-    if (slot == kNilId) {
-      return true;
-    }
-    for (const EdgeState& edge : edges_) {
-      if (slot < edge.list_set.size() && edge.list_set[slot] != kNilId) {
-        return false;
-      }
-    }
+  if (slot == kNilId) {
     return true;
   }
+  // Interned set ids are canonical, so an id compare is a content compare.
   for (const EdgeState& edge : edges_) {
-    if (slot >= edge.list_version.size() ||
-        edge.list_version[slot] != latest) {
+    const uint32_t held =
+        slot < edge.list_set.size() ? edge.list_set[slot] : kNilId;
+    if (held != master_set_[slot]) {
       return false;
     }
   }

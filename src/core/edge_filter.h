@@ -226,6 +226,9 @@ class EdgeFilterBank {
   // Registers an ingress edge; returns its index.
   size_t AddEdge(const std::string& name);
   size_t edge_count() const { return edges_.size(); }
+  const std::string& edge_name(size_t edge_index) const {
+    return edges_[edge_index].name;
+  }
 
   // Replaces the permit list for `endpoint` on every edge. Returns the
   // simulated time at which the *last* edge has applied it (== now when no
@@ -276,7 +279,12 @@ class EdgeFilterBank {
   // "default-off, nothing installed" from "installed but not permitted").
   bool HasList(size_t edge_index, IpAddress endpoint) const;
 
-  // True if every edge has the same (latest) version for this endpoint.
+  // True if every edge holds the master's list for this endpoint, by
+  // content; with no master list, if no edge holds one. Versions do not
+  // count, so edges a warm restart left alone converge with the ones it
+  // re-pushed. A property of the present moment: an older, different
+  // install still in flight can make it false again until that install is
+  // discarded as stale.
   bool IsConverged(IpAddress endpoint) const;
 
   // --- Fault injection ------------------------------------------------------

@@ -90,9 +90,9 @@ struct ReachVerdict {
 
 class DeclarativeReachEngine {
  public:
-  // Holds references; both must outlive the engine. `cloud` is mutated only
-  // in the sense that lazily created enforcement domains may materialize —
-  // no tenant-visible state changes, and no data-plane counter moves.
+  // Holds references; both must outlive the engine. Queries only read
+  // `cloud`: no tenant-visible state changes, no data-plane counter moves,
+  // and no enforcement domain is created.
   DeclarativeReachEngine(CloudWorld& world, DeclarativeCloud& cloud)
       : world_(&world), cloud_(&cloud) {}
 

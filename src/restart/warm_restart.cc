@@ -75,18 +75,6 @@ uint32_t WarmRestartCoordinator::Register(RestartableComponent component) {
   return static_cast<uint32_t>(components_.size() - 1);
 }
 
-std::vector<uint32_t> WarmRestartCoordinator::ComponentIds() const {
-  std::vector<uint32_t> ids(components_.size());
-  for (uint32_t i = 0; i < components_.size(); ++i) {
-    ids[i] = i;
-  }
-  return ids;
-}
-
-const std::string& WarmRestartCoordinator::ComponentName(uint32_t id) const {
-  return Get(id).component.name;
-}
-
 WarmRestartCoordinator::Entry& WarmRestartCoordinator::Get(uint32_t id) {
   assert(id < components_.size());
   return components_[id];
@@ -104,12 +92,6 @@ void WarmRestartCoordinator::Checkpoint(uint32_t id) {
   // checkpoint stays authoritative until reconcile.
   if (!entry.in_restart) {
     entry.component.checkpoint();
-  }
-}
-
-void WarmRestartCoordinator::CheckpointAll() {
-  for (uint32_t i = 0; i < components_.size(); ++i) {
-    Checkpoint(i);
   }
 }
 

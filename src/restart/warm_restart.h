@@ -67,8 +67,6 @@ class WarmRestartCoordinator {
   // FaultSpec::component / StormParams::restart_components entries).
   uint32_t Register(RestartableComponent component);
   size_t component_count() const { return components_.size(); }
-  std::vector<uint32_t> ComponentIds() const;
-  const std::string& ComponentName(uint32_t id) const;
 
   RestartMode mode() const { return mode_; }
   void set_mode(RestartMode mode) { mode_ = mode; }
@@ -80,7 +78,6 @@ class WarmRestartCoordinator {
   void set_checkpoint_on_kill(bool on) { checkpoint_on_kill_ = on; }
 
   void Checkpoint(uint32_t id);
-  void CheckpointAll();
 
   // Kills the component's control plane. Idempotent per component: a second
   // Begin before the matching Complete extends the same outage.

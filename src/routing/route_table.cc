@@ -25,10 +25,6 @@ const RouteEntry* RouteTable::Lookup(IpAddress dst) const {
   return trie_.LongestMatch(dst);
 }
 
-const RouteEntry* RouteTable::ExactLookup(const IpPrefix& prefix) const {
-  return trie_.ExactMatch(prefix);
-}
-
 std::vector<IpPrefix> RouteTable::Prefixes() const {
   std::vector<IpPrefix> out;
   out.reserve(trie_.entry_count());

@@ -60,8 +60,6 @@ class RouteTable {
   // Longest-prefix-match lookup.
   const RouteEntry* Lookup(IpAddress dst) const;
 
-  const RouteEntry* ExactLookup(const IpPrefix& prefix) const;
-
   size_t entry_count() const { return trie_.entry_count(); }
   // Structural size: trie nodes (memory proxy for E4a).
   size_t node_count() const { return trie_.node_count(); }

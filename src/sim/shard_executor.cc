@@ -14,17 +14,17 @@ ShardExecutor::ShardExecutor(EventQueue& control, const Topology& topology,
                              Options opts)
     : control_(control),
       topology_(topology),
-      opts_(opts),
-      components_(ComputeTopologyComponents(topology)) {
+      opts_(opts) {
   int shard_count = opts_.num_shards;
   if (shard_count <= 0) {
     // Partitioner target: enough parts to keep a worker pool busy even on
     // one giant component (ceil(nodes/32)), never fewer than the natural
     // component parallelism, capped at 32. Independent of num_threads.
+    uint32_t components = ComputeTopologyComponents(topology).count;
     uint32_t by_size =
         static_cast<uint32_t>((topology.node_count() + 31) / 32);
-    shard_count = static_cast<int>(std::min<uint32_t>(
-        std::max({components_.count, by_size, 1u}), 32));
+    shard_count = static_cast<int>(
+        std::min<uint32_t>(std::max({components, by_size, 1u}), 32));
   }
   partition_ = ComputeLinkCutPartition(
       topology, static_cast<uint32_t>(shard_count), opts_.partition_seed);

@@ -127,7 +127,6 @@ class ShardExecutor final : public FlowControlSurface {
 
   size_t shard_count() const { return shards_.size(); }
   int num_threads() const { return opts_.num_threads; }
-  const TopologyComponents& components() const { return components_; }
   const LinkCutPartition& partition() const { return partition_; }
   // Shard owning `link`'s capacity bookkeeping (the partition side of its
   // source node). Flows homed elsewhere may still use the link via leases.
@@ -255,7 +254,6 @@ class ShardExecutor final : public FlowControlSurface {
   EventQueue& control_;
   const Topology& topology_;
   Options opts_;
-  TopologyComponents components_;
   LinkCutPartition partition_;
 
   std::vector<Shard> shards_;

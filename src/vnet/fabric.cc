@@ -1744,26 +1744,6 @@ BaselineDelivery BaselineNetwork::EvaluateExternal(IpAddress src,
                                                    uint16_t dst_port,
                                                    Protocol proto,
                                                    std::string_view payload) {
-  if (!payload.empty()) {
-    return EvaluateExternalUncached(src, dst, dst_port, proto, payload);
-  }
-  ExternalFlowKey key{src, dst, dst_port, proto};
-  const uint64_t gen = VerdictGen();
-  if (const BaselineDelivery* cached =
-          external_cache_.Lookup(key, gen, gen, [gen] { return gen; })) {
-    return *cached;
-  }
-  BaselineDelivery delivery =
-      EvaluateExternalUncached(src, dst, dst_port, proto, payload);
-  if (CacheableDelivery(delivery)) {
-    external_cache_.Insert(key, gen, gen, gen, delivery);
-  }
-  return delivery;
-}
-
-BaselineDelivery BaselineNetwork::EvaluateExternalUncached(
-    IpAddress src, IpAddress dst, uint16_t dst_port, Protocol proto,
-    std::string_view payload) {
   EvalContext ctx;
   FiveTuple flow;
   flow.src = src;
@@ -1865,13 +1845,6 @@ DpiFirewall* BaselineNetwork::FindFirewall(FirewallId id) {
 TransitGateway* BaselineNetwork::FindTgw(TransitGatewayId id) {
   auto it = tgws_.find(id);
   return it == tgws_.end() ? nullptr : it->second.get();
-}
-std::optional<IpAddress> BaselineNetwork::OnPremAddress(InstanceId id) const {
-  auto it = on_prem_addrs_.find(id);
-  if (it == on_prem_addrs_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
 }
 
 size_t BaselineNetwork::gateway_count() const {

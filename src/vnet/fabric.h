@@ -239,14 +239,11 @@ class BaselineNetwork {
                                             std::string_view payload = {});
 
   // Evaluates traffic from an arbitrary external (internet) source toward a
-  // destination address the tenant may own. For attack simulation. Same
-  // caching policy as Evaluate.
+  // destination address the tenant may own. For attack simulation. Always
+  // the full walk: no verdict cache.
   BaselineDelivery EvaluateExternal(IpAddress src, IpAddress dst,
                                     uint16_t dst_port, Protocol proto,
                                     std::string_view payload = {});
-  BaselineDelivery EvaluateExternalUncached(IpAddress src, IpAddress dst,
-                                            uint16_t dst_port, Protocol proto,
-                                            std::string_view payload = {});
 
   // Resolves a flow aimed at a load balancer to a backend instance.
   Result<InstanceId> ResolveThroughLoadBalancer(LoadBalancerId lb,
@@ -269,7 +266,6 @@ class BaselineNetwork {
   LoadBalancer* FindLoadBalancer(LoadBalancerId id);
   DpiFirewall* FindFirewall(FirewallId id);
   TransitGateway* FindTgw(TransitGatewayId id);
-  std::optional<IpAddress> OnPremAddress(InstanceId id) const;
 
   size_t vpc_count() const { return vpcs_.size(); }
   size_t gateway_count() const;  // every gateway-ish box, for E1
@@ -289,27 +285,18 @@ class BaselineNetwork {
   // Bumped by every verdict-affecting control-plane mutation (fabric
   // methods and direct mutation of hooked objects alike).
   uint64_t config_epoch() const { return config_epoch_; }
-  // The coarse verdict generation the caches validate against: any config /
-  // instance-state / BGP change moves it. The baseline side of the reach
-  // verifier keys its pair cache on this — deliberately all-or-nothing,
-  // where the declarative world factorizes per endpoint (EdgeFilterBank's
-  // EndpointVerdictEpoch): the asymmetry E12 measures.
+  // The coarse verdict generation the verdict cache validates against: any
+  // config / instance-state / BGP change moves it. The baseline side of the
+  // reach verifier keys its pair cache on this — deliberately
+  // all-or-nothing, where the declarative world factorizes per endpoint
+  // (EdgeFilterBank's EndpointVerdictEpoch): the asymmetry E12 measures.
   uint64_t verdict_generation() const { return VerdictGen(); }
   const VerdictCacheStats& evaluate_cache_stats() const {
     return instance_cache_.stats();
   }
-  const VerdictCacheStats& external_cache_stats() const {
-    return external_cache_.stats();
-  }
-  void ResetVerdictCacheStats() {
-    instance_cache_.ResetStats();
-    external_cache_.ResetStats();
-  }
+  void ResetVerdictCacheStats() { instance_cache_.ResetStats(); }
   // Drops all memoized verdicts (benches: cold-start measurement).
-  void ClearVerdictCaches() {
-    instance_cache_.Clear();
-    external_cache_.Clear();
-  }
+  void ClearVerdictCaches() { instance_cache_.Clear(); }
 
  private:
   struct EvalContext {
@@ -356,22 +343,6 @@ class BaselineNetwork {
     size_t operator()(const InstanceFlowKey& k) const {
       size_t h = k.src * 0x9E3779B97F4A7C15ull;
       h ^= k.dst * 1099511628211ull;
-      return h ^ (static_cast<size_t>(k.dst_port) << 8 |
-                  static_cast<size_t>(k.proto));
-    }
-  };
-  struct ExternalFlowKey {
-    IpAddress src;
-    IpAddress dst;
-    uint16_t dst_port = 0;
-    Protocol proto = Protocol::kAny;
-    friend bool operator==(const ExternalFlowKey& a,
-                           const ExternalFlowKey& b) = default;
-  };
-  struct ExternalFlowKeyHash {
-    size_t operator()(const ExternalFlowKey& k) const {
-      size_t h = std::hash<IpAddress>{}(k.src);
-      h = h * 1099511628211ull ^ std::hash<IpAddress>{}(k.dst);
       return h ^ (static_cast<size_t>(k.dst_port) << 8 |
                   static_cast<size_t>(k.proto));
     }
@@ -471,8 +442,6 @@ class BaselineNetwork {
   uint64_t config_epoch_ = 0;
   mutable VerdictCache<InstanceFlowKey, BaselineDelivery, InstanceFlowKeyHash>
       instance_cache_;
-  mutable VerdictCache<ExternalFlowKey, BaselineDelivery, ExternalFlowKeyHash>
-      external_cache_;
 };
 
 }  // namespace tenantnet

@@ -182,9 +182,6 @@ class TransitGateway : public RevisionHooked {
   const TgwRoute* Lookup(IpAddress dst) const {
     return routes_.LongestMatch(dst);
   }
-  const TgwRoute* ExactRoute(const IpPrefix& prefix) const {
-    return routes_.ExactMatch(prefix);
-  }
   // Full FIB as sorted (prefix, route) pairs, for differential snapshots.
   std::vector<std::pair<IpPrefix, TgwRoute>> Routes() const {
     std::vector<std::pair<IpPrefix, TgwRoute>> out;

@@ -4,8 +4,10 @@
 
 #include <set>
 
+#include "src/app/workload.h"
 #include "src/cloud/presets.h"
 #include "src/core/api.h"
+#include "src/reach/reach.h"
 
 namespace tenantnet {
 namespace {
@@ -298,6 +300,16 @@ TEST_F(DeclarativeTest, ProviderCanAggregateFlatEips) {
   EXPECT_LE(cloud_.ProviderAggregatedRibEntries(tw_.provider), 2u);
 }
 
+// A provider's domain has one edge per region it had when the domain was
+// created. An instance in a region added later has no edge to enforce at,
+// so RequestEip refuses it rather than issue an address no edge guards.
+TEST_F(DeclarativeTest, RegionAddedAfterItsDomainIsRefused) {
+  ASSERT_TRUE(cloud_.RequestEip(Launch(tw_.east)).ok());
+  RegionId late = tw_.world->AddRegion(tw_.provider, "late", {10, 0}, 1);
+  EXPECT_EQ(cloud_.RequestEip(Launch(late)).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST_F(DeclarativeTest, EvaluateRequiresSourceEip) {
   InstanceId a = Launch(tw_.east);
   InstanceId b = Launch(tw_.east, 1);
@@ -320,6 +332,120 @@ TEST_F(DeclarativeTest, LedgerCountsApiCallsNotComponents) {
   EXPECT_EQ(ledger_.components(), 0u);       // no boxes, ever
   EXPECT_EQ(ledger_.cross_references(), 0u);  // nothing to keep consistent
 }
+
+// One Table-2 script, run with the destination in a provider region and at
+// the on-prem site: both kinds of domain enforce at the endpoint's one
+// ingress edge, so every verdict in the sequence is the same.
+class EnforcementPointTest : public ::testing::TestWithParam<bool> {};
+
+std::string Verdict(const DeclarativeDelivery& d) {
+  return d.delivered ? "delivered" : d.drop_stage;
+}
+
+TEST_P(EnforcementPointTest, SameVerdictsForProviderAndOnPremDestinations) {
+  const bool on_prem = GetParam();
+  TestWorld tw = BuildTestWorld();
+  ConfigLedger ledger;
+  DeclarativeCloud cloud(*tw.world, ledger);
+  DeclarativeReachEngine engine(*tw.world, cloud);
+  auto launch_server = [&] {
+    return on_prem
+               ? *tw.world->LaunchOnPremInstance(tw.tenant, tw.on_prem)
+               : *tw.world->LaunchInstance(tw.tenant, tw.provider, tw.east);
+  };
+  EdgeFilterBank* const bank = on_prem ? &cloud.on_prem_filters(tw.on_prem)
+                                       : &cloud.provider_filters(tw.provider);
+  const std::string where = on_prem ? "dc:router" : "cloud:east";
+  InstanceId client =
+      *tw.world->LaunchInstance(tw.tenant, tw.provider, tw.west);
+  IpAddress client_eip = *cloud.RequestEip(client);
+  IpAddress server_eip = *cloud.RequestEip(launch_server());
+  const IpAddress internet = IpAddress::V4(203, 0, 113, 9);
+
+  auto expect_edge = [&] {
+    Result<DeclarativeCloud::DestinationEdge> edge =
+        cloud.DestinationEdgeOf(server_eip);
+    ASSERT_TRUE(edge.ok());
+    EXPECT_EQ(edge->bank, bank);
+    EXPECT_EQ(edge->edge_index, 0u);  // east is the provider's first region
+    EXPECT_EQ(edge->where, where);
+  };
+  std::vector<std::string> verdicts;
+  auto probe = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    Result<DeclarativeDelivery> tenant =
+        cloud.Evaluate(client, server_eip, 443, Protocol::kTcp);
+    ASSERT_TRUE(tenant.ok());
+    DeclarativeDelivery external =
+        cloud.EvaluateExternal(internet, server_eip, 443, Protocol::kTcp);
+    ReachVerdict reach =
+        engine.CanReach(client, server_eip, 443, Protocol::kTcp);
+    EXPECT_EQ(reach.reachable, tenant->delivered) << reach.ToString();
+    if (!reach.reachable) {
+      EXPECT_EQ(DenyStages().Name(reach.deny_stage), tenant->drop_stage);
+    }
+    if (cloud.FindEip(server_eip) != nullptr) {
+      EXPECT_EQ(tenant->provider_hops.back(), "edge-filter@" + where);
+      EXPECT_EQ(external.provider_hops.back(), "edge-filter@" + where);
+    }
+    verdicts.push_back(step + ": " + Verdict(*tenant) + " / " +
+                       Verdict(external));
+  };
+
+  expect_edge();
+  probe("default-off");
+  ASSERT_TRUE(
+      cloud.SetPermitList(server_eip, {Permit(client_eip)}).ok());
+  probe("set");
+  ASSERT_TRUE(cloud.UpdatePermitList(server_eip, {Permit("203.0.113.0/24")},
+                                     {})
+                  .ok());
+  probe("update add");
+  ASSERT_TRUE(
+      cloud.UpdatePermitList(server_eip, {}, {Permit(client_eip)}).ok());
+  probe("update remove");
+
+  EndpointGroupId group = *cloud.CreateEndpointGroup(tw.tenant, "clients");
+  PermitEntry by_group;
+  by_group.source_group = group;
+  ASSERT_TRUE(cloud.SetPermitList(server_eip, {by_group}).ok());
+  probe("group empty");
+  ASSERT_TRUE(cloud.AddToEndpointGroup(group, client_eip).ok());
+  probe("group add");
+  ASSERT_TRUE(cloud.RemoveFromEndpointGroup(group, client_eip).ok());
+  probe("group remove");
+  ASSERT_TRUE(cloud.AddToEndpointGroup(group, client_eip).ok());
+
+  ASSERT_TRUE(cloud.ReleaseEip(server_eip).ok());
+  EXPECT_FALSE(cloud.DestinationEdgeOf(server_eip).ok());
+  probe("released");
+  IpAddress reissued = *cloud.RequestEip(launch_server());
+  ASSERT_EQ(reissued, server_eip);
+  expect_edge();
+  probe("reissued");
+  ASSERT_TRUE(cloud.SetPermitList(server_eip, {by_group}).ok());
+  probe("reissued group");
+
+  EXPECT_EQ(verdicts,
+            (std::vector<std::string>{
+                "default-off: edge-filter / edge-filter",
+                "set: delivered / edge-filter",
+                "update add: delivered / delivered",
+                "update remove: edge-filter / delivered",
+                "group empty: edge-filter / edge-filter",
+                "group add: delivered / edge-filter",
+                "group remove: edge-filter / edge-filter",
+                "released: no-such-endpoint / no-such-endpoint",
+                "reissued: edge-filter / edge-filter",
+                "reissued group: delivered / edge-filter",
+            }));
+}
+
+INSTANTIATE_TEST_SUITE_P(DomainKinds, EnforcementPointTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "OnPrem" : "Provider";
+                         });
 
 }  // namespace
 }  // namespace tenantnet

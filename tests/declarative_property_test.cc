@@ -26,13 +26,18 @@ TEST_P(PermitMatrixTest, DeliveryIffPermitted) {
   DeclarativeCloud cloud(*tw.world, ledger);
   Rng rng(GetParam());
 
-  constexpr int kN = 12;
+  constexpr int kCloud = 12;
+  constexpr int kN = kCloud + 4;  // the rest sit at the on-prem site
   std::vector<InstanceId> vms;
   std::vector<IpAddress> eips;
   for (int i = 0; i < kN; ++i) {
-    InstanceId vm = *tw.world->LaunchInstance(
-        tw.tenant, tw.provider, rng.NextBool(0.5) ? tw.east : tw.west,
-        static_cast<int>(rng.NextU64(2)));
+    InstanceId vm =
+        i < kCloud
+            ? *tw.world->LaunchInstance(
+                  tw.tenant, tw.provider,
+                  rng.NextBool(0.5) ? tw.east : tw.west,
+                  static_cast<int>(rng.NextU64(2)))
+            : *tw.world->LaunchOnPremInstance(tw.tenant, tw.on_prem);
     vms.push_back(vm);
     eips.push_back(*cloud.RequestEip(vm));
   }
@@ -87,6 +92,11 @@ TEST_P(ChurnConsistencyTest, RecycledAddressesInheritNothing) {
   InstanceId server =
       *tw.world->LaunchInstance(tw.tenant, tw.provider, tw.east, 0);
   IpAddress server_eip = *cloud.RequestEip(server);
+  // A second server at the on-prem site holds the same list; clients churn
+  // at the site as well as in the cloud.
+  InstanceId site_server =
+      *tw.world->LaunchOnPremInstance(tw.tenant, tw.on_prem);
+  IpAddress site_server_eip = *cloud.RequestEip(site_server);
 
   // Element picks go through the shared sampler so a TN_SEED repro replays
   // the same release/probe victims across suites.
@@ -104,16 +114,18 @@ TEST_P(ChurnConsistencyTest, RecycledAddressesInheritNothing) {
       permits.push_back(e);
     }
     ASSERT_TRUE(cloud.SetPermitList(server_eip, permits).ok());
+    ASSERT_TRUE(cloud.SetPermitList(site_server_eip, permits).ok());
   };
 
   for (int step = 0; step < 300; ++step) {
     double coin = rng.NextDouble();
     if (coin < 0.4 || live.empty()) {
       // Launch a client; maybe permit it.
-      InstanceId vm = *tw.world->LaunchInstance(tw.tenant, tw.provider,
-                                                tw.west,
-                                                static_cast<int>(
-                                                    rng.NextU64(2)));
+      InstanceId vm =
+          rng.NextBool(0.25)
+              ? *tw.world->LaunchOnPremInstance(tw.tenant, tw.on_prem)
+              : *tw.world->LaunchInstance(tw.tenant, tw.provider, tw.west,
+                                          static_cast<int>(rng.NextU64(2)));
       IpAddress eip = *cloud.RequestEip(vm);
       live[eip.v4_bits()] = vm;
       if (rng.NextBool(0.5)) {
@@ -136,9 +148,12 @@ TEST_P(ChurnConsistencyTest, RecycledAddressesInheritNothing) {
       // Probe: every live client must be admitted iff its address value is
       // currently on the list.
       for (const auto& [value, vm] : live) {
-        auto result = cloud.Evaluate(vm, server_eip, 443, Protocol::kTcp);
-        ASSERT_TRUE(result.ok());
-        EXPECT_EQ(result->delivered, permitted_values.count(value) > 0);
+        for (IpAddress dst : {server_eip, site_server_eip}) {
+          auto result = cloud.Evaluate(vm, dst, 443, Protocol::kTcp);
+          ASSERT_TRUE(result.ok());
+          EXPECT_EQ(result->delivered, permitted_values.count(value) > 0)
+              << IpAddress::V4(static_cast<uint32_t>(value)) << " -> " << dst;
+        }
       }
     }
   }

@@ -60,12 +60,16 @@ TEST_P(DeclarativeReachFuzzTest, EngineMatchesBruteForceUnderStorm) {
   FlowSim sim(queue, tw.world->topology());
   MetricRegistry metrics;
 
-  constexpr size_t kN = 8;
+  constexpr size_t kCloud = 8;
+  constexpr size_t kN = kCloud + 3;  // the rest sit at the on-prem site
   std::vector<InstanceId> vms;
   std::vector<IpAddress> eips;
   for (size_t i = 0; i < kN; ++i) {
-    InstanceId vm = *tw.world->LaunchInstance(
-        tw.tenant, tw.provider, i % 2 == 0 ? tw.east : tw.west, 0);
+    InstanceId vm =
+        i < kCloud
+            ? *tw.world->LaunchInstance(tw.tenant, tw.provider,
+                                        i % 2 == 0 ? tw.east : tw.west, 0)
+            : *tw.world->LaunchOnPremInstance(tw.tenant, tw.on_prem);
     vms.push_back(vm);
     eips.push_back(*cloud.RequestEip(vm));
   }
@@ -83,9 +87,11 @@ TEST_P(DeclarativeReachFuzzTest, EngineMatchesBruteForceUnderStorm) {
   queue.RunAll();
 
   EdgeFilterBank& bank = cloud.provider_filters(tw.provider);
+  EdgeFilterBank& site_bank = cloud.on_prem_filters(tw.on_prem);
   FaultHooks hooks;
   hooks.set_control_degraded = [&](bool degraded) {
     bank.SetReplicationDegraded(degraded);
+    site_bank.SetReplicationDegraded(degraded);
   };
   FaultInjector injector(queue, tw.world->topology(), sim, tw.world.get(),
                          metrics, std::move(hooks));

@@ -301,6 +301,31 @@ TEST(FilterRestartTest, ColdFlushOutranksInstallsInFlight) {
   EXPECT_TRUE(bank.IsConverged(endpoint));
 }
 
+// A warm restart re-pushes a list only to the edges still lagging, under a
+// fresh version; the edge that had applied it keeps the older version. Both
+// hold the master's list, so the endpoint is converged.
+TEST(FilterRestartTest, WarmPartialRepushConverges) {
+  EventQueue queue;
+  EdgeFilterBank bank("p", &queue, 3);
+  bank.AddEdge("e0");
+  bank.AddEdge("e1");
+  IpAddress endpoint = A("5.0.0.1");
+  bank.SetPermitList(endpoint, {Permit("10.0.0.0/8")});
+  while (bank.HasList(0, endpoint) == bank.HasList(1, endpoint)) {
+    ASSERT_TRUE(queue.Step());
+  }
+
+  FilterBankSnapshot snap = bank.Checkpoint();
+  bank.BeginRestart();
+  ReconcileStats stats = bank.CompleteRestart(RestartMode::kWarm, snap);
+  EXPECT_EQ(stats.deltas_applied, 1u);  // the lagging edge only
+  queue.RunAll();
+  for (size_t edge : {0u, 1u}) {
+    EXPECT_TRUE(bank.Admits(edge, Flow("10.1.1.1", "5.0.0.1", 443)));
+  }
+  EXPECT_TRUE(bank.IsConverged(endpoint));
+}
+
 // Every list and group an edge holds in `fingerprint` (E<i> / EG<i> lines)
 // is also in the master (M / MG lines): nothing the intent dropped survives
 // on an edge.
