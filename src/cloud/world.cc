@@ -379,29 +379,47 @@ std::vector<InstanceId> CloudWorld::AllInstances() const {
   return out;
 }
 
-Result<std::vector<LinkId>> CloudWorld::ResolvePath(NodeId src, NodeId dst,
-                                                    EgressPolicy policy) const {
-  Topology::CostFn cost;
+Topology::CostFn CloudWorld::PathCost(EgressPolicy policy) {
   switch (policy) {
     case EgressPolicy::kHotPotato:
       // Backbone is expensive: traffic exits to transit at the first edge.
-      cost = Topology::ClassWeightedDelayCost(/*datacenter=*/1.0,
+      return Topology::ClassWeightedDelayCost(/*datacenter=*/1.0,
                                               /*backbone=*/25.0,
                                               /*public_internet=*/1.0,
                                               /*dedicated=*/25.0);
-      break;
     case EgressPolicy::kColdPotato:
       // Public internet is expensive: traffic rides the backbone to the
       // edge nearest the destination before exiting.
-      cost = Topology::ClassWeightedDelayCost(1.0, 1.0, 25.0, 25.0);
-      break;
+      return Topology::ClassWeightedDelayCost(1.0, 1.0, 25.0, 25.0);
     case EgressPolicy::kDedicated:
       // Circuits are nearly free; backbone cheap; internet tolerated only
       // where no circuit exists.
-      cost = Topology::ClassWeightedDelayCost(1.0, 1.0, 50.0, 0.05);
-      break;
+      return Topology::ClassWeightedDelayCost(1.0, 1.0, 50.0, 0.05);
   }
-  return topology_.ShortestPath(src, dst, cost);
+  return Topology::CostFn();
+}
+
+size_t CloudWorld::PathKeyHash::operator()(const PathKey& key) const {
+  uint64_t h = key.src.value() * 0x9e3779b97f4a7c15ull;
+  h = (h ^ key.dst.value()) * 0xbf58476d1ce4e5b9ull;
+  return static_cast<size_t>(h ^ static_cast<uint64_t>(key.policy));
+}
+
+Result<std::vector<LinkId>> CloudWorld::ResolvePath(NodeId src, NodeId dst,
+                                                    EgressPolicy policy) const {
+  if (path_memo_revision_ != topology_.revision()) {
+    path_memo_.clear();
+    path_memo_revision_ = topology_.revision();
+  }
+  PathKey key{src, dst, policy};
+  auto it = path_memo_.find(key);
+  if (it == path_memo_.end()) {
+    ++path_computations_;
+    it = path_memo_
+             .emplace(key, topology_.ShortestPath(src, dst, PathCost(policy)))
+             .first;
+  }
+  return it->second;
 }
 
 Result<std::vector<LinkId>> CloudWorld::ResolveInstancePath(

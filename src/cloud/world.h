@@ -204,9 +204,20 @@ class CloudWorld {
 
   // --- Paths ----------------------------------------------------------------
 
-  // Physical path between two attachment nodes under an egress policy.
+  // Physical path between two attachment nodes under an egress policy:
+  // topology().ShortestPath(src, dst, PathCost(policy)), memoized per
+  // (src, dst, policy) — failures included — until topology().revision()
+  // moves, so the call after a link fault or a new link re-resolves.
+  // Not thread-safe: this const call writes the mutable memo. Like the
+  // verdict caches, it belongs to the simulating thread.
   Result<std::vector<LinkId>> ResolvePath(NodeId src, NodeId dst,
                                           EgressPolicy policy) const;
+
+  // The link cost each egress policy routes by.
+  static Topology::CostFn PathCost(EgressPolicy policy);
+
+  // ShortestPath runs behind ResolvePath (its memo misses).
+  uint64_t path_computations() const { return path_computations_; }
 
   // Path between two instances under a policy.
   Result<std::vector<LinkId>> ResolveInstancePath(InstanceId src,
@@ -216,6 +227,16 @@ class CloudWorld {
  private:
   NodeId NearestTransit(GeoPoint position) const;
   SimDuration DelayFor(GeoPoint a, GeoPoint b) const;
+
+  struct PathKey {
+    NodeId src;
+    NodeId dst;
+    EgressPolicy policy;
+    friend bool operator==(const PathKey&, const PathKey&) = default;
+  };
+  struct PathKeyHash {
+    size_t operator()(const PathKey& key) const;
+  };
 
   WorldParams params_;
   Topology topology_;
@@ -231,6 +252,12 @@ class CloudWorld {
   IdGenerator<InstanceId> instance_ids_;
   size_t live_instance_count_ = 0;
   uint64_t instance_state_epoch_ = 0;
+
+  // ResolvePath's memo, valid for topology revision path_memo_revision_.
+  mutable std::unordered_map<PathKey, Result<std::vector<LinkId>>, PathKeyHash>
+      path_memo_;
+  mutable uint64_t path_memo_revision_ = 0;
+  mutable uint64_t path_computations_ = 0;
 };
 
 }  // namespace tenantnet

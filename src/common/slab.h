@@ -146,8 +146,6 @@ class InternPool {
   // compiled matcher); fields that feed operator== / Hash must stay fixed.
   T& GetMutable(uint32_t id) { return entries_[id].value; }
 
-  uint32_t RefCount(uint32_t id) const { return entries_[id].refs; }
-
   // Distinct live values.
   size_t size() const { return entries_.size() - free_.size(); }
 

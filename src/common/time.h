@@ -30,7 +30,6 @@ class SimDuration {
   constexpr int64_t nanos() const { return ns_; }
   constexpr double ToSeconds() const { return static_cast<double>(ns_) / 1e9; }
   constexpr double ToMillis() const { return static_cast<double>(ns_) / 1e6; }
-  constexpr double ToMicros() const { return static_cast<double>(ns_) / 1e3; }
 
   friend constexpr SimDuration operator+(SimDuration a, SimDuration b) {
     return SimDuration(a.ns_ + b.ns_);
@@ -68,7 +67,6 @@ class SimTime {
  public:
   constexpr SimTime() = default;
 
-  static constexpr SimTime FromNanos(int64_t n) { return SimTime(n); }
   static constexpr SimTime FromSeconds(double s) {
     return SimTime(static_cast<int64_t>(s * 1e9));
   }

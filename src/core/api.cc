@@ -180,12 +180,14 @@ Status DeclarativeCloud::ReleaseEip(IpAddress eip) {
     return NotFoundError("no such EIP");
   }
   const Endpoint& endpoint = it->second;
+  // The pool release is the only step that can fail, so it goes first: a
+  // refused release changes nothing.
+  TN_RETURN_IF_ERROR(endpoint.domain->eip_pool->Release(eip));
   endpoint.domain->filters->RemovePermitList(eip);
   if (endpoint.record.provider.valid()) {
-    TN_RETURN_IF_ERROR(
-        Provider(endpoint.record.provider).rib.Withdraw(IpPrefix::Host(eip)));
+    // NotFound means NotifyInstanceDown already withdrew the host route.
+    (void)Provider(endpoint.record.provider).rib.Withdraw(IpPrefix::Host(eip));
   }
-  TN_RETURN_IF_ERROR(endpoint.domain->eip_pool->Release(eip));
   sip_lb_.UnbindEverywhere(eip);
   // Drop the address from any groups it belonged to (provider-side
   // hygiene: a recycled address must not inherit old permissions).

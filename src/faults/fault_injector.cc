@@ -102,14 +102,31 @@ FaultInjector::FaultInjector(EventQueue& queue, Topology& topology,
   permit_staleness_ms_ = &metrics.GetHistogram("faults.permit_staleness_ms");
 }
 
-void FaultInjector::Schedule(const FaultSchedule& schedule) {
+Status FaultInjector::Validate(const FaultSpec& spec) const {
+  if (spec.kind == FaultKind::kLinkDown &&
+      (!spec.link.valid() ||
+       Topology::DenseLinkIndex(spec.link) >= topology_.link_count())) {
+    return InvalidArgumentError("fault names an unknown link");
+  }
+  return Status::Ok();
+}
+
+Status FaultInjector::Schedule(const FaultSchedule& schedule) {
+  for (const FaultSpec& spec : schedule.events) {
+    TN_RETURN_IF_ERROR(Validate(spec));
+  }
   SimTime base = queue_.now();
   for (const FaultSpec& spec : schedule.events) {
     queue_.ScheduleAt(base + spec.at, [this, spec] { Inject(spec); });
   }
+  return Status::Ok();
 }
 
-void FaultInjector::InjectNow(const FaultSpec& spec) { Inject(spec); }
+Status FaultInjector::InjectNow(const FaultSpec& spec) {
+  TN_RETURN_IF_ERROR(Validate(spec));
+  Inject(spec);
+  return Status::Ok();
+}
 
 void FaultInjector::DownLink(LinkId link) {
   size_t idx = Topology::DenseLinkIndex(link);

@@ -119,11 +119,13 @@ class FaultInjector {
                 SimDuration probe_interval = SimDuration::Millis(10));
 
   // Schedules every event of `schedule` relative to now. May be called
-  // more than once (schedules accumulate).
-  void Schedule(const FaultSchedule& schedule);
+  // more than once (schedules accumulate). InvalidArgument, with nothing
+  // scheduled, if any link-down spec names a link the topology lacks.
+  Status Schedule(const FaultSchedule& schedule);
 
   // Injects one fault immediately (tests drive single faults this way).
-  void InjectNow(const FaultSpec& spec);
+  // Refuses an unknown link like Schedule, injecting nothing.
+  Status InjectNow(const FaultSpec& spec);
 
   // --- Telemetry ------------------------------------------------------------
   uint64_t faults_injected() const { return faults_injected_; }
@@ -162,6 +164,7 @@ class FaultInjector {
   const Histogram& permit_staleness_ms() const { return *permit_staleness_ms_; }
 
  private:
+  Status Validate(const FaultSpec& spec) const;
   void Inject(const FaultSpec& spec);
   void Recover(const FaultSpec& spec);
   void Probe(const FaultSpec& spec, SimTime recovered_at, int tries);

@@ -73,11 +73,6 @@ Status FlowSim::SetLinkCapacityLease(LinkId link, double bps) {
   return Status::Ok();
 }
 
-double FlowSim::LinkCapacityLease(LinkId link) const {
-  size_t idx = Topology::DenseLinkIndex(link);
-  return idx < link_lease_.size() ? link_lease_[idx] : -1.0;
-}
-
 double FlowSim::LinkAllocatedBps(LinkId link) const {
   size_t idx = Topology::DenseLinkIndex(link);
   return idx < link_allocated_bps_.size() ? link_allocated_bps_[idx] : 0.0;

@@ -123,8 +123,6 @@ class FlowSim final : public FlowControlSurface {
   // realloc seeded on the link is deferred to EndBatch. A downed link's
   // effective capacity stays zero regardless of any lease.
   Status SetLinkCapacityLease(LinkId link, double bps);
-  // The lease currently in force, or a negative value if none.
-  double LinkCapacityLease(LinkId link) const;
   // Raw bits/sec this sim has allocated on `link` (the executor sums this
   // across shards to compute true utilization of a shared link).
   double LinkAllocatedBps(LinkId link) const;

@@ -10,23 +10,10 @@
 
 namespace tenantnet {
 
-std::string_view LinkClassName(LinkClass cls) {
-  switch (cls) {
-    case LinkClass::kDatacenter:
-      return "datacenter";
-    case LinkClass::kBackbone:
-      return "backbone";
-    case LinkClass::kPublicInternet:
-      return "public-internet";
-    case LinkClass::kDedicated:
-      return "dedicated";
-  }
-  return "?";
-}
-
 NodeId Topology::AddNode(NodeInfo info) {
   nodes_.push_back(std::move(info));
   out_links_.emplace_back();
+  ++revision_;
   return NodeId(nodes_.size());
 }
 
@@ -36,6 +23,7 @@ LinkId Topology::AddLink(LinkInfo info) {
   links_.push_back(info);
   LinkId id(links_.size());
   out_links_[Index(info.src)].push_back(id);
+  ++revision_;
   return id;
 }
 
@@ -142,6 +130,18 @@ Result<std::vector<LinkId>> Topology::ShortestPath(NodeId src, NodeId dst,
   }
   std::reverse(path.begin(), path.end());
   return path;
+}
+
+Status Topology::SetLinkUp(LinkId id, bool up) {
+  if (!id.valid() || Index(id) >= links_.size()) {
+    return InvalidArgumentError("unknown link id");
+  }
+  LinkInfo& link = links_[Index(id)];
+  if (link.up != up) {
+    link.up = up;
+    ++revision_;
+  }
+  return Status::Ok();
 }
 
 size_t Topology::down_link_count() const {

@@ -35,8 +35,6 @@ enum class LinkClass : uint8_t {
   kDedicated,      // Direct Connect / ExpressRoute / MPLS circuit
 };
 
-std::string_view LinkClassName(LinkClass cls);
-
 // What a node represents (for reporting only; the graph treats all alike).
 enum class NodeKind : uint8_t {
   kHostAggregate,  // a region/zone's compute side
@@ -89,10 +87,16 @@ class Topology {
 
   // Fault state. Downing a link removes it from path selection; recovery
   // restores it. FlowSim mirrors this state for capacity (see
-  // FlowSim::SetLinkUp); fault injectors set both.
-  void SetLinkUp(LinkId id, bool up) { links_[Index(id)].up = up; }
+  // FlowSim::SetLinkUp); fault injectors set both. Idempotent per state;
+  // InvalidArgument for an unknown link, with state and revision untouched.
+  Status SetLinkUp(LinkId id, bool up);
   bool IsLinkUp(LinkId id) const { return links_[Index(id)].up; }
   size_t down_link_count() const;
+
+  // Bumped by every change path selection can see: AddNode, AddLink, and a
+  // SetLinkUp that flips a link. Path memos key on it
+  // (CloudWorld::ResolvePath).
+  uint64_t revision() const { return revision_; }
 
   // All links touching `node`, in either direction (for node-level faults:
   // an edge-router restart downs everything incident). O(links).
@@ -145,6 +149,7 @@ class Topology {
   std::vector<NodeInfo> nodes_;
   std::vector<LinkInfo> links_;
   std::vector<std::vector<LinkId>> out_links_;
+  uint64_t revision_ = 0;
 };
 
 // Connected components of the topology's *undirected* link graph (a duplex

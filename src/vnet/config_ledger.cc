@@ -46,14 +46,6 @@ std::map<std::string, uint64_t> ConfigLedger::ComponentsByKind() const {
   return out;
 }
 
-std::map<std::string, uint64_t> ConfigLedger::TotalsByKind() const {
-  std::map<std::string, uint64_t> out;
-  for (const auto& r : records_) {
-    ++out[r.component_kind];
-  }
-  return out;
-}
-
 std::string ConfigLedger::Summary() const {
   std::ostringstream os;
   os << "components=" << components() << " parameters=" << parameters()

@@ -72,9 +72,6 @@ class ConfigLedger {
   // Component count per kind ("vpc" -> 6, "transit-gateway" -> 2, ...).
   std::map<std::string, uint64_t> ComponentsByKind() const;
 
-  // All actions touching a kind, per action.
-  std::map<std::string, uint64_t> TotalsByKind() const;
-
   const std::vector<ConfigRecord>& records() const { return records_; }
 
   void Clear() { records_.clear(); }

@@ -1807,10 +1807,6 @@ VpcRouteTable* BaselineNetwork::FindRouteTable(VpcRouteTableId id) {
   auto it = tables_.find(id);
   return it == tables_.end() ? nullptr : it->second.get();
 }
-NetworkAcl* BaselineNetwork::FindAcl(NetworkAclId id) {
-  auto it = acls_.find(id);
-  return it == acls_.end() ? nullptr : it->second.get();
-}
 std::vector<VpcRouteTableId> BaselineNetwork::AllRouteTables() const {
   std::vector<VpcRouteTableId> out;
   out.reserve(tables_.size());

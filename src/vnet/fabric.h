@@ -256,7 +256,6 @@ class BaselineNetwork {
   const Subnet* FindSubnet(SubnetId id) const;
   SecurityGroup* FindSecurityGroup(SecurityGroupId id);
   VpcRouteTable* FindRouteTable(VpcRouteTableId id);
-  NetworkAcl* FindAcl(NetworkAclId id);
   // All route-table / security-group ids, for whole-config sweeps.
   std::vector<VpcRouteTableId> AllRouteTables() const;
   std::vector<SecurityGroupId> AllSecurityGroups() const;

@@ -42,21 +42,6 @@ void NetworkAcl::AddEntry(AclEntry entry) {
   BumpRevision();
 }
 
-bool NetworkAcl::RemoveEntry(uint32_t rule_number,
-                             TrafficDirection direction) {
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [&](const AclEntry& e) {
-                           return e.rule_number == rule_number &&
-                                  e.direction == direction;
-                         });
-  if (it == entries_.end()) {
-    return false;
-  }
-  entries_.erase(it);
-  BumpRevision();
-  return true;
-}
-
 bool NetworkAcl::Allows(TrafficDirection direction,
                         const FiveTuple& flow) const {
   for (const AclEntry& entry : entries_) {

@@ -98,8 +98,6 @@ class NetworkAcl : public RevisionHooked {
 
   // Entries keep ascending rule_number order.
   void AddEntry(AclEntry entry);
-  // Removes the first entry with this rule number and direction.
-  bool RemoveEntry(uint32_t rule_number, TrafficDirection direction);
   const std::vector<AclEntry>& entries() const { return entries_; }
 
   // First matching entry in the direction decides; no match = deny.

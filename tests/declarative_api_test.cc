@@ -94,6 +94,36 @@ TEST(DeclarativeReleaseTest, ReissuedEipDoesNotInheritInstallInFlight) {
   EXPECT_EQ(result->drop_stage, "edge-filter");
 }
 
+// A crashed provider endpoint has no host route left (NotifyInstanceDown
+// withdrew it); releasing it must still free the address and the record.
+TEST(DeclarativeReleaseTest, ReleaseOfDownedEndpointFreesEverything) {
+  TestWorld tw = BuildTestWorld();
+  ConfigLedger ledger;
+  DeclarativeCloud cloud(*tw.world, ledger);
+  auto launch = [&] {
+    return *tw.world->LaunchInstance(tw.tenant, tw.provider, tw.east, 0);
+  };
+  InstanceId client = launch();
+  IpAddress client_eip = *cloud.RequestEip(client);
+  InstanceId server = launch();
+  IpAddress server_eip = *cloud.RequestEip(server);
+  ASSERT_TRUE(cloud.SetPermitList(server_eip, {Permit(client_eip)}).ok());
+  ASSERT_TRUE(tw.world->SetInstanceRunning(server, false).ok());
+  cloud.NotifyInstanceDown(server);
+
+  ASSERT_TRUE(cloud.ReleaseEip(server_eip).ok());
+  EXPECT_EQ(cloud.FindEip(server_eip), nullptr);
+  EXPECT_FALSE(cloud.EipOf(server).has_value());
+  EXPECT_EQ(cloud.ProviderRibEntries(tw.provider), 1u);
+
+  IpAddress reissued = *cloud.RequestEip(launch());
+  ASSERT_EQ(reissued, server_eip);
+  auto result = cloud.Evaluate(client, reissued, 443, Protocol::kTcp);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result->delivered);
+  EXPECT_EQ(result->drop_stage, "edge-filter");
+}
+
 TEST_F(DeclarativeTest, EipsAreFlatNonAggregatableForTheTenant) {
   // Two instances in the same zone get adjacent pool addresses; two in
   // different regions still come from the same provider pool — the tenant

@@ -168,6 +168,37 @@ TEST(FaultInjectorTest, GatewayRestartDownsEveryIncidentLink) {
   EXPECT_TRUE(injector.AllRecovered());
 }
 
+TEST(FaultInjectorTest, RejectsUnknownLink) {
+  TestWorld tw = BuildTestWorld();
+  Topology& topo = tw.world->topology();
+  EventQueue queue;
+  FlowSim sim(queue, topo);
+  MetricRegistry metrics;
+  FaultInjector injector(queue, topo, sim, tw.world.get(), metrics, {});
+  const uint64_t revision = topo.revision();
+
+  FaultSpec unknown;
+  unknown.kind = FaultKind::kLinkDown;
+  unknown.link = LinkId(topo.link_count() + 1);
+  EXPECT_EQ(injector.InjectNow(unknown).code(), StatusCode::kInvalidArgument);
+  FaultSpec unset = unknown;
+  unset.link = LinkId();
+  EXPECT_EQ(injector.InjectNow(unset).code(), StatusCode::kInvalidArgument);
+
+  // One bad spec refuses the whole schedule, valid specs included.
+  FaultSpec valid = unknown;
+  valid.link = LinkId(1);
+  FaultSchedule schedule;
+  schedule.events = {valid, unknown};
+  EXPECT_EQ(injector.Schedule(schedule).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(queue.empty());
+  queue.RunAll();
+
+  EXPECT_EQ(injector.faults_injected(), 0u);
+  EXPECT_EQ(topo.down_link_count(), 0u);
+  EXPECT_EQ(topo.revision(), revision);
+}
+
 TEST(FaultInjectorTest, InstanceCrashFlipsRunningAndFiresHooks) {
   TestWorld tw = BuildTestWorld();
   Topology& topo = tw.world->topology();

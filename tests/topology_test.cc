@@ -166,6 +166,23 @@ TEST(TopologyTest, DeliveryProbabilityIsProductOfSurvival) {
   EXPECT_DOUBLE_EQ(w.topo.PathDeliveryProbability(backbone), 1.0);
 }
 
+TEST(TopologyTest, SetLinkUpRejectsUnknownLink) {
+  Diamond w;
+  const uint64_t revision = w.topo.revision();
+  EXPECT_EQ(w.topo.SetLinkUp(LinkId(), false).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(w.topo.SetLinkUp(LinkId(5), false).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(w.topo.down_link_count(), 0u);
+  EXPECT_EQ(w.topo.revision(), revision);
+  // Only a flip moves the revision.
+  ASSERT_TRUE(w.topo.SetLinkUp(w.ab, true).ok());
+  EXPECT_EQ(w.topo.revision(), revision);
+  ASSERT_TRUE(w.topo.SetLinkUp(w.ab, false).ok());
+  EXPECT_FALSE(w.topo.IsLinkUp(w.ab));
+  EXPECT_GT(w.topo.revision(), revision);
+}
+
 // --- Link-cut partitioner ----------------------------------------------------
 
 // One giant component: R regions of `hosts` nodes hanging off a hub, hubs

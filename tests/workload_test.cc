@@ -5,6 +5,7 @@
 #include "src/app/workload.h"
 #include "src/sim/flow_sim.h"
 #include "src/cloud/presets.h"
+#include "src/faults/fault_injector.h"
 
 namespace tenantnet {
 namespace {
@@ -199,6 +200,52 @@ TEST_F(WorkloadTest, MultiplePatternsRunConcurrently) {
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_GT(workload_.stats(i).completed, 50u) << workload_.pattern_name(i);
   }
+}
+
+// East and west are joined twice, link-disjointly between their edges: the
+// backbone (cold potato's choice) and the public internet. A backbone fault
+// that outlasts the arrivals must send every later transaction the other
+// way; a stale path would start its response flow on the dead link.
+TEST_F(WorkloadTest, TransactionsAfterALinkFaultTakeTheOtherPath) {
+  MetricRegistry metrics;
+  FaultInjector injector(queue_, tw_.world->topology(), flows_,
+                         tw_.world.get(), metrics, {});
+  size_t p = workload_.AddPattern("east-west", {east_a_}, {west_}, 50.0,
+                                  AllowAll());
+  workload_.Start(SimDuration::Seconds(10));
+  // Fault between transactions, so no resolved path predates it.
+  while (workload_.stats(p).completed < 5 || workload_.inflight() > 0) {
+    ASSERT_TRUE(queue_.Step());
+  }
+  // Responses flow west -> east: down that direction's backbone link.
+  NodeId east = tw_.world->FindInstance(east_a_)->host_node;
+  NodeId west = tw_.world->FindInstance(west_)->host_node;
+  auto preferred =
+      tw_.world->ResolvePath(west, east, EgressPolicy::kColdPotato);
+  ASSERT_TRUE(preferred.ok());
+  FaultSpec fault;
+  fault.kind = FaultKind::kLinkDown;
+  fault.duration = SimDuration::Seconds(60);
+  for (LinkId link : *preferred) {
+    if (tw_.world->topology().link(link).cls == LinkClass::kBackbone) {
+      fault.link = link;
+    }
+  }
+  ASSERT_TRUE(injector.InjectNow(fault).ok());
+  const uint64_t attempted_before = workload_.stats(p).attempted;
+  const uint64_t aborted_before = flows_.flows_aborted();
+  const double blackholed_before = flows_.bytes_blackholed();
+
+  queue_.RunUntil(SimTime::FromSeconds(30));
+  ASSERT_FALSE(tw_.world->topology().IsLinkUp(fault.link));
+  const PatternStats& stats = workload_.stats(p);
+  EXPECT_GT(stats.attempted, attempted_before + 100);
+  EXPECT_EQ(stats.denied, 0u);
+  EXPECT_EQ(stats.completed, stats.attempted);
+  EXPECT_EQ(workload_.inflight(), 0u);
+  EXPECT_EQ(flows_.stalled_flow_count(), 0u);
+  EXPECT_EQ(flows_.flows_aborted(), aborted_before);
+  EXPECT_EQ(flows_.bytes_blackholed(), blackholed_before);
 }
 
 }  // namespace

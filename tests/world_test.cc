@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/cloud/presets.h"
 #include "src/cloud/world.h"
+#include "src/faults/fault_injector.h"
+#include "src/sim/flow_sim.h"
+#include "tests/test_env.h"
 
 namespace tenantnet {
 namespace {
@@ -169,6 +175,146 @@ TEST(WorldTest, GeoDistanceAndDelayScale) {
   double delay_ms = w.topology().PathDelay(path).ToMillis();
   EXPECT_GT(delay_ms, 19.0);
   EXPECT_LT(delay_ms, 25.0);
+}
+
+// --- ResolvePath memo ----------------------------------------------------------
+
+constexpr EgressPolicy kPolicies[] = {EgressPolicy::kHotPotato,
+                                      EgressPolicy::kColdPotato,
+                                      EgressPolicy::kDedicated};
+
+std::vector<NodeId> HostNodes(const Topology& topology) {
+  std::vector<NodeId> hosts;
+  for (size_t i = 1; i <= topology.node_count(); ++i) {
+    if (topology.node(NodeId(i)).kind == NodeKind::kHostAggregate) {
+      hosts.push_back(NodeId(i));
+    }
+  }
+  return hosts;
+}
+
+// Every host-node pair under every policy: the memoized answer equals a
+// fresh Dijkstra under the same cost (ok-ness, status, link sequence).
+::testing::AssertionResult MemoMatchesDijkstra(const CloudWorld& world) {
+  const Topology& topology = world.topology();
+  const std::vector<NodeId> hosts = HostNodes(topology);
+  for (NodeId a : hosts) {
+    for (NodeId b : hosts) {
+      for (EgressPolicy policy : kPolicies) {
+        auto memo = world.ResolvePath(a, b, policy);
+        auto fresh =
+            topology.ShortestPath(a, b, CloudWorld::PathCost(policy));
+        // fresh.status() is OK when fresh succeeded, so a mismatched
+        // ok-ness fails the code comparison.
+        bool same = memo.ok() ? fresh.ok() && *memo == *fresh
+                              : memo.status().code() ==
+                                        fresh.status().code() &&
+                                    memo.status().message() ==
+                                        fresh.status().message();
+        if (!same) {
+          return ::testing::AssertionFailure()
+                 << topology.node(a).name << " -> " << topology.node(b).name
+                 << " under " << EgressPolicyName(policy)
+                 << ": memo and Dijkstra disagree";
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Random link churn on the Fig-1 world: each step downs a link through the
+// fault injector for 1-4 steps (earlier faults recover as time advances)
+// or, now and then, adds a duplex link between existing nodes. After every
+// step the memo must agree with a fresh Dijkstra.
+class PathMemoTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PathMemoTest, MemoMatchesDijkstraThroughLinkChurn) {
+  const int64_t steps = test_env::ItersOverride(30);
+  SCOPED_TRACE("reproduce with TN_SEED=" + std::to_string(GetParam()) +
+               " TN_ITERS=" + std::to_string(steps));
+  test_env::PairSampler rng(GetParam());
+  Fig1World fig = BuildFig1World();
+  CloudWorld& world = *fig.world;
+  Topology& topology = world.topology();
+  EventQueue queue;
+  FlowSim sim(queue, topology);
+  MetricRegistry metrics;
+  FaultInjector injector(queue, topology, sim, &world, metrics, {});
+  const SimDuration kStep = SimDuration::Millis(1);
+
+  ASSERT_TRUE(MemoMatchesDijkstra(world));
+  for (int64_t step = 0; step < steps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    if (rng.Chance(0.1)) {
+      auto [a, b] = rng.Pair(topology.node_count(), topology.node_count());
+      LinkInfo link;
+      link.src = NodeId(a + 1);
+      link.dst = NodeId(b + 1);
+      link.capacity_bps = 10e9;
+      link.delay = SimDuration::Micros(100 + rng.Index(30000));
+      link.cls = static_cast<LinkClass>(rng.Index(4));
+      topology.AddDuplexLink(link);
+    } else {
+      FaultSpec fault;
+      fault.kind = FaultKind::kLinkDown;
+      fault.link = LinkId(rng.Index(topology.link_count()) + 1);
+      fault.duration = kStep * static_cast<double>(1 + rng.Index(4));
+      ASSERT_TRUE(injector.InjectNow(fault).ok());
+    }
+    queue.RunUntil(queue.now() + kStep);
+    ASSERT_TRUE(MemoMatchesDijkstra(world));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PathMemoTest,
+                         ::testing::ValuesIn(test_env::SeedList(
+                             {1, 2, 3, 5, 8, 13, 21, 34})));
+
+TEST(PathMemoCountTest, OneDijkstraPerDistinctTriple) {
+  Fig1World fig = BuildFig1World();
+  const CloudWorld& world = *fig.world;
+  const std::vector<NodeId> hosts = HostNodes(world.topology());
+  const uint64_t before = world.path_computations();
+  for (int round = 0; round < 2; ++round) {
+    for (NodeId a : hosts) {
+      for (NodeId b : hosts) {
+        for (EgressPolicy policy : kPolicies) {
+          (void)world.ResolvePath(a, b, policy);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(world.path_computations() - before,
+            hosts.size() * hosts.size() * std::size(kPolicies));
+}
+
+TEST(PathMemoCountTest, OnlyALinkFlipRecomputes) {
+  TestWorld tw = BuildTestWorld();
+  CloudWorld& world = *tw.world;
+  Topology& topology = world.topology();
+  NodeId east = world.region(tw.east).zones[0].host_node;
+  NodeId west = world.region(tw.west).zones[0].host_node;
+  auto path = world.ResolvePath(east, west, EgressPolicy::kColdPotato);
+  ASSERT_TRUE(path.ok());
+  LinkId backbone;
+  for (LinkId link : *path) {
+    if (topology.link(link).cls == LinkClass::kBackbone) {
+      backbone = link;
+    }
+  }
+  ASSERT_TRUE(backbone.valid());
+  const uint64_t computed = world.path_computations();
+
+  ASSERT_TRUE(topology.SetLinkUp(backbone, true).ok());  // already up
+  EXPECT_EQ(*world.ResolvePath(east, west, EgressPolicy::kColdPotato), *path);
+  EXPECT_EQ(world.path_computations(), computed);
+
+  ASSERT_TRUE(topology.SetLinkUp(backbone, false).ok());
+  auto rerouted = world.ResolvePath(east, west, EgressPolicy::kColdPotato);
+  EXPECT_EQ(world.path_computations(), computed + 1);
+  ASSERT_TRUE(rerouted.ok());
+  EXPECT_NE(*rerouted, *path);
 }
 
 }  // namespace
