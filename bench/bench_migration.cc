@@ -271,7 +271,7 @@ void Run() {
     if (check->delivered) {
       return "DELIVERED";
     }
-    return "DROPPED(" + check->drop_stage + ")";
+    return "DROPPED(" + std::string(check->drop_stage) + ")";
   };
   std::printf("\npost-migration web->spark: baseline %s, declarative %s\n",
               verdict(base_check).c_str(), verdict(decl_check).c_str());

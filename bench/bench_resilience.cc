@@ -133,24 +133,13 @@ void RunStorm(bool declarative, const StormConfig& cfg, int threads = 0) {
     DeclarativeCloud* cloud = decl.get();
     auto* eips = &eip;
     connector = [cloud, eips](InstanceId src, InstanceId dst) {
-      ResolvedRoute route;
       auto it = eips->find(dst.value());
       if (it == eips->end()) {
+        ResolvedRoute route;
         route.deny_stage = DenyStage("no-eip");
         return route;
       }
-      auto d = cloud->Evaluate(src, it->second, 443, Protocol::kTcp);
-      if (!d.ok() || !d->delivered) {
-        route.deny_stage = DenyStage(
-            d.ok() ? (d->drop_stage.empty() ? "denied" : d->drop_stage)
-                   : "instance-down");
-        return route;
-      }
-      route.allowed = true;
-      route.src_node = d->src_node;
-      route.dst_node = d->dst_node;
-      route.policy = d->egress_policy;
-      return route;
+      return RouteFor(cloud->Evaluate(src, it->second, 443, Protocol::kTcp));
     };
     hooks.on_inject = [cloud](const FaultSpec& spec) {
       if (spec.kind == FaultKind::kInstanceCrash) {
@@ -184,19 +173,8 @@ void RunStorm(bool declarative, const StormConfig& cfg, int threads = 0) {
       }
     };
     connector = [net](InstanceId src, InstanceId dst) {
-      ResolvedRoute route;
-      auto d = net->Evaluate(src, dst, Fig1Baseline::kDbPort, Protocol::kTcp);
-      if (!d.ok() || !d->delivered) {
-        route.deny_stage = DenyStage(
-            d.ok() ? (d->drop_stage.empty() ? "denied" : d->drop_stage)
-                   : "instance-down");
-        return route;
-      }
-      route.allowed = true;
-      route.src_node = d->src_node;
-      route.dst_node = d->dst_node;
-      route.policy = d->egress_policy;
-      return route;
+      return RouteFor(
+          net->Evaluate(src, dst, Fig1Baseline::kDbPort, Protocol::kTcp));
     };
   }
 

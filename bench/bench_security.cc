@@ -118,14 +118,16 @@ void AttackMatrix(Worlds& w) {
                        const std::string& payload) -> NetworkVerdict {
     auto d = w.baseline->EvaluateExternal(flow.src, flow.dst, flow.dst_port,
                                           flow.proto, payload);
-    return {d.delivered, d.delivered ? "delivered" : d.drop_stage};
+    return {d.delivered,
+            std::string(d.delivered ? "delivered" : d.drop_stage)};
   };
   auto decl_net = [&w](const FiveTuple& flow,
                        const std::string& payload) -> NetworkVerdict {
     (void)payload;
     auto d = w.declarative->EvaluateExternal(flow.src, flow.dst,
                                              flow.dst_port, flow.proto);
-    return {d.delivered, d.delivered ? "delivered" : d.drop_stage};
+    return {d.delivered,
+            std::string(d.delivered ? "delivered" : d.drop_stage)};
   };
   auto app = [&w](const ApiRequest& request) {
     return w.web_gateway->Check(request);

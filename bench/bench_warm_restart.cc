@@ -130,24 +130,13 @@ FilterRunResult RunFilterStorm(RestartMode mode,
   ids.push_back(coordinator.Register(MakeSipLbComponent("lb", cloud.sip_lb())));
 
   ConnectorFn connector = [&cloud, &eip](InstanceId src, InstanceId dst) {
-    ResolvedRoute route;
     auto it = eip.find(dst.value());
     if (it == eip.end()) {
+      ResolvedRoute route;
       route.deny_stage = DenyStage("no-eip");
       return route;
     }
-    auto d = cloud.Evaluate(src, it->second, 443, Protocol::kTcp);
-    if (!d.ok() || !d->delivered) {
-      route.deny_stage = DenyStage(
-          d.ok() ? (d->drop_stage.empty() ? "denied" : d->drop_stage)
-                 : "instance-down");
-      return route;
-    }
-    route.allowed = true;
-    route.src_node = d->src_node;
-    route.dst_node = d->dst_node;
-    route.policy = d->egress_policy;
-    return route;
+    return RouteFor(cloud.Evaluate(src, it->second, 443, Protocol::kTcp));
   };
 
   FaultHooks hooks;

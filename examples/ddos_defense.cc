@@ -50,7 +50,8 @@ int main() {
                           const std::string&) -> NetworkVerdict {
     auto d = cloud.EvaluateExternal(flow.src, flow.dst, flow.dst_port,
                                     flow.proto);
-    return {d.delivered, d.delivered ? "delivered" : d.drop_stage};
+    return {d.delivered,
+            std::string(d.delivered ? "delivered" : d.drop_stage)};
   };
   auto app_check = [&gateway](const ApiRequest& request) {
     return gateway.Check(request);

@@ -88,14 +88,14 @@ int main() {
   auto blocked = cloud.Evaluate(stranger, eip_a, 443, Protocol::kTcp);
   std::printf("\nstranger -> backend-a: %s (%s)\n",
               blocked->delivered ? "delivered" : "DROPPED",
-              blocked->drop_reason.c_str());
+              Explain(*blocked).c_str());
 
   // ...and an arbitrary internet source certainly cannot.
   auto external = cloud.EvaluateExternal(IpAddress::V4(203, 0, 113, 5),
                                          eip_a, 443, Protocol::kTcp);
   std::printf("internet scanner -> backend-a: %s (at %s)\n",
               external.delivered ? "delivered" : "DROPPED",
-              external.drop_stage.c_str());
+              std::string(external.drop_stage).c_str());
 
   // Failover is the provider's job: kill backend-a and the SIP heals.
   std::printf("\nbackend-a dies; provider notices (no tenant health "

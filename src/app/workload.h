@@ -20,11 +20,13 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/cloud/world.h"
 #include "src/common/rng.h"
 #include "src/common/slab.h"
+#include "src/common/status.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/flow_surface.h"
 #include "src/telemetry/metrics.h"
@@ -39,7 +41,7 @@ inline StringInterner& DenyStages() {
   static StringInterner* interner = new StringInterner();
   return *interner;
 }
-inline uint32_t DenyStage(const std::string& name) {
+inline uint32_t DenyStage(std::string_view name) {
   return DenyStages().Intern(name);
 }
 
@@ -57,6 +59,25 @@ struct ResolvedRoute {
 };
 
 using ConnectorFn = std::function<ResolvedRoute(InstanceId src, InstanceId dst)>;
+
+// The route for one world's verdict (a Result of BaselineDelivery or
+// DeclarativeDelivery): a refused evaluation denies as "instance-down", a
+// drop under its stage ("denied" when the stage is unnamed).
+template <typename Delivery>
+ResolvedRoute RouteFor(const Result<Delivery>& d) {
+  ResolvedRoute route;
+  if (!d.ok() || !d->delivered) {
+    route.deny_stage = DenyStage(
+        d.ok() ? (d->drop_stage.empty() ? "denied" : d->drop_stage)
+               : "instance-down");
+    return route;
+  }
+  route.allowed = true;
+  route.src_node = d->src_node;
+  route.dst_node = d->dst_node;
+  route.policy = d->egress_policy;
+  return route;
+}
 
 struct WorkloadParams {
   double mean_response_bytes = 256 * 1024;

@@ -33,6 +33,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -303,15 +304,16 @@ class AddrIndex {
 // from concurrent bench shards.
 class StringInterner {
  public:
-  uint32_t Intern(const std::string& label) {
+  // Looking up a known label copies nothing.
+  uint32_t Intern(std::string_view label) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = ids_.find(label);
     if (it != ids_.end()) {
       return it->second;
     }
     uint32_t id = static_cast<uint32_t>(names_.size());
-    names_.push_back(label);
-    ids_.emplace(label, id);
+    names_.emplace_back(label);
+    ids_.emplace(names_.back(), id);
     return id;
   }
 
@@ -327,9 +329,17 @@ class StringInterner {
   }
 
  private:
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   mutable std::mutex mu_;
   std::vector<std::string> names_{std::string()};  // id 0 = ""
-  std::unordered_map<std::string, uint32_t> ids_{{std::string(), 0}};
+  std::unordered_map<std::string, uint32_t, Hash, std::equal_to<>> ids_{
+      {std::string(), 0}};
 };
 
 }  // namespace tenantnet

@@ -35,13 +35,23 @@ MemberSnapshot WithoutMember(const MemberSnapshot& members, IpAddress eip) {
   return std::make_shared<const std::vector<IpAddress>>(std::move(next));
 }
 
+// `stage` must name a string literal (the verdict keeps a view of it).
+void Drop(DeclarativeDelivery& d, std::string_view stage, DropReason reason) {
+  d.drop_stage = stage;
+  d.reason = reason;
+}
+
 }  // namespace
+
+std::string Explain(const DeclarativeDelivery& delivery) {
+  return RenderReason(delivery.reason, delivery.effective_src);
+}
 
 DeclarativeCloud::DeclarativeCloud(CloudWorld& world, ConfigLedger& ledger,
                                    EventQueue* queue,
                                    DeclarativeParams params)
     : world_(&world), ledger_(&ledger), queue_(queue), params_(params),
-      qos_(params.quota) {}
+      qos_(params.quota), sip_lb_hop_(RouteLabels().Intern("sip-lb")) {}
 
 DeclarativeCloud::ProviderState& DeclarativeCloud::Provider(ProviderId id) {
   auto it = providers_.find(id);
@@ -98,6 +108,7 @@ DeclarativeCloud::Domain DeclarativeCloud::NewDomain(
                                                     params_.filter);
   for (const std::string& edge : edges) {
     domain.filters->AddEdge(edge);
+    domain.edge_labels.push_back(HopLabel::Of("edge-filter@", edge));
   }
   for (const auto& [group, record] : groups_) {
     domain.filters->SetGroupSnapshot(group, record.members);
@@ -459,21 +470,19 @@ const EipRecord* DeclarativeCloud::Deliver(const Instance* src,
                                            DeclarativeDelivery& d) {
   // SIP resolution (provider anycast load balancer).
   if (IsSip(flow.dst)) {
-    d.provider_hops.push_back("sip-lb");
-    Result<IpAddress> backend = sip_lb_.Resolve(flow.dst);
-    if (!backend.ok()) {
-      d.drop_stage = "sip";
-      d.drop_reason = backend.status().message();
+    d.provider_hops.push_back(sip_lb_hop_);
+    SipLoadBalancer::Pick pick = sip_lb_.PickBackend(flow.dst);
+    if (pick.refusal != nullptr) {
+      Drop(d, "sip", {pick.refusal, flow.dst});
       return nullptr;
     }
-    flow.dst = *backend;
-    d.effective_dst = *backend;
+    flow.dst = pick.backend;
+    d.effective_dst = pick.backend;
   }
 
   auto it = eips_.find(flow.dst);
   if (it == eips_.end()) {
-    d.drop_stage = "no-such-endpoint";
-    d.drop_reason = "no endpoint holds " + flow.dst.ToString();
+    Drop(d, "no-such-endpoint", {"no endpoint holds {ip}", flow.dst});
     return nullptr;
   }
   const Endpoint& dst = it->second;
@@ -483,22 +492,21 @@ const EipRecord* DeclarativeCloud::Deliver(const Instance* src,
   if (src != nullptr) {
     const Instance* dst_inst = world_->FindInstance(dst.record.instance);
     if (dst_inst == nullptr || !dst_inst->running) {
-      d.drop_stage = "instance-down";
-      d.drop_reason = "endpoint " + flow.dst.ToString() + " is not running";
+      Drop(d, "instance-down", {"endpoint {ip} is not running", flow.dst});
       return nullptr;
     }
   }
 
-  const EdgeFilterBank& bank = *dst.domain->filters;
-  const std::string& where = bank.edge_name(dst.edge);
-  d.provider_hops.push_back("edge-filter@" + where);
-  if (!bank.Admits(dst.edge, flow)) {
-    d.drop_stage = "edge-filter";
-    d.drop_reason = src != nullptr
-                        ? "default-off: " + flow.src.ToString() +
-                              " is not on the permit list of " +
-                              flow.dst.ToString()
-                        : "default-off at " + where;
+  const HopLabel& edge = dst.domain->edge_labels[dst.edge];
+  d.provider_hops.push_back(edge.hop);
+  if (!dst.domain->filters->Admits(dst.edge, flow)) {
+    // `flow.src` is the verdict's effective source, which "{src}" renders.
+    Drop(d, "edge-filter",
+         src != nullptr
+             ? DropReason{"default-off: {src} is not on the permit list of "
+                          "{ip}",
+                          flow.dst}
+             : DropReason{"default-off at {name}", {}, edge.name});
     return nullptr;
   }
   d.delivered = true;

@@ -28,6 +28,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -37,6 +39,7 @@
 #include "src/core/sip_lb.h"
 #include "src/net/ipam.h"
 #include "src/routing/route_table.h"
+#include "src/routing/verdict.h"
 #include "src/sim/event_queue.h"
 #include "src/vnet/config_ledger.h"
 
@@ -60,13 +63,15 @@ struct SipRecord {
   ProviderId provider;
 };
 
-// The verdict for one evaluated flow in the declarative world.
+// The verdict for one evaluated flow in the declarative world (a plain
+// value, see src/routing/verdict.h).
 struct DeclarativeDelivery {
   bool delivered = false;
-  std::string drop_stage;   // "edge-filter", "sip", "no-eip", ...
-  std::string drop_reason;
-  std::vector<std::string> provider_hops;  // provider-side steps (not tenant
-                                           // boxes; there are none)
+  std::string_view drop_stage;  // "edge-filter", "sip", "no-eip", ...
+  DropReason reason;            // rendered by Explain()
+  // Provider-side steps, not tenant boxes (there are none): at most the
+  // SIP balancer and the destination's enforcement edge.
+  LabelTrace<2> provider_hops;
   IpAddress effective_src;
   IpAddress effective_dst;  // post SIP resolution
   NodeId src_node;
@@ -74,7 +79,14 @@ struct DeclarativeDelivery {
   EgressPolicy egress_policy = EgressPolicy::kColdPotato;
   // Provider-enforced per-VM egress guarantee for the source, if known.
   double vm_egress_cap_bps = 0;
+
+  friend bool operator==(const DeclarativeDelivery&,
+                         const DeclarativeDelivery&) = default;
 };
+static_assert(std::is_trivially_copyable_v<DeclarativeDelivery>);
+
+// The reason a flow was dropped, as text ("" if it was delivered).
+std::string Explain(const DeclarativeDelivery& delivery);
 
 struct DeclarativeParams {
   EdgeFilterParams filter;
@@ -188,10 +200,12 @@ class DeclarativeCloud {
  private:
   // An enforcement domain: a provider (one edge per region) or an on-prem
   // site (one edge, its router). Its EIPs come from `eip_pool` and are
-  // admitted at one of the edges of `filters`.
+  // admitted at one of the edges of `filters`, which verdicts name by
+  // `edge_labels` ("edge-filter@<edge>").
   struct Domain {
     std::unique_ptr<HostAllocator> eip_pool;
     std::unique_ptr<EdgeFilterBank> filters;
+    std::vector<HopLabel> edge_labels;
   };
   // A provider's domain plus its extras: the SIP pool, the host-route RIB
   // and (registered with `qos_` when the domain is created) quota points.
@@ -256,6 +270,7 @@ class DeclarativeCloud {
   SipLoadBalancer sip_lb_;
   EgressQuotaManager qos_;
   uint64_t endpoint_revision_ = 0;
+  const uint32_t sip_lb_hop_;
 };
 
 }  // namespace tenantnet

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/routing/verdict.h"
+
 namespace tenantnet {
 
 Status SipLoadBalancer::AddSip(IpAddress sip) {
@@ -99,10 +101,10 @@ void SipLoadBalancer::SetHealth(IpAddress eip, bool healthy) {
   ++config_revision_;
 }
 
-Result<IpAddress> SipLoadBalancer::Resolve(IpAddress sip) {
+SipLoadBalancer::Pick SipLoadBalancer::PickBackend(IpAddress sip) {
   auto it = bindings_.find(sip);
   if (it == bindings_.end()) {
-    return NotFoundError("no such SIP: " + sip.ToString());
+    return {{}, "no such SIP: {ip}", StatusCode::kNotFound};
   }
   double total = 0;
   for (const Binding& b : it->second) {
@@ -111,8 +113,8 @@ Result<IpAddress> SipLoadBalancer::Resolve(IpAddress sip) {
     }
   }
   if (total <= 0) {
-    return ResourceExhaustedError("SIP " + sip.ToString() +
-                                  " has no healthy backends");
+    return {{}, "SIP {ip} has no healthy backends",
+            StatusCode::kResourceExhausted};
   }
   double point = std::fmod(static_cast<double>(pick_seq_++) *
                            0.6180339887498949, 1.0) * total;
@@ -121,16 +123,24 @@ Result<IpAddress> SipLoadBalancer::Resolve(IpAddress sip) {
       continue;
     }
     if (point < b.weight) {
-      return b.eip;
+      return {b.eip};
     }
     point -= b.weight;
   }
   for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
     if (rit->healthy) {
-      return rit->eip;
+      return {rit->eip};
     }
   }
-  return ResourceExhaustedError("no healthy backends");
+  return {{}, "no healthy backends", StatusCode::kResourceExhausted};
+}
+
+Result<IpAddress> SipLoadBalancer::Resolve(IpAddress sip) {
+  Pick pick = PickBackend(sip);
+  if (pick.refusal != nullptr) {
+    return Status(pick.code, RenderReason({pick.refusal, sip}));
+  }
+  return pick.backend;
 }
 
 Result<std::vector<SipLoadBalancer::Binding>> SipLoadBalancer::Bindings(

@@ -50,7 +50,16 @@ class SipLoadBalancer {
   void SetHealth(IpAddress eip, bool healthy);
 
   // Picks a backend EIP for a new flow to `sip`. Deterministic smooth
-  // weighted spreading over healthy backends via the pick counter.
+  // weighted spreading over healthy backends via the pick counter. Builds
+  // no text: a refusal is a DropReason template (src/routing/verdict.h) in
+  // which "{ip}" stands for the SIP, with its status code.
+  struct Pick {
+    IpAddress backend;
+    const char* refusal = nullptr;  // null: `backend` is the pick
+    StatusCode code = StatusCode::kOk;
+  };
+  Pick PickBackend(IpAddress sip);
+  // The same pick as a Result, the refusal rendered into its Status.
   Result<IpAddress> Resolve(IpAddress sip);
 
   // All bindings of a SIP (healthy or not).

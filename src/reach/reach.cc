@@ -293,16 +293,14 @@ ReachVerdict BaselineReachEngine::CanReach(InstanceId src, InstanceId dst,
   facts.dst_running = true;
 
   const BaselineDelivery& d = *result;
-  for (const std::string& hop : d.logical_hops) {
-    verdict.stages.push_back(Via(hop));
-  }
+  verdict.stages.assign(d.logical_hops.begin(), d.logical_hops.end());
   if (d.delivered) {
     verdict.reachable = true;
     verdict.all_backends = true;  // instance destinations are exact
     verdict.stages.push_back(Via("deliver"));
     return verdict;
   }
-  const std::string stage = d.drop_stage.empty() ? "denied" : d.drop_stage;
+  const std::string stage(d.drop_stage.empty() ? "denied" : d.drop_stage);
   BaselineFactsFromDrop(stage, facts);
   Deny(verdict, stage);
   FinishTriage(verdict, facts);

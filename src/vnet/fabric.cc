@@ -21,7 +21,9 @@ FiveTuple Reverse(const FiveTuple& flow) {
 }  // namespace
 
 BaselineNetwork::BaselineNetwork(CloudWorld& world, ConfigLedger& ledger)
-    : world_(&world), ledger_(&ledger) {}
+    : world_(&world), ledger_(&ledger),
+      igw_hop_(RouteLabels().Intern("igw")),
+      egress_igw_hop_(RouteLabels().Intern("egress-only-igw")) {}
 
 // --------------------------------------------------------------------------
 // Step (1): VPCs, subnets, ACLs, SGs, NICs.
@@ -70,6 +72,7 @@ Result<VpcId> BaselineNetwork::CreateVpc(TenantId tenant, ProviderId provider,
   vpc->default_acl = acl_id;
 
   vpcs_.emplace(id, std::move(vpc));
+  AddKnownPrefix(cidr);
   BumpConfigEpoch();
   return id;
 }
@@ -342,6 +345,7 @@ Result<IpAddress> BaselineNetwork::AttachOnPremInstance(InstanceId instance) {
   }
   TN_ASSIGN_OR_RETURN(IpAddress ip, pool->Allocate());
   on_prem_addrs_[instance] = ip;
+  LabelSite(inst->on_prem);
   BumpConfigEpoch();
   return ip;
 }
@@ -400,7 +404,8 @@ Result<NatGatewayId> BaselineNetwork::CreateNatGateway(
   }
   TN_ASSIGN_OR_RETURN(IpAddress public_ip, pool->Allocate());
   NatGatewayId id = nat_ids_.Next();
-  nats_.emplace(id, NatGateway{id, public_subnet, public_ip, name});
+  nats_.emplace(id, NatGateway{id, public_subnet, public_ip, name,
+                                HopLabel::Of("nat:", name)});
   ledger_->CreateComponent("nat-gateway", name);
   ledger_->SetParameter("nat-gateway", "elastic-ip");
   ledger_->CrossReference("nat-gateway", "subnet");
@@ -425,6 +430,8 @@ Result<VpnGatewayId> BaselineNetwork::CreateVpnGateway(
                         onp.name + ":router");
     TN_RETURN_IF_ERROR(bgp_.Originate(site_speaker, onp.address_space));
     on_prem_speakers_[site] = site_speaker;
+    AddKnownPrefix(onp.address_space);
+    LabelSite(site);
     ledger_->CreateComponent("customer-gateway", onp.name);
     ledger_->SetParameter("customer-gateway", "bgp-asn");
     ledger_->SetParameter("customer-gateway", "advertised-prefixes");
@@ -437,7 +444,8 @@ Result<VpnGatewayId> BaselineNetwork::CreateVpnGateway(
   // The VPG advertises its VPC's block toward on-prem.
   TN_RETURN_IF_ERROR(bgp_.Originate(speaker, vit->second->cidr));
   TN_RETURN_IF_ERROR(bgp_.AddSession(speaker, site_speaker));
-  vpns_.emplace(id, VpnGateway{id, vpc, site, bgp_asn, speaker, name});
+  vpns_.emplace(id, VpnGateway{id, vpc, site, bgp_asn, speaker, name,
+                               HopLabel::Of("vpn:", name)});
   ledger_->CreateComponent("vpn-gateway", name);
   ledger_->SetParameter("vpn-gateway", "bgp-asn");
   ledger_->SetParameter("vpn-gateway", "tunnel-options");
@@ -468,7 +476,8 @@ Result<PeeringId> BaselineNetwork::CreatePeering(VpcId requester,
     return FailedPreconditionError("cannot peer VPCs with overlapping CIDRs");
   }
   PeeringId id = peering_ids_.Next();
-  peerings_.emplace(id, VpcPeering{id, requester, accepter, false, name});
+  peerings_.emplace(id, VpcPeering{id, requester, accepter, false, name,
+                                   HopLabel::Of("peering:", name)});
   ledger_->CreateComponent("vpc-peering", name);
   ledger_->CrossReference("vpc-peering", "requester-vpc");
   ledger_->CrossReference("vpc-peering", "accepter-vpc");
@@ -611,9 +620,12 @@ Result<DirectConnectId> BaselineNetwork::CreateDirectConnect(
                                                   capacity_bps));
   DirectConnectId id = dx_ids_.Next();
   SpeakerId speaker = bgp_.AddSpeaker(bgp_asn, name);
-  dxs_.emplace(id, DirectConnectConnection{id, region, exchange, circuit,
-                                           capacity_bps, vlan, bgp_asn,
-                                           speaker, name});
+  dxs_.emplace(id, DirectConnectConnection{
+                       id, region, exchange, circuit, capacity_bps, vlan,
+                       bgp_asn, speaker, name,
+                       HopLabel::Of("direct-connect:", name),
+                       RouteLabels().Intern("exchange:" +
+                                            world_->exchange(exchange).name)});
   ledger_->CreateComponent("direct-connect", name);
   ledger_->SetParameter("direct-connect", "port-speed");
   ledger_->SetParameter("direct-connect", "vlan");
@@ -670,6 +682,8 @@ Status BaselineNetwork::CrossConnectToOnPrem(DirectConnectId dx_id,
         65000 + static_cast<uint32_t>(site.value()), onp.name + ":router");
     TN_RETURN_IF_ERROR(bgp_.Originate(site_speaker, onp.address_space));
     on_prem_speakers_[site] = site_speaker;
+    AddKnownPrefix(onp.address_space);
+    LabelSite(site);
     ledger_->CreateComponent("customer-gateway", onp.name);
     ledger_->SetParameter("customer-gateway", "bgp-asn");
   } else {
@@ -998,28 +1012,34 @@ ReconcileStats BaselineNetwork::CompleteRoutingRestart(
   return stats;
 }
 
-std::vector<IpPrefix> BaselineNetwork::AllKnownPrefixes() const {
-  std::vector<IpPrefix> out;
-  for (const auto& [id, vpc] : vpcs_) {
-    out.push_back(vpc->cidr);
+void BaselineNetwork::AddKnownPrefix(const IpPrefix& prefix) {
+  auto pos = std::lower_bound(known_prefixes_.begin(), known_prefixes_.end(),
+                              prefix);
+  if (pos == known_prefixes_.end() || *pos != prefix) {
+    known_prefixes_.insert(pos, prefix);
   }
-  for (const auto& [site, speaker] : on_prem_speakers_) {
-    out.push_back(world_->on_prem(site).address_space);
+}
+
+void BaselineNetwork::LabelSite(OnPremId site) {
+  if (!site_labels_.contains(site)) {
+    site_labels_.emplace(site,
+                         RouteLabels().Intern(world_->on_prem(site).name));
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 // --------------------------------------------------------------------------
 // Data plane.
 // --------------------------------------------------------------------------
 
-void BaselineNetwork::Drop(EvalContext& ctx, std::string stage,
-                           std::string reason) {
+std::string Explain(const BaselineDelivery& delivery) {
+  return RenderReason(delivery.reason, delivery.effective_src);
+}
+
+void BaselineNetwork::Drop(EvalContext& ctx, std::string_view stage,
+                           DropReason reason) {
   ctx.delivery.delivered = false;
-  ctx.delivery.drop_stage = std::move(stage);
-  ctx.delivery.drop_reason = std::move(reason);
+  ctx.delivery.drop_stage = stage;
+  ctx.delivery.reason = reason;
 }
 
 bool BaselineNetwork::SgMember(SecurityGroupId group, IpAddress ip) const {
@@ -1053,10 +1073,11 @@ void BaselineNetwork::DeliverIntoVpc(EvalContext& ctx, const FiveTuple& flow,
     auto fw_it = vpc_ingress_firewall_.find(vpc->id);
     if (fw_it != vpc_ingress_firewall_.end()) {
       DpiFirewall* fw = firewalls_.at(fw_it->second).get();
-      ctx.delivery.logical_hops.push_back("firewall:" + fw->name());
+      ctx.delivery.logical_hops.push_back(fw->label().hop);
       ++ctx.delivery.gateway_hops;
+      ctx.delivery.inspected = true;
       if (fw->Inspect(flow, payload) == FirewallVerdict::kDeny) {
-        Drop(ctx, "firewall", "denied by " + fw->name());
+        Drop(ctx, "firewall", {"denied by {name}", {}, fw->label().name});
         return;
       }
     }
@@ -1064,7 +1085,7 @@ void BaselineNetwork::DeliverIntoVpc(EvalContext& ctx, const FiveTuple& flow,
 
   const NetworkAcl& acl = *acls_.at(subnet->acl);
   if (!acl.Allows(TrafficDirection::kIngress, flow)) {
-    Drop(ctx, "acl-ingress", "denied by " + acl.name());
+    Drop(ctx, "acl-ingress", {"denied by {name}", {}, acl.label()});
     return;
   }
 
@@ -1079,7 +1100,7 @@ void BaselineNetwork::DeliverIntoVpc(EvalContext& ctx, const FiveTuple& flow,
     }
   }
   if (!sg_ok) {
-    Drop(ctx, "sg-ingress", "no security group admits the flow");
+    Drop(ctx, "sg-ingress", {"no security group admits the flow"});
     return;
   }
 
@@ -1089,8 +1110,8 @@ void BaselineNetwork::DeliverIntoVpc(EvalContext& ctx, const FiveTuple& flow,
   // return-path trap.
   if (!acl.Allows(TrafficDirection::kEgress, Reverse(flow))) {
     Drop(ctx, "acl-return",
-         "response blocked by stateless " + acl.name() +
-             " (egress direction)");
+         {"response blocked by stateless {name} (egress direction)", {},
+          acl.label()});
     return;
   }
 
@@ -1105,7 +1126,7 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
                                       VpcId src_vpc, SubnetId src_subnet,
                                       std::string_view payload) {
   if (--ctx.budget < 0) {
-    Drop(ctx, "loop", "gateway traversal budget exhausted");
+    Drop(ctx, "loop", {"gateway traversal budget exhausted"});
     return;
   }
   const Subnet& subnet = *subnets_.at(src_subnet);
@@ -1113,8 +1134,7 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
   const VpcRouteTarget* target = table.Lookup(flow.dst);
   if (target == nullptr ||
       target->kind == VpcRouteTargetKind::kBlackhole) {
-    Drop(ctx, "route",
-         "no route to " + flow.dst.ToString() + " in " + table.name());
+    Drop(ctx, "route", {"no route to {ip} in {name}", flow.dst, table.label()});
     return;
   }
 
@@ -1122,12 +1142,12 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
     case VpcRouteTargetKind::kLocal: {
       auto it = eni_by_ip_.find(flow.dst);
       if (it == eni_by_ip_.end()) {
-        Drop(ctx, "local", "no NIC holds " + flow.dst.ToString());
+        Drop(ctx, "local", {"no NIC holds {ip}", flow.dst});
         return;
       }
       const Eni& dst_eni = *enis_.at(it->second);
       if (SubnetOf(dst_eni)->vpc != src_vpc) {
-        Drop(ctx, "local", "local route but destination in another VPC");
+        Drop(ctx, "local", {"local route but destination in another VPC"});
         return;
       }
       ctx.delivery.egress_policy = EgressPolicy::kColdPotato;
@@ -1139,23 +1159,23 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
     case VpcRouteTargetKind::kPeering: {
       auto pit = peerings_.find(PeeringId(target->target_id));
       if (pit == peerings_.end() || !pit->second.accepted) {
-        Drop(ctx, "peering", "peering missing or not accepted");
+        Drop(ctx, "peering", {"peering missing or not accepted"});
         return;
       }
       const VpcPeering& peering = pit->second;
       VpcId far_vpc = peering.requester == src_vpc ? peering.accepter
                                                    : peering.requester;
-      ctx.delivery.logical_hops.push_back("peering:" + peering.name);
+      ctx.delivery.logical_hops.push_back(peering.label.hop);
       ++ctx.delivery.gateway_hops;
       auto it = eni_by_ip_.find(flow.dst);
       if (it == eni_by_ip_.end()) {
-        Drop(ctx, "peering", "no NIC holds " + flow.dst.ToString());
+        Drop(ctx, "peering", {"no NIC holds {ip}", flow.dst});
         return;
       }
       const Eni& dst_eni = *enis_.at(it->second);
       const Subnet* dst_subnet = SubnetOf(dst_eni);
       if (dst_subnet->vpc != far_vpc) {
-        Drop(ctx, "peering", "destination not in the peered VPC");
+        Drop(ctx, "peering", {"destination not in the peered VPC"});
         return;
       }
       // Peering is only useful if the far side also routes back.
@@ -1164,7 +1184,8 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
       if (back == nullptr || back->kind != VpcRouteTargetKind::kPeering ||
           back->target_id != peering.id.value()) {
         Drop(ctx, "return-route",
-             "far VPC has no return route over " + peering.name);
+             {"far VPC has no return route over {name}", {},
+              peering.label.name});
         return;
       }
       ctx.delivery.egress_policy = EgressPolicy::kColdPotato;
@@ -1179,15 +1200,15 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
       while (ctx.budget-- > 0) {
         TransitGateway* tgw = FindTgw(tgw_id);
         if (tgw == nullptr) {
-          Drop(ctx, "tgw", "dangling transit gateway reference");
+          Drop(ctx, "tgw", {"dangling transit gateway reference"});
           return;
         }
-        ctx.delivery.logical_hops.push_back("tgw:" + tgw->name());
+        ctx.delivery.logical_hops.push_back(tgw->label().hop);
         ++ctx.delivery.gateway_hops;
         const TgwRoute* tgw_route = tgw->Lookup(flow.dst);
         if (tgw_route == nullptr) {
           Drop(ctx, "tgw-route",
-               tgw->name() + " has no route to " + flow.dst.ToString());
+               {"{name} has no route to {ip}", flow.dst, tgw->label().name});
           return;
         }
         const TgwAttachment& att = tgw->attachments()[tgw_route->attachment];
@@ -1195,13 +1216,13 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
           case TgwAttachmentKind::kVpc: {
             auto it = eni_by_ip_.find(flow.dst);
             if (it == eni_by_ip_.end()) {
-              Drop(ctx, "tgw", "no NIC holds " + flow.dst.ToString());
+              Drop(ctx, "tgw", {"no NIC holds {ip}", flow.dst});
               return;
             }
             const Eni& dst_eni = *enis_.at(it->second);
             const Subnet* dst_subnet = SubnetOf(dst_eni);
             if (dst_subnet->vpc != VpcId(att.target_id)) {
-              Drop(ctx, "tgw", "attachment VPC does not hold destination");
+              Drop(ctx, "tgw", {"attachment VPC does not hold destination"});
               return;
             }
             const VpcRouteTable& far_table =
@@ -1210,8 +1231,7 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
             if (back == nullptr ||
                 back->kind == VpcRouteTargetKind::kBlackhole) {
               Drop(ctx, "return-route",
-                   "destination VPC has no return route to " +
-                       flow.src.ToString());
+                   {"destination VPC has no return route to {ip}", flow.src});
               return;
             }
             ctx.delivery.egress_policy = EgressPolicy::kColdPotato;
@@ -1226,10 +1246,10 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
           case TgwAttachmentKind::kVpn: {
             auto vit = vpns_.find(VpnGatewayId(att.target_id));
             if (vit == vpns_.end()) {
-              Drop(ctx, "tgw", "dangling VPN attachment");
+              Drop(ctx, "tgw", {"dangling VPN attachment"});
               return;
             }
-            ctx.delivery.logical_hops.push_back("vpn:" + vit->second.name);
+            ctx.delivery.logical_hops.push_back(vit->second.label.hop);
             ++ctx.delivery.gateway_hops;
             DeliverToOnPrem(ctx, flow, vit->second.remote_site,
                             EgressPolicy::kHotPotato);
@@ -1242,25 +1262,25 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
           }
         }
       }
-      Drop(ctx, "loop", "TGW hop budget exhausted");
+      Drop(ctx, "loop", {"TGW hop budget exhausted"});
       return;
     }
 
     case VpcRouteTargetKind::kVpnGateway: {
       auto vit = vpns_.find(VpnGatewayId(target->target_id));
       if (vit == vpns_.end()) {
-        Drop(ctx, "vpn", "dangling VPN gateway reference");
+        Drop(ctx, "vpn", {"dangling VPN gateway reference"});
         return;
       }
       const VpnGateway& vpn = vit->second;
-      ctx.delivery.logical_hops.push_back("vpn:" + vpn.name);
+      ctx.delivery.logical_hops.push_back(vpn.label.hop);
       ++ctx.delivery.gateway_hops;
       // BGP must have taught the VPG a route (tenant ran PropagateRoutes and
       // the customer gateway advertises the site space).
       const BgpRoute* learned = bgp_.BestRoute(vpn.speaker, RouteForDst(flow.dst));
       if (learned == nullptr || learned->OriginatedLocally()) {
-        Drop(ctx, "bgp", vpn.name + " has not learned a route to " +
-                             flow.dst.ToString());
+        Drop(ctx, "bgp", {"{name} has not learned a route to {ip}", flow.dst,
+                          vpn.label.name});
         return;
       }
       DeliverToOnPrem(ctx, flow, vpn.remote_site, EgressPolicy::kHotPotato);
@@ -1270,11 +1290,11 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
     case VpcRouteTargetKind::kNatGateway: {
       auto nit = nats_.find(NatGatewayId(target->target_id));
       if (nit == nats_.end()) {
-        Drop(ctx, "nat", "dangling NAT gateway reference");
+        Drop(ctx, "nat", {"dangling NAT gateway reference"});
         return;
       }
       const NatGateway& nat = nit->second;
-      ctx.delivery.logical_hops.push_back("nat:" + nat.name);
+      ctx.delivery.logical_hops.push_back(nat.label.hop);
       ++ctx.delivery.gateway_hops;
       FiveTuple translated = flow;
       translated.src = nat.public_ip;
@@ -1291,8 +1311,8 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
       ctx.delivery.egress_policy = EgressPolicy::kHotPotato;
       ctx.delivery.logical_hops.push_back(
           target->kind == VpcRouteTargetKind::kInternetGateway
-              ? "igw"
-              : "egress-only-igw");
+              ? igw_hop_
+              : egress_igw_hop_);
       ++ctx.delivery.gateway_hops;
       // Crossing an IGW requires a public source address.
       const Eni* src_eni_for_ip = nullptr;
@@ -1306,8 +1326,8 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
            *src_eni_for_ip->public_ip == flow.src);
       if (!src_is_public) {
         Drop(ctx, "igw",
-             "private source cannot cross an internet gateway (needs NAT or "
-             "a public IP)");
+             {"private source cannot cross an internet gateway (needs NAT or "
+              "a public IP)"});
         return;
       }
       DeliverFromInternet(ctx, flow, payload);
@@ -1315,7 +1335,7 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
     }
 
     case VpcRouteTargetKind::kBlackhole:
-      Drop(ctx, "route", "blackhole route");
+      Drop(ctx, "route", {"blackhole route"});
       return;
   }
 }
@@ -1329,15 +1349,14 @@ void BaselineNetwork::DeliverFromInternet(EvalContext& ctx,
   if (it != eni_by_ip_.end()) {
     const Eni& dst_eni = *enis_.at(it->second);
     if (!dst_eni.public_ip.has_value() || *dst_eni.public_ip != flow.dst) {
-      Drop(ctx, "internet", "destination address is not publicly routable");
+      Drop(ctx, "internet", {"destination address is not publicly routable"});
       return;
     }
     const Subnet* dst_subnet = SubnetOf(dst_eni);
     const Vpc* dst_vpc = FindVpc(dst_subnet->vpc);
     // The destination VPC needs an IGW and the subnet a route through it.
     if (igw_by_vpc_.count(dst_vpc->id) == 0) {
-      Drop(ctx, "internet",
-           "destination VPC has no internet gateway");
+      Drop(ctx, "internet", {"destination VPC has no internet gateway"});
       return;
     }
     const VpcRouteTable& far_table = *tables_.at(dst_subnet->route_table);
@@ -1346,7 +1365,7 @@ void BaselineNetwork::DeliverFromInternet(EvalContext& ctx,
         (back->kind != VpcRouteTargetKind::kInternetGateway &&
          back->kind != VpcRouteTargetKind::kNatGateway)) {
       Drop(ctx, "return-route",
-           "destination subnet is not public (no IGW return route)");
+           {"destination subnet is not public (no IGW return route)"});
       return;
     }
     ctx.delivery.used_public_path = true;
@@ -1358,11 +1377,11 @@ void BaselineNetwork::DeliverFromInternet(EvalContext& ctx,
   for (const auto& [site, pool] : on_prem_pools_) {
     if (world_->on_prem(site).address_space.Contains(flow.dst)) {
       Drop(ctx, "internet",
-           "on-prem addresses are private; internet path cannot reach them");
+           {"on-prem addresses are private; internet path cannot reach them"});
       return;
     }
   }
-  Drop(ctx, "internet", "no tenant endpoint holds " + flow.dst.ToString());
+  Drop(ctx, "internet", {"no tenant endpoint holds {ip}", flow.dst});
 }
 
 void BaselineNetwork::DeliverToOnPrem(EvalContext& ctx, const FiveTuple& flow,
@@ -1370,7 +1389,7 @@ void BaselineNetwork::DeliverToOnPrem(EvalContext& ctx, const FiveTuple& flow,
   const OnPremSite& onp = world_->on_prem(site);
   if (!onp.address_space.Contains(flow.dst)) {
     Drop(ctx, "on-prem",
-         flow.dst.ToString() + " is outside " + onp.name + "'s space");
+         {"{ip} is outside {name}'s space", flow.dst, site_labels_.at(site)});
     return;
   }
   // Find the instance holding the address.
@@ -1387,7 +1406,7 @@ void BaselineNetwork::DeliverToOnPrem(EvalContext& ctx, const FiveTuple& flow,
       return;
     }
   }
-  Drop(ctx, "on-prem", "no on-prem host holds " + flow.dst.ToString());
+  Drop(ctx, "on-prem", {"no on-prem host holds {ip}", flow.dst});
 }
 
 void BaselineNetwork::DeliverViaDirectConnect(EvalContext& ctx,
@@ -1395,31 +1414,30 @@ void BaselineNetwork::DeliverViaDirectConnect(EvalContext& ctx,
                                               DirectConnectId dx_id,
                                               std::string_view payload) {
   if (--ctx.budget < 0) {
-    Drop(ctx, "loop", "gateway traversal budget exhausted");
+    Drop(ctx, "loop", {"gateway traversal budget exhausted"});
     return;
   }
   auto dit = dxs_.find(dx_id);
   if (dit == dxs_.end()) {
-    Drop(ctx, "dx", "dangling direct connect reference");
+    Drop(ctx, "dx", {"dangling direct connect reference"});
     return;
   }
   const DirectConnectConnection& dx = dit->second;
-  ctx.delivery.logical_hops.push_back("direct-connect:" + dx.name);
+  ctx.delivery.logical_hops.push_back(dx.label.hop);
   ++ctx.delivery.gateway_hops;
   ctx.delivery.egress_policy = EgressPolicy::kDedicated;
 
   const BgpRoute* best = bgp_.BestRoute(dx.speaker, RouteForDst(flow.dst));
   if (best == nullptr || best->OriginatedLocally()) {
     Drop(ctx, "bgp",
-         dx.name + " has not learned a route to " + flow.dst.ToString());
+         {"{name} has not learned a route to {ip}", flow.dst, dx.label.name});
     return;
   }
   SpeakerId next = best->learned_from;
   // On-prem router on the far side of the exchange?
   for (const auto& [site, speaker] : on_prem_speakers_) {
     if (speaker == next) {
-      ctx.delivery.logical_hops.push_back("exchange:" +
-                                          world_->exchange(dx.exchange).name);
+      ctx.delivery.logical_hops.push_back(dx.exchange_hop);
       DeliverToOnPrem(ctx, flow, site, EgressPolicy::kDedicated);
       return;
     }
@@ -1430,22 +1448,22 @@ void BaselineNetwork::DeliverViaDirectConnect(EvalContext& ctx,
     if (tgw->speaker() != next) {
       continue;
     }
-    ctx.delivery.logical_hops.push_back("tgw:" + tgw->name());
+    ctx.delivery.logical_hops.push_back(tgw->label().hop);
     ++ctx.delivery.gateway_hops;
     const TgwRoute* tgw_route = tgw->Lookup(flow.dst);
     if (tgw_route == nullptr) {
       Drop(ctx, "tgw-route",
-           tgw->name() + " has no route to " + flow.dst.ToString());
+           {"{name} has no route to {ip}", flow.dst, tgw->label().name});
       return;
     }
     const TgwAttachment& att = tgw->attachments()[tgw_route->attachment];
     if (att.kind != TgwAttachmentKind::kVpc) {
-      Drop(ctx, "dx", "circuit chain deeper than one hop is not modeled");
+      Drop(ctx, "dx", {"circuit chain deeper than one hop is not modeled"});
       return;
     }
     auto it = eni_by_ip_.find(flow.dst);
     if (it == eni_by_ip_.end()) {
-      Drop(ctx, "dx", "no NIC holds " + flow.dst.ToString());
+      Drop(ctx, "dx", {"no NIC holds {ip}", flow.dst});
       return;
     }
     const Eni& dst_eni = *enis_.at(it->second);
@@ -1454,7 +1472,7 @@ void BaselineNetwork::DeliverViaDirectConnect(EvalContext& ctx,
     const VpcRouteTarget* back = far_table.Lookup(flow.src);
     if (back == nullptr || back->kind == VpcRouteTargetKind::kBlackhole) {
       Drop(ctx, "return-route",
-           "destination VPC has no return route to " + flow.src.ToString());
+           {"destination VPC has no return route to {ip}", flow.src});
       return;
     }
     DeliverIntoVpc(ctx, flow, dst_eni, /*from_outside_vpc=*/true, payload,
@@ -1464,32 +1482,33 @@ void BaselineNetwork::DeliverViaDirectConnect(EvalContext& ctx,
   // Another circuit (the other cloud's side)?
   for (const auto& [other_id, other] : dxs_) {
     if (other.speaker == next) {
-      ctx.delivery.logical_hops.push_back("exchange:" +
-                                          world_->exchange(dx.exchange).name);
+      ctx.delivery.logical_hops.push_back(dx.exchange_hop);
       auto tit = tgw_by_dx_.find(other_id);
       if (tit == tgw_by_dx_.end()) {
-        Drop(ctx, "dx", other.name + " is not attached to a transit gateway");
+        Drop(ctx, "dx",
+             {"{name} is not attached to a transit gateway", {},
+              other.label.name});
         return;
       }
       // Continue from the far TGW.
       TransitGateway* tgw = FindTgw(tit->second);
-      ctx.delivery.logical_hops.push_back("direct-connect:" + other.name);
-      ctx.delivery.logical_hops.push_back("tgw:" + tgw->name());
+      ctx.delivery.logical_hops.push_back(other.label.hop);
+      ctx.delivery.logical_hops.push_back(tgw->label().hop);
       ctx.delivery.gateway_hops += 3;
       const TgwRoute* tgw_route = tgw->Lookup(flow.dst);
       if (tgw_route == nullptr) {
         Drop(ctx, "tgw-route",
-             tgw->name() + " has no route to " + flow.dst.ToString());
+             {"{name} has no route to {ip}", flow.dst, tgw->label().name});
         return;
       }
       const TgwAttachment& att = tgw->attachments()[tgw_route->attachment];
       if (att.kind != TgwAttachmentKind::kVpc) {
-        Drop(ctx, "dx", "circuit chain deeper than one hop is not modeled");
+        Drop(ctx, "dx", {"circuit chain deeper than one hop is not modeled"});
         return;
       }
       auto it = eni_by_ip_.find(flow.dst);
       if (it == eni_by_ip_.end()) {
-        Drop(ctx, "dx", "no NIC holds " + flow.dst.ToString());
+        Drop(ctx, "dx", {"no NIC holds {ip}", flow.dst});
         return;
       }
       const Eni& dst_eni = *enis_.at(it->second);
@@ -1498,7 +1517,7 @@ void BaselineNetwork::DeliverViaDirectConnect(EvalContext& ctx,
       return;
     }
   }
-  Drop(ctx, "dx", "no exchange party owns the learned route");
+  Drop(ctx, "dx", {"no exchange party owns the learned route"});
 }
 
 // For VPG/DX RIB lookups we need the covering prefix of a destination among
@@ -1506,27 +1525,13 @@ void BaselineNetwork::DeliverViaDirectConnect(EvalContext& ctx,
 IpPrefix BaselineNetwork::RouteForDst(IpAddress dst) const {
   IpPrefix best = IpPrefix::Any(dst.family());
   int best_len = -1;
-  for (const IpPrefix& p : AllKnownPrefixes()) {
+  for (const IpPrefix& p : known_prefixes_) {
     if (p.Contains(dst) && p.length() > best_len) {
       best = p;
       best_len = p.length();
     }
   }
   return best;
-}
-
-bool BaselineNetwork::CacheableDelivery(const BaselineDelivery& delivery) {
-  // Flows the DPI firewall saw must keep hitting it: its inspected/denied
-  // counters drive the E6 saturation model.
-  if (delivery.drop_stage == "firewall") {
-    return false;
-  }
-  for (const std::string& hop : delivery.logical_hops) {
-    if (hop.rfind("firewall:", 0) == 0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 Result<BaselineDelivery> BaselineNetwork::Evaluate(InstanceId src,
@@ -1612,7 +1617,7 @@ Result<BaselineDelivery> BaselineNetwork::EvaluateUncached(
                         EgressPolicy::kColdPotato);
         return ctx.delivery;
       }
-      Drop(ctx, "route", "no connectivity between distinct on-prem sites");
+      Drop(ctx, "route", {"no connectivity between distinct on-prem sites"});
       return ctx.delivery;
     }
 
@@ -1630,12 +1635,13 @@ Result<BaselineDelivery> BaselineNetwork::EvaluateUncached(
       // Through a VPN gateway into its VPC?
       for (const auto& [vid, vpn] : vpns_) {
         if (vpn.speaker == next) {
-          ctx.delivery.logical_hops.push_back("vpn:" + vpn.name);
+          ctx.delivery.logical_hops.push_back(vpn.label.hop);
           ++ctx.delivery.gateway_hops;
           ctx.delivery.egress_policy = EgressPolicy::kHotPotato;
           const Subnet* dsn = SubnetOf(*dst_eni);
           if (dsn->vpc != vpn.vpc) {
-            Drop(ctx, "vpn", "VPN lands in a different VPC than destination");
+            Drop(ctx, "vpn",
+                 {"VPN lands in a different VPC than destination"});
             return ctx.delivery;
           }
           const VpcRouteTable& far_table = *tables_.at(dsn->route_table);
@@ -1643,7 +1649,7 @@ Result<BaselineDelivery> BaselineNetwork::EvaluateUncached(
           if (back == nullptr ||
               back->kind == VpcRouteTargetKind::kBlackhole) {
             Drop(ctx, "return-route",
-                 "destination VPC has no return route to on-prem");
+                 {"destination VPC has no return route to on-prem"});
             return ctx.delivery;
           }
           DeliverIntoVpc(ctx, flow, *dst_eni, /*from_outside_vpc=*/true,
@@ -1658,7 +1664,7 @@ Result<BaselineDelivery> BaselineNetwork::EvaluateUncached(
           return ctx.delivery;
         }
       }
-      Drop(ctx, "bgp", "learned route maps to no gateway");
+      Drop(ctx, "bgp", {"learned route maps to no gateway"});
       return ctx.delivery;
     }
     // Public fallback.
@@ -1669,7 +1675,7 @@ Result<BaselineDelivery> BaselineNetwork::EvaluateUncached(
       DeliverFromInternet(ctx, flow, payload);
       return ctx.delivery;
     }
-    Drop(ctx, "route", "on-prem source has no route to destination");
+    Drop(ctx, "route", {"on-prem source has no route to destination"});
     return ctx.delivery;
   }
 
@@ -1709,7 +1715,7 @@ Result<BaselineDelivery> BaselineNetwork::EvaluateUncached(
     flow.dst = dst_private;
   } else {
     Drop(ctx, "route",
-         "no private route and destination has no public address");
+         {"no private route and destination has no public address"});
     return ctx.delivery;
   }
   ctx.delivery.effective_dst = flow.dst;
@@ -1726,12 +1732,12 @@ Result<BaselineDelivery> BaselineNetwork::EvaluateUncached(
     }
   }
   if (!sg_ok) {
-    Drop(ctx, "sg-egress", "no security group allows the egress flow");
+    Drop(ctx, "sg-egress", {"no security group allows the egress flow"});
     return ctx.delivery;
   }
   const NetworkAcl& src_acl = *acls_.at(src_subnet->acl);
   if (!src_acl.Allows(TrafficDirection::kEgress, flow)) {
-    Drop(ctx, "acl-egress", "denied by " + src_acl.name());
+    Drop(ctx, "acl-egress", {"denied by {name}", {}, src_acl.label()});
     return ctx.delivery;
   }
 

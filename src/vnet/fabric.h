@@ -13,7 +13,8 @@
 //
 // Evaluate reports where a flow died and which boxes it traversed, which is
 // exactly what experiments E1 (box count), E6 (security) and the
-// integration tests need.
+// integration tests need. The report is a plain value (see
+// src/routing/verdict.h); Explain() renders a denial's reason as text.
 
 #ifndef TENANTNET_SRC_VNET_FABRIC_H_
 #define TENANTNET_SRC_VNET_FABRIC_H_
@@ -22,6 +23,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "src/net/ipam.h"
 #include "src/net/verdict_cache.h"
 #include "src/routing/bgp.h"
+#include "src/routing/verdict.h"
 #include "src/vnet/config_ledger.h"
 #include "src/vnet/firewall.h"
 #include "src/vnet/gateways.h"
@@ -38,23 +41,47 @@
 
 namespace tenantnet {
 
-// The verdict for one evaluated flow.
+// Gateway traversals one evaluation may make (the loop guard): every
+// route-table step, TGW hop and circuit hop spends one.
+inline constexpr int kGatewayBudget = 16;
+
+// The hops one evaluation can record. A budgeted step records at most one
+// hop, except the circuit step, which records up to four (the circuit, the
+// exchange, the far circuit and its TGW) and runs at most once. Two hops
+// spend no budget and each happens at most once: the destination VPC's
+// ingress firewall, and the VPN that an on-prem source or a TGW's VPN
+// attachment goes through. So a walk records at most budget + 3 + 2 hops.
+using LogicalHops = LabelTrace<21>;
+static_assert(LogicalHops::kCapacity >= kGatewayBudget + 3 + 2,
+              "a trace must hold the longest walk the gateway budget allows");
+
+// The verdict for one evaluated flow. Small fields come first so none pads
+// (the verdict cache holds 65,536 of these).
 struct BaselineDelivery {
   bool delivered = false;
-  std::string drop_stage;   // "sg-egress", "acl-ingress", "route", ...
-  std::string drop_reason;
-  // Every virtual box the flow traversed, in order.
-  std::vector<std::string> logical_hops;
+  // A DPI firewall inspected the flow (such verdicts are never cached).
+  bool inspected = false;
+  bool used_public_path = false;
+  EgressPolicy egress_policy = EgressPolicy::kHotPotato;
   int gateway_hops = 0;
+  std::string_view drop_stage;  // "sg-egress", "acl-ingress", "route", ...
+  DropReason reason;            // rendered by Explain()
+  // Every virtual box the flow traversed, in order.
+  LogicalHops logical_hops;
   // The addresses the flow actually used (post NAT, public vs private).
   IpAddress effective_src;
   IpAddress effective_dst;
-  bool used_public_path = false;
   // Physical attachment points for handing to the flow simulator.
   NodeId src_node;
   NodeId dst_node;
-  EgressPolicy egress_policy = EgressPolicy::kHotPotato;
+
+  friend bool operator==(const BaselineDelivery&,
+                         const BaselineDelivery&) = default;
 };
+static_assert(std::is_trivially_copyable_v<BaselineDelivery>);
+
+// The reason a flow was dropped, as text ("" if it was delivered).
+std::string Explain(const BaselineDelivery& delivery);
 
 // Durable image of the fabric's routing plane: the BGP mesh RIBs plus every
 // TGW FIB (static and propagated entries alike, in Routes() form).
@@ -300,7 +327,7 @@ class BaselineNetwork {
  private:
   struct EvalContext {
     BaselineDelivery delivery;
-    int budget = 16;  // max gateway traversals (loop guard)
+    int budget = kGatewayBudget;
   };
 
   // Walks the gateway chain after the source-side checks passed. `src_vpc`
@@ -324,6 +351,11 @@ class BaselineNetwork {
                                DirectConnectId dx, std::string_view payload);
   // The covering originated prefix for a destination (for RIB queries).
   IpPrefix RouteForDst(IpAddress dst) const;
+  // Records a prefix a tenant object originates (a VPC CIDR or an on-prem
+  // space) in the set RouteForDst reads.
+  void AddKnownPrefix(const IpPrefix& prefix);
+  // Interns an on-prem site's name for the reasons that quote it.
+  void LabelSite(OnPremId site);
 
   bool SgMember(SecurityGroupId group, IpAddress ip) const;
   const Subnet* SubnetOf(const Eni& eni) const;
@@ -360,11 +392,9 @@ class BaselineNetwork {
   // A delivery is memoizable unless the flow went through a DPI firewall
   // (Inspect's offered-load counters feed the E6 saturation model and must
   // keep counting per call).
-  static bool CacheableDelivery(const BaselineDelivery& delivery);
-
-  // Every prefix any tenant object originates (VPC CIDRs + on-prem spaces);
-  // used to walk BGP RIBs after convergence.
-  std::vector<IpPrefix> AllKnownPrefixes() const;
+  static bool CacheableDelivery(const BaselineDelivery& delivery) {
+    return !delivery.inspected;
+  }
 
   // Speaker value -> attachment index for one TGW (which attachment a
   // route learned from that speaker resolves to).
@@ -377,7 +407,8 @@ class BaselineNetwork {
   // Returns deltas applied; `checked` accumulates entries examined.
   uint64_t ReconcileTgwFibs(uint64_t* checked);
 
-  void Drop(EvalContext& ctx, std::string stage, std::string reason);
+  // `stage` must name a string literal (the verdict keeps a view of it).
+  void Drop(EvalContext& ctx, std::string_view stage, DropReason reason);
 
   CloudWorld* world_;
   ConfigLedger* ledger_;
@@ -409,6 +440,11 @@ class BaselineNetwork {
   std::unordered_map<OnPremId, SpeakerId> on_prem_speakers_;
   std::unordered_map<OnPremId, LinkId> on_prem_mpls_;
   std::unordered_map<DirectConnectId, TransitGatewayId> tgw_by_dx_;
+  std::unordered_map<OnPremId, uint32_t> site_labels_;  // RouteLabels() ids
+  // Every prefix a tenant object originates, sorted and distinct.
+  std::vector<IpPrefix> known_prefixes_;
+  const uint32_t igw_hop_;
+  const uint32_t egress_igw_hop_;
 
   // Provider public pools (EIPs for NAT/public addresses).
   std::unordered_map<ProviderId, std::unique_ptr<HostAllocator>> public_pools_;

@@ -17,6 +17,7 @@
 
 #include "src/common/ids.h"
 #include "src/net/flow.h"
+#include "src/routing/verdict.h"
 #include "src/vnet/revision.h"
 
 namespace tenantnet {
@@ -38,10 +39,13 @@ struct FirewallRule {
 class DpiFirewall : public RevisionHooked {
  public:
   DpiFirewall(FirewallId id, std::string name, double capacity_pps)
-      : id_(id), name_(std::move(name)), capacity_pps_(capacity_pps) {}
+      : id_(id), name_(std::move(name)),
+        label_(HopLabel::Of("firewall:", name_)),
+        capacity_pps_(capacity_pps) {}
 
   FirewallId id() const { return id_; }
   const std::string& name() const { return name_; }
+  const HopLabel& label() const { return label_; }  // "firewall:<name>"
   double capacity_pps() const { return capacity_pps_; }
 
   void AddRule(FirewallRule rule);
@@ -78,6 +82,7 @@ class DpiFirewall : public RevisionHooked {
  private:
   FirewallId id_;
   std::string name_;
+  HopLabel label_;
   double capacity_pps_;
   FirewallVerdict default_verdict_ = FirewallVerdict::kDeny;
   std::vector<FirewallRule> rules_;

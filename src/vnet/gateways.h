@@ -21,6 +21,7 @@
 #include "src/net/ip.h"
 #include "src/routing/bgp.h"
 #include "src/routing/lpm_trie.h"
+#include "src/routing/verdict.h"
 #include "src/vnet/revision.h"
 #include "src/vnet/vpc.h"
 
@@ -56,6 +57,7 @@ struct NatGateway {
   SubnetId subnet;
   IpAddress public_ip;
   std::string name;
+  HopLabel label;  // "nat:<name>"
 };
 
 // VPN gateway: IPsec-ish tunnel endpoint attaching a VPC to an on-prem
@@ -67,6 +69,7 @@ struct VpnGateway {
   uint32_t bgp_asn = 0;
   SpeakerId speaker;  // this gateway's speaker in the tenant BGP mesh
   std::string name;
+  HopLabel label;  // "vpn:<name>"
 };
 
 // Private connectivity between exactly two VPCs. Non-transitive (the
@@ -77,6 +80,7 @@ struct VpcPeering {
   VpcId accepter;
   bool accepted = false;
   std::string name;
+  HopLabel label;  // "peering:<name>"
 };
 
 // What a transit gateway route resolves to.
@@ -118,13 +122,14 @@ class TransitGateway : public RevisionHooked {
   TransitGateway(TransitGatewayId id, ProviderId provider, RegionId region,
                  uint32_t asn, std::string name)
       : id_(id), provider_(provider), region_(region), asn_(asn),
-        name_(std::move(name)) {}
+        name_(std::move(name)), label_(HopLabel::Of("tgw:", name_)) {}
 
   TransitGatewayId id() const { return id_; }
   ProviderId provider() const { return provider_; }
   RegionId region() const { return region_; }
   uint32_t asn() const { return asn_; }
   const std::string& name() const { return name_; }
+  const HopLabel& label() const { return label_; }  // "tgw:<name>"
   SpeakerId speaker() const { return speaker_; }
   void set_speaker(SpeakerId s) { speaker_ = s; }
 
@@ -230,6 +235,7 @@ class TransitGateway : public RevisionHooked {
   RegionId region_;
   uint32_t asn_;
   std::string name_;
+  HopLabel label_;
   SpeakerId speaker_;
   std::vector<TgwAttachment> attachments_;
   LpmTrie<TgwRoute> routes_;
@@ -247,6 +253,8 @@ struct DirectConnectConnection {
   uint32_t bgp_asn = 0;
   SpeakerId speaker;
   std::string name;
+  HopLabel label;             // "direct-connect:<name>"
+  uint32_t exchange_hop = 0;  // "exchange:<exchange name>"
 };
 
 }  // namespace tenantnet

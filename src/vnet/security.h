@@ -19,6 +19,7 @@
 
 #include "src/common/ids.h"
 #include "src/net/flow.h"
+#include "src/routing/route_table.h"
 #include "src/vnet/revision.h"
 
 namespace tenantnet {
@@ -90,11 +91,12 @@ struct AclEntry {
 
 class NetworkAcl : public RevisionHooked {
  public:
-  NetworkAcl(NetworkAclId id, std::string name) noexcept
-      : id_(id), name_(std::move(name)) {}
+  NetworkAcl(NetworkAclId id, std::string name)
+      : id_(id), name_(std::move(name)), label_(RouteLabels().Intern(name_)) {}
 
   NetworkAclId id() const { return id_; }
   const std::string& name() const { return name_; }
+  uint32_t label() const { return label_; }  // the name, in RouteLabels()
 
   // Entries keep ascending rule_number order.
   void AddEntry(AclEntry entry);
@@ -106,6 +108,7 @@ class NetworkAcl : public RevisionHooked {
  private:
   NetworkAclId id_;
   std::string name_;
+  uint32_t label_;
   std::vector<AclEntry> entries_;
 };
 

@@ -19,6 +19,7 @@
 #include "src/net/ip.h"
 #include "src/net/ipam.h"
 #include "src/routing/lpm_trie.h"
+#include "src/routing/route_table.h"
 #include "src/vnet/revision.h"
 #include "src/vnet/security.h"
 
@@ -55,10 +56,11 @@ struct VpcRouteTarget {
 class VpcRouteTable : public RevisionHooked {
  public:
   VpcRouteTable(VpcRouteTableId id, std::string name)
-      : id_(id), name_(std::move(name)) {}
+      : id_(id), name_(std::move(name)), label_(RouteLabels().Intern(name_)) {}
 
   VpcRouteTableId id() const { return id_; }
   const std::string& name() const { return name_; }
+  uint32_t label() const { return label_; }  // the name, in RouteLabels()
 
   void Install(const IpPrefix& prefix, VpcRouteTarget target) {
     trie_.Insert(prefix, target);
@@ -85,6 +87,7 @@ class VpcRouteTable : public RevisionHooked {
  private:
   VpcRouteTableId id_;
   std::string name_;
+  uint32_t label_;
   LpmTrie<VpcRouteTarget> trie_;
 };
 

@@ -174,7 +174,7 @@ TEST_F(FabricTest, IntraVpcDeliveryWithSgAndAcl) {
   auto good = net_.Evaluate(a, b, 9000, Protocol::kTcp);
   ASSERT_TRUE(good.ok());
   EXPECT_TRUE(good->delivered) << good->drop_stage << ": "
-                               << good->drop_reason;
+                               << Explain(*good);
   EXPECT_EQ(good->gateway_hops, 0);  // local traffic crosses no boxes
 
   // A port the SG does not admit dies at sg-ingress.
@@ -231,7 +231,7 @@ TEST_F(FabricTest, SgToSgReferencesResolveThroughTheFabric) {
   auto from_member = net_.Evaluate(client, server, 9000, Protocol::kTcp);
   ASSERT_TRUE(from_member.ok());
   EXPECT_TRUE(from_member->delivered)
-      << from_member->drop_stage << ": " << from_member->drop_reason;
+      << from_member->drop_stage << ": " << Explain(*from_member);
   // The stranger holds sg-servers, not sg-clients: denied.
   auto from_stranger = net_.Evaluate(stranger, server, 9000, Protocol::kTcp);
   ASSERT_TRUE(from_stranger.ok());
@@ -466,6 +466,184 @@ TEST_F(FabricCacheTest, CachedAndUncachedAgreeAcrossPorts) {
     EXPECT_EQ(cached->delivered, uncached->delivered) << port;
     EXPECT_EQ(cached->drop_stage, uncached->drop_stage) << port;
   }
+}
+
+// --- The gateway budget ------------------------------------------------------
+// Routing loops end when the walk spends its gateway budget; the verdict's
+// trace then holds one hop per step taken (see kGatewayBudget).
+
+TEST_F(FabricTest, NatLoopSpendsTheGatewayBudget) {
+  auto v1 = *net_.CreateVpc(tw_.tenant, tw_.provider, tw_.east, "v1",
+                            P("10.1.0.0/16"));
+  auto v2 = *net_.CreateVpc(tw_.tenant, tw_.provider, tw_.east, "v2",
+                            P("10.2.0.0/16"));
+  auto src_subnet = *net_.CreateSubnet(v1, "priv", 20, 0, false);
+  auto pub = *net_.CreateSubnet(v1, "pub", 24, 0, true);
+  auto dst_subnet = *net_.CreateSubnet(v2, "s", 20, 0, false);
+  auto nat = *net_.CreateNatGateway(pub, "nat");
+  // Both v1 subnets use the main table, whose default route points at the
+  // NAT; the NAT continues from its own subnet, so it loops to itself.
+  ASSERT_TRUE(net_.AddRoute(net_.FindVpc(v1)->main_route_table,
+                            P("0.0.0.0/0"),
+                            {VpcRouteTargetKind::kNatGateway, nat.value()})
+                  .ok());
+  auto sg = *net_.CreateSecurityGroup(v1, "sg");
+  SgRule out;
+  out.direction = TrafficDirection::kEgress;
+  out.peer = IpPrefix::Any(IpFamily::kIpv4);
+  ASSERT_TRUE(net_.AddSgRule(sg, out).ok());
+  auto acl = *net_.CreateNetworkAcl(v1, "acl");
+  AclEntry egress;
+  egress.rule_number = 100;
+  egress.allow = true;
+  egress.direction = TrafficDirection::kEgress;
+  egress.match = FlowMatch::Any();
+  ASSERT_TRUE(net_.AddAclEntry(acl, egress).ok());
+  ASSERT_TRUE(net_.AssociateAcl(src_subnet, acl).ok());
+  auto a = *tw_.world->LaunchInstance(tw_.tenant, tw_.provider, tw_.east, 0);
+  auto b = *tw_.world->LaunchInstance(tw_.tenant, tw_.provider, tw_.east, 0);
+  ASSERT_TRUE(net_.AttachInstance(a, src_subnet, {sg}, false).ok());
+  ASSERT_TRUE(net_.AttachInstance(b, dst_subnet, {}, /*public=*/true).ok());
+
+  auto d = net_.Evaluate(a, b, 443, Protocol::kTcp);
+  ASSERT_TRUE(d.ok()) << d.status();
+  EXPECT_EQ(d->drop_stage, "loop");
+  EXPECT_EQ(Explain(*d), "gateway traversal budget exhausted");
+  EXPECT_EQ(d->logical_hops.Names(),
+            std::vector<std::string>(kGatewayBudget, "nat:nat"));
+}
+
+TEST_F(FabricTest, TgwPeeringLoopSpendsTheGatewayBudget) {
+  auto vpc = *net_.CreateVpc(tw_.tenant, tw_.provider, tw_.east, "v1",
+                             P("10.1.0.0/16"));
+  auto subnet = *net_.CreateSubnet(vpc, "s", 20, 0, false);
+  auto far = *net_.CreateVpc(tw_.tenant, tw_.provider, tw_.east, "v2",
+                             P("10.2.0.0/16"));
+  auto far_subnet = *net_.CreateSubnet(far, "s", 20, 0, false);
+  auto east = *net_.CreateTransitGateway(tw_.provider, tw_.east, 64601, "a");
+  auto west = *net_.CreateTransitGateway(tw_.provider, tw_.west, 64602, "b");
+  ASSERT_TRUE(net_.PeerTransitGateways(east, west).ok());
+  // Each TGW's only attachment is the other: 10.2/16 bounces between them.
+  ASSERT_TRUE(net_.AddTgwRoute(east, P("10.2.0.0/16"), 0).ok());
+  ASSERT_TRUE(net_.AddTgwRoute(west, P("10.2.0.0/16"), 0).ok());
+  ASSERT_TRUE(net_.AddRoute(net_.FindVpc(vpc)->main_route_table,
+                            P("10.2.0.0/16"),
+                            {VpcRouteTargetKind::kTransitGateway,
+                             east.value()})
+                  .ok());
+  auto sg = *net_.CreateSecurityGroup(vpc, "sg");
+  SgRule out;
+  out.direction = TrafficDirection::kEgress;
+  out.peer = IpPrefix::Any(IpFamily::kIpv4);
+  ASSERT_TRUE(net_.AddSgRule(sg, out).ok());
+  auto acl = *net_.CreateNetworkAcl(vpc, "acl");
+  AclEntry egress;
+  egress.rule_number = 100;
+  egress.allow = true;
+  egress.direction = TrafficDirection::kEgress;
+  egress.match = FlowMatch::Any();
+  ASSERT_TRUE(net_.AddAclEntry(acl, egress).ok());
+  ASSERT_TRUE(net_.AssociateAcl(subnet, acl).ok());
+  auto a = *tw_.world->LaunchInstance(tw_.tenant, tw_.provider, tw_.east, 0);
+  auto b = *tw_.world->LaunchInstance(tw_.tenant, tw_.provider, tw_.east, 0);
+  ASSERT_TRUE(net_.AttachInstance(a, subnet, {sg}, false).ok());
+  ASSERT_TRUE(net_.AttachInstance(b, far_subnet, {}, false).ok());
+
+  auto d = net_.Evaluate(a, b, 443, Protocol::kTcp);
+  ASSERT_TRUE(d.ok()) << d.status();
+  EXPECT_EQ(d->drop_stage, "loop");
+  EXPECT_EQ(Explain(*d), "TGW hop budget exhausted");
+  // The route-table step spends one unit; every TGW hop after it one more.
+  std::vector<std::string> hops = d->logical_hops.Names();
+  ASSERT_EQ(hops.size(), static_cast<size_t>(kGatewayBudget - 1));
+  for (size_t i = 0; i < hops.size(); ++i) {
+    EXPECT_EQ(hops[i], i % 2 == 0 ? "tgw:a" : "tgw:b");
+  }
+}
+
+// --- VPN verdicts and late prefixes ---------------------------------------
+// A VPN or circuit verdict asks the mesh for the covering prefix of the
+// destination among every prefix a tenant object originates. Objects added
+// after a verdict was evaluated must still be found.
+
+class LatePrefixTest : public FabricTest {
+ protected:
+  // A VPC in `cidr` with one open instance, attached over a VPN to `site`
+  // and routing `site_space` there.
+  InstanceId AddVpnSpoke(const char* name, const char* cidr, OnPremId site,
+                         const char* site_space, uint32_t asn) {
+    auto vpc = *net_.CreateVpc(tw_.tenant, tw_.provider, tw_.east, name,
+                               P(cidr));
+    auto subnet = *net_.CreateSubnet(vpc, "s", 20, 0, false);
+    auto sg = *net_.CreateSecurityGroup(vpc, "sg");
+    auto acl = *net_.CreateNetworkAcl(vpc, "acl");
+    for (TrafficDirection dir :
+         {TrafficDirection::kIngress, TrafficDirection::kEgress}) {
+      SgRule rule;
+      rule.direction = dir;
+      rule.peer = IpPrefix::Any(IpFamily::kIpv4);
+      EXPECT_TRUE(net_.AddSgRule(sg, rule).ok());
+      AclEntry entry;
+      entry.rule_number = 100;
+      entry.allow = true;
+      entry.direction = dir;
+      entry.match = FlowMatch::Any();
+      EXPECT_TRUE(net_.AddAclEntry(acl, entry).ok());
+    }
+    EXPECT_TRUE(net_.AssociateAcl(subnet, acl).ok());
+    auto vpg = *net_.CreateVpnGateway(vpc, site, asn,
+                                      std::string(name) + "-vpg");
+    EXPECT_TRUE(net_.AddRoute(net_.FindVpc(vpc)->main_route_table,
+                              P(site_space),
+                              {VpcRouteTargetKind::kVpnGateway, vpg.value()})
+                    .ok());
+    InstanceId id =
+        *tw_.world->LaunchInstance(tw_.tenant, tw_.provider, tw_.east, 0);
+    EXPECT_TRUE(net_.AttachInstance(id, subnet, {sg}, false).ok());
+    return id;
+  }
+  InstanceId AddSiteHost(OnPremId site) {
+    InstanceId id = *tw_.world->LaunchOnPremInstance(tw_.tenant, site);
+    EXPECT_TRUE(net_.AttachOnPremInstance(id).ok());
+    return id;
+  }
+  void ExpectDeliveredVia(InstanceId src, InstanceId dst, const char* vpn) {
+    auto d = net_.Evaluate(src, dst, 443, Protocol::kTcp);
+    ASSERT_TRUE(d.ok()) << d.status();
+    EXPECT_TRUE(d->delivered) << d->drop_stage << ": " << Explain(*d);
+    EXPECT_EQ(d->logical_hops.Names(), std::vector<std::string>{vpn});
+  }
+};
+
+TEST_F(LatePrefixTest, VpcAddedAfterAVpnVerdictIsReachable) {
+  // The test world's site "dc" owns 10.0.0.0/16.
+  InstanceId first = AddVpnSpoke("v1", "10.1.0.0/16", tw_.on_prem,
+                                 "10.0.0.0/16", 64701);
+  InstanceId host = AddSiteHost(tw_.on_prem);
+  net_.PropagateRoutes();
+  ExpectDeliveredVia(host, first, "vpn:v1-vpg");
+
+  InstanceId late = AddVpnSpoke("v2", "10.2.0.0/16", tw_.on_prem,
+                                "10.0.0.0/16", 64702);
+  net_.PropagateRoutes();
+  ExpectDeliveredVia(host, late, "vpn:v2-vpg");
+  ExpectDeliveredVia(late, host, "vpn:v2-vpg");
+}
+
+TEST_F(LatePrefixTest, SiteAddedAfterAVpnVerdictIsReachable) {
+  InstanceId cloud = AddVpnSpoke("v1", "10.1.0.0/16", tw_.on_prem,
+                                 "10.0.0.0/16", 64701);
+  InstanceId host = AddSiteHost(tw_.on_prem);
+  net_.PropagateRoutes();
+  ExpectDeliveredVia(cloud, host, "vpn:v1-vpg");
+
+  OnPremId branch = tw_.world->AddOnPrem("branch", {5, 5}, P("10.9.0.0/16"));
+  InstanceId far = AddVpnSpoke("v3", "10.3.0.0/16", branch, "10.9.0.0/16",
+                               64703);
+  InstanceId branch_host = AddSiteHost(branch);
+  net_.PropagateRoutes();
+  ExpectDeliveredVia(far, branch_host, "vpn:v3-vpg");
+  ExpectDeliveredVia(branch_host, far, "vpn:v3-vpg");
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ void ExpectDelivered(BaselineNetwork& net, InstanceId src, InstanceId dst,
   auto result = net.Evaluate(src, dst, port, Protocol::kTcp);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->delivered)
-      << "dropped at " << result->drop_stage << ": " << result->drop_reason;
+      << "dropped at " << result->drop_stage << ": " << Explain(*result);
 }
 
 TEST_F(Fig1BaselineTest, SparkReachesDatabaseOverCircuits) {
@@ -75,12 +75,12 @@ TEST_F(Fig1BaselineTest, SparkReachesDatabaseOverCircuits) {
                                Fig1Baseline::kDbPort, Protocol::kTcp);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->delivered)
-      << result->drop_stage << ": " << result->drop_reason;
+      << result->drop_stage << ": " << Explain(*result);
   // The flow crosses TGW-A, the circuits at the exchange, and TGW-B.
   EXPECT_GE(result->gateway_hops, 3);
   EXPECT_EQ(result->egress_policy, EgressPolicy::kDedicated);
   bool crossed_exchange = false;
-  for (const std::string& hop : result->logical_hops) {
+  for (const std::string& hop : result->logical_hops.Names()) {
     if (hop.rfind("exchange:", 0) == 0) {
       crossed_exchange = true;
     }
@@ -93,7 +93,7 @@ TEST_F(Fig1BaselineTest, SparkReachesOnPremAlerting) {
                                Fig1Baseline::kAlertPort, Protocol::kTcp);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->delivered)
-      << result->drop_stage << ": " << result->drop_reason;
+      << result->drop_stage << ": " << Explain(*result);
   EXPECT_EQ(result->egress_policy, EgressPolicy::kDedicated);  // via MPLS leg
 }
 
@@ -107,10 +107,10 @@ TEST_F(Fig1BaselineTest, WebEuReachesSparkViaTgwPeering) {
                                Fig1Baseline::kSparkPort, Protocol::kTcp);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->delivered)
-      << result->drop_stage << ": " << result->drop_reason;
+      << result->drop_stage << ": " << Explain(*result);
   // Two TGWs on the path (EU hub -> US hub).
   int tgw_hops = 0;
-  for (const std::string& hop : result->logical_hops) {
+  for (const std::string& hop : result->logical_hops.Names()) {
     if (hop.rfind("tgw:", 0) == 0) {
       ++tgw_hops;
     }
@@ -123,9 +123,9 @@ TEST_F(Fig1BaselineTest, WebUsReachesSparkViaPeering) {
                                Fig1Baseline::kSparkPort, Protocol::kTcp);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->delivered)
-      << result->drop_stage << ": " << result->drop_reason;
+      << result->drop_stage << ": " << Explain(*result);
   bool used_peering = false;
-  for (const std::string& hop : result->logical_hops) {
+  for (const std::string& hop : result->logical_hops.Names()) {
     if (hop.rfind("peering:", 0) == 0) {
       used_peering = true;
     }
@@ -155,9 +155,9 @@ TEST_F(Fig1BaselineTest, SparkEgressesToInternetThroughNat) {
                                Fig1Baseline::kWebPort, Protocol::kTcp);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->delivered)
-      << result->drop_stage << ": " << result->drop_reason;
+      << result->drop_stage << ": " << Explain(*result);
   bool used_nat = false;
-  for (const std::string& hop : result->logical_hops) {
+  for (const std::string& hop : result->logical_hops.Names()) {
     if (hop.rfind("nat:", 0) == 0) {
       used_nat = true;
     }
@@ -176,9 +176,9 @@ TEST_F(Fig1BaselineTest, ExternalClientReachesPublicWeb) {
                                        *web_eni->public_ip,
                                        Fig1Baseline::kWebPort, Protocol::kTcp);
   EXPECT_TRUE(result.delivered)
-      << result.drop_stage << ": " << result.drop_reason;
+      << result.drop_stage << ": " << Explain(result);
   bool inspected = false;
-  for (const std::string& hop : result.logical_hops) {
+  for (const std::string& hop : result.logical_hops.Names()) {
     if (hop.rfind("firewall:", 0) == 0) {
       inspected = true;
     }
@@ -205,6 +205,22 @@ TEST_F(Fig1BaselineTest, SqlInjectionPayloadBlockedByDpiFirewall) {
       Fig1Baseline::kWebPort, Protocol::kTcp, "q=1; DROP TABLE users");
   EXPECT_FALSE(result.delivered);
   EXPECT_EQ(result.drop_stage, "firewall");
+}
+
+TEST_F(Fig1BaselineTest, FirewalledVerdictsAreNeverCached) {
+  // The ingress firewall's counters feed E6's saturation model: every
+  // evaluation of a flow it inspects must reach it again.
+  DpiFirewall* fw = net_->FindFirewall(handles_->firewall);
+  ASSERT_NE(fw, nullptr);
+  const uint64_t before = fw->inspected_count();
+  for (int i = 0; i < 3; ++i) {
+    auto d = net_->Evaluate(fig_->spark[0], fig_->web_eu[0],
+                            Fig1Baseline::kWebPort, Protocol::kTcp);
+    ASSERT_TRUE(d.ok());
+    ASSERT_TRUE(d->delivered) << d->drop_stage << ": " << Explain(*d);
+    EXPECT_TRUE(d->inspected);
+  }
+  EXPECT_EQ(fw->inspected_count() - before, 3u);
 }
 
 TEST_F(Fig1BaselineTest, WrongPortDiesAtSecurityGroup) {

@@ -161,7 +161,7 @@ TEST_F(DeclarativeTest, PermitListOpensExactlyTheListedSources) {
 
   auto from_a = cloud_.Evaluate(a, eb, 443, Protocol::kTcp);
   EXPECT_TRUE(from_a->delivered)
-      << from_a->drop_stage << ": " << from_a->drop_reason;
+      << from_a->drop_stage << ": " << Explain(*from_a);
   auto from_c = cloud_.Evaluate(c, eb, 443, Protocol::kTcp);
   EXPECT_FALSE(from_c->delivered);
   (void)ec;
@@ -195,7 +195,7 @@ TEST_F(DeclarativeTest, SipBindAndResolve) {
   for (int i = 0; i < 20; ++i) {
     auto result = cloud_.Evaluate(client, sip, 443, Protocol::kTcp);
     ASSERT_TRUE(result->delivered)
-        << result->drop_stage << ": " << result->drop_reason;
+        << result->drop_stage << ": " << Explain(*result);
     backends.insert(result->effective_dst.ToString());
   }
   EXPECT_EQ(backends.size(), 2u);
@@ -264,7 +264,7 @@ TEST_F(DeclarativeTest, OnPremEndpointsParticipateUniformly) {
   ASSERT_TRUE(cloud_.SetPermitList(*onprem_eip, {Permit(cloud_eip)}).ok());
   auto open = cloud_.Evaluate(cloud_vm, *onprem_eip, 9093, Protocol::kTcp);
   EXPECT_TRUE(open->delivered)
-      << open->drop_stage << ": " << open->drop_reason;
+      << open->drop_stage << ": " << Explain(*open);
   // And the reverse direction, symmetrically.
   ASSERT_TRUE(cloud_.SetPermitList(cloud_eip, {Permit(*onprem_eip)}).ok());
   auto reverse = cloud_.Evaluate(onprem_vm, cloud_eip, 7077, Protocol::kTcp);
@@ -369,7 +369,7 @@ TEST_F(DeclarativeTest, LedgerCountsApiCallsNotComponents) {
 class EnforcementPointTest : public ::testing::TestWithParam<bool> {};
 
 std::string Verdict(const DeclarativeDelivery& d) {
-  return d.delivered ? "delivered" : d.drop_stage;
+  return std::string(d.delivered ? "delivered" : d.drop_stage);
 }
 
 TEST_P(EnforcementPointTest, SameVerdictsForProviderAndOnPremDestinations) {
@@ -415,8 +415,10 @@ TEST_P(EnforcementPointTest, SameVerdictsForProviderAndOnPremDestinations) {
       EXPECT_EQ(DenyStages().Name(reach.deny_stage), tenant->drop_stage);
     }
     if (cloud.FindEip(server_eip) != nullptr) {
-      EXPECT_EQ(tenant->provider_hops.back(), "edge-filter@" + where);
-      EXPECT_EQ(external.provider_hops.back(), "edge-filter@" + where);
+      EXPECT_EQ(RouteLabels().Name(tenant->provider_hops.back()),
+                "edge-filter@" + where);
+      EXPECT_EQ(RouteLabels().Name(external.provider_hops.back()),
+                "edge-filter@" + where);
     }
     verdicts.push_back(step + ": " + Verdict(*tenant) + " / " +
                        Verdict(external));

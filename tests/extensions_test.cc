@@ -93,7 +93,7 @@ TEST_F(ExtensionsTest, GroupPermitEntryAdmitsMembers) {
 
   auto from_member = cloud_.Evaluate(member, server_eip, 443, Protocol::kTcp);
   EXPECT_TRUE(from_member->delivered)
-      << from_member->drop_stage << ": " << from_member->drop_reason;
+      << from_member->drop_stage << ": " << Explain(*from_member);
   auto from_outsider =
       cloud_.Evaluate(outsider, server_eip, 443, Protocol::kTcp);
   EXPECT_FALSE(from_outsider->delivered);

@@ -104,7 +104,7 @@ TEST_F(FabricExternalTest, UnacceptedPeeringDropsTraffic) {
   ASSERT_TRUE(net_.AcceptPeering(peering).ok());
   result = net_.Evaluate(instances[0], instances[1], 80, Protocol::kTcp);
   EXPECT_TRUE(result->delivered)
-      << result->drop_stage << ": " << result->drop_reason;
+      << result->drop_stage << ": " << Explain(*result);
 }
 
 TEST_F(FabricExternalTest, TgwWithoutRouteDropsAtTgwStage) {
@@ -195,7 +195,7 @@ TEST_F(FabricExternalTest, OnPremFallsBackToPublicPathWithoutVpn) {
   auto result = net_.Evaluate(onprem_inst, cloud_inst, 443, Protocol::kTcp);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->delivered)
-      << result->drop_stage << ": " << result->drop_reason;
+      << result->drop_stage << ": " << Explain(*result);
   EXPECT_TRUE(result->used_public_path);
   EXPECT_EQ(result->egress_policy, EgressPolicy::kHotPotato);
   // The dialed address was the instance's public one.

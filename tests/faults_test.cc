@@ -288,7 +288,7 @@ TEST(FaultInjectorTest, DeclarativeInstanceCrashRebindsSipAndDropsEndpoint) {
   for (int i = 0; i < 20; ++i) {
     auto d = cloud.Evaluate(client, sip, 443, Protocol::kTcp);
     ASSERT_TRUE(d.ok());
-    ASSERT_TRUE(d->delivered) << d->drop_stage << ": " << d->drop_reason;
+    ASSERT_TRUE(d->delivered) << d->drop_stage << ": " << Explain(*d);
     EXPECT_NE(d->effective_dst, eips[0]);
   }
   // Direct-to-EIP traffic sees the endpoint gone, not a silent blackhole.
@@ -302,7 +302,7 @@ TEST(FaultInjectorTest, DeclarativeInstanceCrashRebindsSipAndDropsEndpoint) {
   auto after = cloud.Evaluate(client, eips[0], 443, Protocol::kTcp);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after->delivered) << after->drop_stage << ": "
-                                << after->drop_reason;
+                                << Explain(*after);
 }
 
 // ---------------------------------------------------------------------------
@@ -475,24 +475,13 @@ StormOutcome RunStorm(bool declarative, uint64_t storm_seed) {
     DeclarativeCloud* cloud = decl.get();
     auto* eips = &eip;
     connector = [cloud, eips](InstanceId src, InstanceId dst) {
-      ResolvedRoute route;
       auto it = eips->find(dst.value());
       if (it == eips->end()) {
+        ResolvedRoute route;
         route.deny_stage = DenyStage("no-eip");
         return route;
       }
-      auto d = cloud->Evaluate(src, it->second, 443, Protocol::kTcp);
-      if (!d.ok() || !d->delivered) {
-        route.deny_stage = DenyStage(
-            d.ok() ? (d->drop_stage.empty() ? "denied" : d->drop_stage)
-                   : "instance-down");
-        return route;
-      }
-      route.allowed = true;
-      route.src_node = d->src_node;
-      route.dst_node = d->dst_node;
-      route.policy = d->egress_policy;
-      return route;
+      return RouteFor(cloud->Evaluate(src, it->second, 443, Protocol::kTcp));
     };
     // Declarative reaction: the provider's hypervisor signal repairs SIP
     // bindings and withdraws the EIP host route immediately.
@@ -512,19 +501,8 @@ StormOutcome RunStorm(bool declarative, uint64_t storm_seed) {
     EXPECT_TRUE(built.ok()) << built.status();
     BaselineNetwork* net = baseline.get();
     connector = [net](InstanceId src, InstanceId dst) {
-      ResolvedRoute route;
-      auto d = net->Evaluate(src, dst, Fig1Baseline::kDbPort, Protocol::kTcp);
-      if (!d.ok() || !d->delivered) {
-        route.deny_stage = DenyStage(
-            d.ok() ? (d->drop_stage.empty() ? "denied" : d->drop_stage)
-                   : "instance-down");
-        return route;
-      }
-      route.allowed = true;
-      route.src_node = d->src_node;
-      route.dst_node = d->dst_node;
-      route.policy = d->egress_policy;
-      return route;
+      return RouteFor(
+          net->Evaluate(src, dst, Fig1Baseline::kDbPort, Protocol::kTcp));
     };
   }
 

@@ -122,7 +122,7 @@ TEST_F(IntentTest, SipSpreadsAcrossServiceInstances) {
     auto result = cloud_.Evaluate(web0, *app->AddressOf("app"), 8080,
                                   Protocol::kTcp);
     ASSERT_TRUE(result->delivered)
-        << result->drop_stage << ": " << result->drop_reason;
+        << result->drop_stage << ": " << Explain(*result);
     backends.insert(result->effective_dst.ToString());
   }
   EXPECT_EQ(backends.size(), 2u);
@@ -144,7 +144,7 @@ TEST_F(IntentTest, ScaleOutIsOneMembershipChange) {
   auto to_db = cloud_.Evaluate(newcomer, *app->AddressOf("db"), 5432,
                                Protocol::kTcp);
   EXPECT_TRUE(to_db->delivered)
-      << to_db->drop_stage << ": " << to_db->drop_reason;
+      << to_db->drop_stage << ": " << Explain(*to_db);
   // And web can now land on it via the SIP.
   std::set<std::string> backends;
   for (int i = 0; i < 40; ++i) {

@@ -75,7 +75,7 @@ TEST_F(Ipv6VnetTest, V6IntraVpcDelivery) {
   auto good = net_.Evaluate(a, b, 8080, Protocol::kTcp);
   ASSERT_TRUE(good.ok());
   EXPECT_TRUE(good->delivered)
-      << good->drop_stage << ": " << good->drop_reason;
+      << good->drop_stage << ": " << Explain(*good);
 
   // A family-mismatched SG rule never matches: v4-any does not admit v6.
   auto sg4 = *net_.CreateSecurityGroup(vpc, "sg4-only");

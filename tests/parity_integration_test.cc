@@ -177,14 +177,14 @@ TEST_F(ParityTest, EveryLegitimateFlowDeliversInBothWorlds) {
     ASSERT_TRUE(base.ok()) << flow.what;
     EXPECT_TRUE(base->delivered)
         << flow.what << " (baseline): " << base->drop_stage << ": "
-        << base->drop_reason;
+        << Explain(*base);
 
     auto decl = declarative_->Evaluate(flow.src, deployment_->Eip(flow.dst),
                                        flow.port, Protocol::kTcp);
     ASSERT_TRUE(decl.ok()) << flow.what;
     EXPECT_TRUE(decl->delivered)
         << flow.what << " (declarative): " << decl->drop_stage << ": "
-        << decl->drop_reason;
+        << Explain(*decl);
   }
 }
 
@@ -222,7 +222,7 @@ TEST_F(ParityTest, SipsLoadBalanceLikeTheBaselineLb) {
         Protocol::kTcp);
     ASSERT_TRUE(result.ok());
     ASSERT_TRUE(result->delivered)
-        << result->drop_stage << ": " << result->drop_reason;
+        << result->drop_stage << ": " << Explain(*result);
     backends.insert(result->effective_dst.ToString());
   }
   EXPECT_EQ(backends.size(), fig_->database.size());
@@ -266,12 +266,12 @@ TEST_F(ParityTest, PublicWebReachableInBothWorlds) {
   auto base = baseline_->EvaluateExternal(client, *web_eni->public_ip,
                                           Fig1Baseline::kWebPort,
                                           Protocol::kTcp);
-  EXPECT_TRUE(base.delivered) << base.drop_stage << ": " << base.drop_reason;
+  EXPECT_TRUE(base.delivered) << base.drop_stage << ": " << Explain(base);
 
   auto decl = declarative_->EvaluateExternal(
       client, deployment_->Eip(fig_->web_eu[0]), Fig1Baseline::kWebPort,
       Protocol::kTcp);
-  EXPECT_TRUE(decl.delivered) << decl.drop_stage << ": " << decl.drop_reason;
+  EXPECT_TRUE(decl.delivered) << decl.drop_stage << ": " << Explain(decl);
 }
 
 TEST_F(ParityTest, DeclarativeFlowsCrossZeroTenantHops) {
@@ -281,7 +281,7 @@ TEST_F(ParityTest, DeclarativeFlowsCrossZeroTenantHops) {
   ASSERT_TRUE(decl.ok());
   ASSERT_TRUE(decl->delivered);
   // Provider hops only (edge filter); no tenant boxes anywhere.
-  for (const std::string& hop : decl->provider_hops) {
+  for (const std::string& hop : decl->provider_hops.Names()) {
     EXPECT_TRUE(hop.rfind("edge-filter", 0) == 0 || hop == "sip-lb") << hop;
   }
   // The baseline's same flow crosses several tenant gateways.

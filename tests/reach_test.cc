@@ -327,7 +327,8 @@ TEST(BaselineReachTest, VerdictsMatchEvaluateExactly) {
           // The stage trace is the evaluator's hop walk plus "deliver".
           ASSERT_EQ(v.stages.size(), e->logical_hops.size() + 1);
           for (size_t i = 0; i < e->logical_hops.size(); ++i) {
-            EXPECT_EQ(RouteLabels().Name(v.stages[i]), e->logical_hops[i]);
+            EXPECT_EQ(RouteLabels().Name(v.stages[i]),
+                      RouteLabels().Name(e->logical_hops[i]));
           }
           EXPECT_EQ(RouteLabels().Name(v.stages.back()), "deliver");
         }

@@ -24,6 +24,7 @@
 #include "src/reach/reach.h"
 #include "src/sim/flow_sim.h"
 #include "src/vnet/fabric.h"
+#include "tests/test_env.h"
 
 namespace tenantnet {
 namespace {
@@ -273,6 +274,7 @@ TEST(EdgeEquivalenceTest, HoldsThroughFaultInjectorStorm) {
 class BaselineEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BaselineEquivalenceTest, CachedEvaluateMatchesUncached) {
+  SCOPED_TRACE("reproduce with TN_SEED=" + std::to_string(GetParam()));
   Rng rng(GetParam());
   TestWorld tw = BuildTestWorld();
   ConfigLedger ledger;
@@ -376,6 +378,10 @@ TEST_P(BaselineEquivalenceTest, CachedEvaluateMatchesUncached) {
             << "round " << round << " port " << port;
         EXPECT_EQ(cached->drop_stage, uncached->drop_stage)
             << "round " << round << " port " << port;
+        // Field for field: hops, reason record, addresses, nodes, policy.
+        EXPECT_EQ(*cached, *uncached)
+            << "round " << round << " port " << port << ": "
+            << Explain(*cached) << " vs " << Explain(*uncached);
         // The reach engine is the third witness: verdict and deny stage
         // must match the staged evaluation exactly.
         EXPECT_EQ(v.reachable, cached->delivered)
@@ -394,7 +400,8 @@ TEST_P(BaselineEquivalenceTest, CachedEvaluateMatchesUncached) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BaselineEquivalenceTest,
-                         ::testing::Values(2, 13, 77, 4096));
+                         ::testing::ValuesIn(test_env::SeedList(
+                             {2, 13, 77, 4096})));
 
 }  // namespace
 }  // namespace tenantnet

@@ -404,8 +404,8 @@ class Shell {
                   d.effective_dst.ToString().c_str(),
                   std::string(EgressPolicyName(d.egress_policy)).c_str());
     } else {
-      std::printf("DROPPED at %s: %s\n", d.drop_stage.c_str(),
-                  d.drop_reason.c_str());
+      std::printf("DROPPED at %s: %s\n", std::string(d.drop_stage).c_str(),
+                  Explain(d).c_str());
     }
   }
 
