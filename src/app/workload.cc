@@ -113,7 +113,9 @@ void RequestWorkload::Start(SimDuration duration) {
   for (size_t i = 0; i < patterns_.size(); ++i) {
     if (patterns_[i].streaming) {
       patterns_[i].arrivals = rng_.Fork();
-      ScheduleNextArrival(i, started, end);
+      patterns_[i].started = started;
+      patterns_[i].end = end;
+      ScheduleNextArrival(i);
       continue;
     }
     Rng arrivals = rng_.Fork();
@@ -129,8 +131,7 @@ void RequestWorkload::Start(SimDuration duration) {
   }
 }
 
-void RequestWorkload::ScheduleNextArrival(size_t pattern_index, SimTime started,
-                                          SimTime end) {
+void RequestWorkload::ScheduleNextArrival(size_t pattern_index) {
   Pattern& pattern = patterns_[pattern_index];
   const double max_rate = pattern.curve.MaxRate();
   if (max_rate <= 0) {
@@ -143,86 +144,91 @@ void RequestWorkload::ScheduleNextArrival(size_t pattern_index, SimTime started,
   SimTime when =
       queue_.now() +
       SimDuration::Seconds(pattern.arrivals.NextExponential(max_rate));
-  if (when >= end) {
+  if (when >= pattern.end) {
     return;
   }
-  queue_.ScheduleAt(when, [this, pattern_index, started, end] {
+  queue_.ScheduleAt(when, [this, pattern_index] {
     Pattern& p = patterns_[pattern_index];
-    const SimDuration elapsed = queue_.now() - started;
+    const SimDuration elapsed = queue_.now() - p.started;
     const double accept = p.curve.RateAt(elapsed) / p.curve.MaxRate();
     if (p.arrivals.NextDouble() < accept) {
       RunTransaction(pattern_index);
     }
-    ScheduleNextArrival(pattern_index, started, end);
+    ScheduleNextArrival(pattern_index);
   });
 }
 
 void RequestWorkload::RunTransaction(size_t pattern_index) {
   Pattern& pattern = patterns_[pattern_index];
   ++pattern.stats.attempted;
-  InstanceId src =
-      pattern.sources[rng_.NextU64(pattern.sources.size())];
-  InstanceId dst =
-      pattern.destinations[rng_.NextU64(pattern.destinations.size())];
-  Attempt(pattern_index, src, dst, queue_.now(), 0);
+  Transaction tx;
+  tx.pattern = pattern_index;
+  tx.src = pattern.sources[rng_.NextU64(pattern.sources.size())];
+  tx.dst = pattern.destinations[rng_.NextU64(pattern.destinations.size())];
+  tx.start = queue_.now();
+  Attempt(transactions_.Alloc(std::move(tx)));
 }
 
-void RequestWorkload::RetryOrGiveUp(size_t pattern_index, InstanceId src,
-                                    InstanceId dst, SimTime start,
-                                    int attempt) {
-  PatternStats& stats = patterns_[pattern_index].stats;
-  if (attempt >= params_.max_retries) {
+void RequestWorkload::RetryOrGiveUp(uint32_t index) {
+  Transaction& tx = transactions_.Get(index);
+  PatternStats& stats = patterns_[tx.pattern].stats;
+  if (tx.attempt >= params_.max_retries) {
     ++stats.gave_up;
     --inflight_;
+    transactions_.Free(index);
     return;
   }
   ++stats.retries;
   SimDuration backoff = params_.retry_base;
-  for (int i = 0; i < attempt && backoff < params_.retry_cap; ++i) {
+  for (int i = 0; i < tx.attempt && backoff < params_.retry_cap; ++i) {
     backoff = backoff * 2.0;
   }
   backoff = std::min(backoff, params_.retry_cap);
   backoff = backoff * (1.0 + params_.retry_jitter * rng_.NextDouble(-1.0, 1.0));
-  queue_.ScheduleAfter(backoff, [this, pattern_index, src, dst, start,
-                                 attempt] {
-    Attempt(pattern_index, src, dst, start, attempt + 1);
-  });
+  ++tx.attempt;
+  queue_.ScheduleAfter(backoff, [this, index] { Attempt(index); });
 }
 
-void RequestWorkload::Attempt(size_t pattern_index, InstanceId src,
-                              InstanceId dst, SimTime start, int attempt) {
-  Pattern& pattern = patterns_[pattern_index];
-  PatternStats& stats = pattern.stats;
+void RequestWorkload::Refuse(uint32_t index, uint32_t stage) {
+  const Transaction& tx = transactions_.Get(index);
+  if (tx.attempt > 0) {
+    // Mid-retry denial (e.g. destination still down): keep backing off.
+    RetryOrGiveUp(index);
+    return;
+  }
+  PatternStats& stats = patterns_[tx.pattern].stats;
+  ++stats.denied;
+  stats.CountDeny(stage);
+  transactions_.Free(index);
+}
+
+void RequestWorkload::Attempt(uint32_t index) {
+  Transaction& tx = transactions_.Get(index);
+  Pattern& pattern = patterns_[tx.pattern];
 
   // Re-resolve on every attempt: faults move routes and health state
   // between tries, and ShortestPath skips downed links, so a retry is also
   // a reroute.
-  ResolvedRoute route = pattern.connector(src, dst);
+  ResolvedRoute route = pattern.connector(tx.src, tx.dst);
   if (!route.allowed) {
-    if (attempt == 0) {
-      ++stats.denied;
-      stats.CountDeny(route.deny_stage);
-      return;
-    }
-    // Mid-retry denial (e.g. destination still down): keep backing off.
-    RetryOrGiveUp(pattern_index, src, dst, start, attempt);
+    Refuse(index, route.deny_stage);
     return;
   }
 
+  // Both directions must have a physical path: links fail per direction,
+  // and the response streams over the reverse one.
   const Topology& topology = world_.topology();
-  auto path = world_.ResolvePath(route.src_node, route.dst_node, route.policy);
-  if (!path.ok()) {
-    if (attempt == 0) {
-      ++stats.denied;
-      static const uint32_t kNoPhysicalPath = DenyStage("no-physical-path");
-      stats.CountDeny(kNoPhysicalPath);
-      return;
-    }
-    RetryOrGiveUp(pattern_index, src, dst, start, attempt);
+  const auto& path =
+      world_.ResolvePath(route.src_node, route.dst_node, route.policy);
+  const auto& reverse_path =
+      path.ok() ? world_.ResolvePath(route.dst_node, route.src_node,
+                                     route.policy)
+                : path;
+  if (!reverse_path.ok()) {
+    static const uint32_t kNoPhysicalPath = DenyStage("no-physical-path");
+    Refuse(index, kNoPhysicalPath);
     return;
   }
-  auto reverse_path =
-      world_.ResolvePath(route.dst_node, route.src_node, route.policy);
 
   SimDuration forward = topology.SamplePathDelay(*path, rng_) +
                         flows_.QueuePenalty(*path, params_.queue_penalty_base,
@@ -233,42 +239,44 @@ void RequestWorkload::Attempt(size_t pattern_index, InstanceId src,
                  params_.response_pareto_alpha;
   double response_bytes =
       rng_.NextPareto(x_min, params_.response_pareto_alpha);
-  response_bytes = std::min(response_bytes, params_.mean_response_bytes * 50);
+  tx.response_bytes =
+      std::min(response_bytes, params_.mean_response_bytes * 50);
 
-  if (attempt == 0) {
+  if (tx.attempt == 0) {
     ++inflight_;
   }
+  tx.rate_cap_bps = route.rate_cap_bps;
+  tx.weight = route.weight;
+  // The one copy of the path: the memo entry dies with the next link
+  // fault, so the transaction keeps its own until StartFlow takes it.
+  tx.response_path = *reverse_path;
   // Request arrives at the server after the forward delay + server time;
   // the response then streams back through the fluid simulator.
-  SimDuration until_response_start =
-      forward + params_.server_time;
-  std::vector<LinkId> response_path =
-      reverse_path.ok() ? *reverse_path : std::vector<LinkId>{};
-  double cap = route.rate_cap_bps;
-  double weight = route.weight;
-  queue_.ScheduleAfter(
-      until_response_start,
-      [this, pattern_index, src, dst, start, attempt, response_bytes,
-       response_path, cap, weight] {
-        SimDuration tail_delay =
-            world_.topology().SamplePathDelay(response_path, rng_);
-        flows_.StartFlow(
-            response_path, response_bytes,
-            [this, pattern_index, start, response_bytes, tail_delay](
-                FlowId, SimTime finish) {
-              Pattern& pat = patterns_[pattern_index];
-              SimDuration total = (finish - start) + tail_delay;
-              pat.stats.latency_ms.Record(total.ToMillis());
-              ++pat.stats.completed;
-              pat.stats.bytes_transferred += response_bytes;
-              --inflight_;
-            },
-            weight, cap,
-            [this, pattern_index, src, dst, start, attempt](FlowId, SimTime) {
-              ++patterns_[pattern_index].stats.aborted;
-              RetryOrGiveUp(pattern_index, src, dst, start, attempt);
-            });
+  queue_.ScheduleAfter(forward + params_.server_time,
+                       [this, index] { StartResponse(index); });
+}
+
+void RequestWorkload::StartResponse(uint32_t index) {
+  Transaction& tx = transactions_.Get(index);
+  tx.tail_delay = world_.topology().SamplePathDelay(tx.response_path, rng_);
+  flows_.StartFlow(
+      std::move(tx.response_path), tx.response_bytes,
+      [this, index](FlowId, SimTime finish) { Complete(index, finish); },
+      tx.weight, tx.rate_cap_bps, [this, index](FlowId, SimTime) {
+        ++patterns_[transactions_.Get(index).pattern].stats.aborted;
+        RetryOrGiveUp(index);
       });
+}
+
+void RequestWorkload::Complete(uint32_t index, SimTime finish) {
+  const Transaction& tx = transactions_.Get(index);
+  PatternStats& stats = patterns_[tx.pattern].stats;
+  SimDuration total = (finish - tx.start) + tx.tail_delay;
+  stats.latency_ms.Record(total.ToMillis());
+  ++stats.completed;
+  stats.bytes_transferred += tx.response_bytes;
+  --inflight_;
+  transactions_.Free(index);
 }
 
 }  // namespace tenantnet

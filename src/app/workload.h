@@ -204,27 +204,52 @@ class RequestWorkload {
     PatternStats stats;
     // Streaming mode: the rate curve, a private arrival RNG (forked at
     // Start() so pre-scheduled and streaming draws never interleave), and
-    // the one pending candidate arrival.
+    // the window [started, end) that Start() opened for its candidates.
     bool streaming = false;
     RateCurve curve;
     Rng arrivals{0};  // re-seeded by Fork() at Start()
+    SimTime started;
+    SimTime end;
+  };
+
+  // One transaction, held in a slab slot from its first attempt until it
+  // completes, is denied or gives up. Every event and flow callback a
+  // transaction schedules captures only (this, slot index), which fits
+  // std::function's inline buffer, and recycled slots make the steady
+  // state allocation-free apart from the response flow itself.
+  struct Transaction {
+    size_t pattern = 0;
+    InstanceId src;
+    InstanceId dst;
+    SimTime start;  // of attempt 0: latency includes every backoff
+    int attempt = 0;
+    double response_bytes = 0;
+    double rate_cap_bps = 0;
+    double weight = 1.0;
+    SimDuration tail_delay;
+    // The reverse path, copied from the path memo when the attempt is
+    // admitted and handed to StartFlow when the response starts.
+    std::vector<LinkId> response_path;
   };
 
   // Streaming arrival engine: schedules the pattern's next candidate at
   // Exp(MaxRate) ahead and accepts it with probability RateAt/MaxRate.
-  void ScheduleNextArrival(size_t pattern_index, SimTime started, SimTime end);
+  void ScheduleNextArrival(size_t pattern_index);
 
   void RunTransaction(size_t pattern_index);
-  // One (re)try of a transaction: resolve, fly the request, stream the
-  // response. `attempt` 0 is the original; retries keep the original
-  // `start` so latency includes every backoff.
-  void Attempt(size_t pattern_index, InstanceId src, InstanceId dst,
-               SimTime start, int attempt);
-  // Retry `attempt+1` after backoff, or give up. `attempt` is the attempt
-  // that just failed. Callers have already counted the transaction in
-  // inflight_.
-  void RetryOrGiveUp(size_t pattern_index, InstanceId src, InstanceId dst,
-                     SimTime start, int attempt);
+  // The methods below take the transaction's slot index.
+  // One (re)try: resolve, fly the request, schedule the response. Attempt
+  // 0 is the original; retries keep the original start.
+  void Attempt(uint32_t index);
+  // An attempt that could not start: attempt 0 is denied under `stage`, a
+  // retry backs off again or gives up.
+  void Refuse(uint32_t index, uint32_t stage);
+  // The request reached the server: stream the response back.
+  void StartResponse(uint32_t index);
+  void Complete(uint32_t index, SimTime finish);
+  // Retry after backoff, or give up if the attempt that just failed was
+  // the last allowed. The transaction is already counted in inflight_.
+  void RetryOrGiveUp(uint32_t index);
 
   EventQueue& queue_;
   FlowControlSurface& flows_;
@@ -232,6 +257,7 @@ class RequestWorkload {
   WorkloadParams params_;
   Rng rng_;
   std::vector<Pattern> patterns_;
+  Slab<Transaction> transactions_;
   uint64_t inflight_ = 0;
 };
 

@@ -405,8 +405,8 @@ size_t CloudWorld::PathKeyHash::operator()(const PathKey& key) const {
   return static_cast<size_t>(h ^ static_cast<uint64_t>(key.policy));
 }
 
-Result<std::vector<LinkId>> CloudWorld::ResolvePath(NodeId src, NodeId dst,
-                                                    EgressPolicy policy) const {
+const Result<std::vector<LinkId>>& CloudWorld::ResolvePath(
+    NodeId src, NodeId dst, EgressPolicy policy) const {
   if (path_memo_revision_ != topology_.revision()) {
     path_memo_.clear();
     path_memo_revision_ = topology_.revision();

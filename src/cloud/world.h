@@ -208,10 +208,13 @@ class CloudWorld {
   // topology().ShortestPath(src, dst, PathCost(policy)), memoized per
   // (src, dst, policy) — failures included — until topology().revision()
   // moves, so the call after a link fault or a new link re-resolves.
+  // The result is a reference into the memo. It stays valid until the
+  // first ResolvePath call after topology().revision() moves, which clears
+  // the memo; copy it (`auto path = ResolvePath(...)`) to keep it longer.
   // Not thread-safe: this const call writes the mutable memo. Like the
   // verdict caches, it belongs to the simulating thread.
-  Result<std::vector<LinkId>> ResolvePath(NodeId src, NodeId dst,
-                                          EgressPolicy policy) const;
+  const Result<std::vector<LinkId>>& ResolvePath(NodeId src, NodeId dst,
+                                                 EgressPolicy policy) const;
 
   // The link cost each egress policy routes by.
   static Topology::CostFn PathCost(EgressPolicy policy);

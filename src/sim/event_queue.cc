@@ -1,9 +1,58 @@
 #include "src/sim/event_queue.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace tenantnet {
+
+uint32_t EventQueue::PendingSlot(EventHandle handle) const {
+  if (handle.slot_ == 0 || handle.slot_ > slots_.size() ||
+      slots_[handle.slot_ - 1].seq != handle.seq_) {
+    return kNoSlot;  // never scheduled, fired, cancelled or rescheduled
+  }
+  return handle.slot_ - 1;
+}
+
+void EventQueue::Sift(size_t pos, HeapItem item) {
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / kArity;
+    if (!Before(item, heap_[parent])) {
+      break;
+    }
+    Place(pos, heap_[parent]);
+    pos = parent;
+  }
+  // After any move toward the root, every child here is later than `item`
+  // and this loop stops at once.
+  for (;;) {
+    const size_t first = pos * kArity + 1;
+    if (first >= heap_.size()) {
+      break;
+    }
+    const size_t end = std::min(first + kArity, heap_.size());
+    size_t best = first;
+    for (size_t child = first + 1; child < end; ++child) {
+      if (Before(heap_[child], heap_[best])) {
+        best = child;
+      }
+    }
+    if (!Before(heap_[best], item)) {
+      break;
+    }
+    Place(pos, heap_[best]);
+    pos = best;
+  }
+  Place(pos, item);
+}
+
+void EventQueue::RemoveAt(size_t pos) {
+  const HeapItem last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    Sift(pos, last);
+  }
+}
 
 void EventQueue::ReleaseSlot(uint32_t slot) {
   slots_[slot].fn = nullptr;
@@ -27,8 +76,8 @@ EventHandle EventQueue::ScheduleAt(SimTime when, Callback fn) {
   }
   slots_[slot].fn = std::move(fn);
   slots_[slot].seq = seq;
-  heap_.push(HeapItem{when, seq, slot});
-  ++live_count_;
+  heap_.emplace_back();
+  Sift(heap_.size() - 1, HeapItem{when, seq, slot});
   return EventHandle(slot + 1, seq);
 }
 
@@ -37,42 +86,43 @@ EventHandle EventQueue::ScheduleAfter(SimDuration delay, Callback fn) {
 }
 
 void EventQueue::Cancel(EventHandle handle) {
-  if (!handle.valid() || handle.slot_ == 0) {
+  const uint32_t slot = PendingSlot(handle);
+  if (slot == kNoSlot) {
     return;
   }
-  uint32_t slot = handle.slot_ - 1;
-  if (slot >= slots_.size() || slots_[slot].seq != handle.seq_) {
-    return;  // already fired, cancelled, or slot recycled for a newer event
-  }
+  RemoveAt(slots_[slot].heap_pos);
   ReleaseSlot(slot);
-  --live_count_;
-  // The heap item stays behind; it is discarded on pop (seq mismatch).
+}
+
+EventHandle EventQueue::Reschedule(EventHandle handle, SimTime when) {
+  const uint32_t slot = PendingSlot(handle);
+  if (slot == kNoSlot) {
+    return EventHandle();
+  }
+  assert(when >= now_ && "cannot schedule in the past");
+  if (when < now_) {
+    when = now_;
+  }
+  const uint64_t seq = next_seq_++;
+  slots_[slot].seq = seq;
+  Sift(slots_[slot].heap_pos, HeapItem{when, seq, slot});
+  return EventHandle(slot + 1, seq);
 }
 
 bool EventQueue::Step() {
-  while (!heap_.empty()) {
-    HeapItem item = heap_.top();
-    heap_.pop();
-    if (Stale(item)) {
-      continue;  // cancelled (slot possibly already recycled)
-    }
-    // Detach the callback and free the slot before running: the callback
-    // may schedule or cancel other events, including reusing this slot.
-    Callback fn = std::move(slots_[item.slot].fn);
-    ReleaseSlot(item.slot);
-    --live_count_;
-    now_ = item.when;
-    fn();
-    return true;
+  if (heap_.empty()) {
+    return false;
   }
-  return false;
-}
-
-SimTime EventQueue::NextEventTime() {
-  while (!heap_.empty() && Stale(heap_.top())) {
-    heap_.pop();
-  }
-  return heap_.empty() ? SimTime::Infinite() : heap_.top().when;
+  const HeapItem top = heap_.front();
+  RemoveAt(0);
+  // Detach the callback and free the slot before running: the callback
+  // may schedule, cancel or reschedule other events, including reusing
+  // this slot.
+  Callback fn = std::move(slots_[top.slot].fn);
+  ReleaseSlot(top.slot);
+  now_ = top.when;
+  fn();
+  return true;
 }
 
 void EventQueue::AdvanceTo(SimTime t) {
@@ -83,17 +133,9 @@ void EventQueue::AdvanceTo(SimTime t) {
 
 uint64_t EventQueue::RunUntil(SimTime deadline) {
   uint64_t fired = 0;
-  for (;;) {
-    // Skim stale entries to find the real next event time.
-    while (!heap_.empty() && Stale(heap_.top())) {
-      heap_.pop();
-    }
-    if (heap_.empty() || heap_.top().when > deadline) {
-      break;
-    }
-    if (Step()) {
-      ++fired;
-    }
+  while (!heap_.empty() && heap_.front().when <= deadline) {
+    Step();
+    ++fired;
   }
   if (deadline != SimTime::Infinite() && deadline > now_) {
     now_ = deadline;

@@ -134,8 +134,9 @@ void FlowSim::RemoveFlowFromLinks(FlowId id, LiveFlow& flow) {
 FlowId FlowSim::StartFlow(std::vector<LinkId> path, double bytes,
                           CompletionFn on_complete, double weight,
                           double rate_cap_bps, AbortFn on_abort) {
-  assert(bytes >= 0);
-  assert(weight > 0);
+  if (!ValidFlowStart(bytes, weight)) {
+    return FlowId();
+  }
   FlowId id = flow_ids_.Next();
   SimTime now = queue_.now();
   if (path.empty()) {
@@ -957,21 +958,27 @@ void FlowSim::CommitFill() {
         flow->completion_event.valid()) {
       continue;  // same slope: the scheduled finish time is still exact
     }
-    queue_.Cancel(flow->completion_event);
-    flow->completion_event = EventHandle();
+    SimTime finish;
     if (flow->state.bytes_left <= 0) {
+      finish = now;
+    } else if (new_rate > 0) {
+      finish = now + SimDuration::Seconds(flow->state.bytes_left * 8.0 /
+                                          new_rate);
+    } else {
+      // Stalled (zero cap or downed link); waits for a change.
+      queue_.Cancel(flow->completion_event);
+      flow->completion_event = EventHandle();
+      continue;
+    }
+    // Move a pending completion in place; schedule the first one.
+    flow->completion_event =
+        queue_.Reschedule(flow->completion_event, finish);
+    if (!flow->completion_event.valid()) {
       FlowId id = fid;
       flow->completion_event =
-          queue_.ScheduleAt(now, [this, id] { HandleCompletion(id); });
-      ++flows_rescheduled_;
-    } else if (new_rate > 0) {
-      double seconds = flow->state.bytes_left * 8.0 / new_rate;
-      FlowId id = fid;
-      flow->completion_event = queue_.ScheduleAfter(
-          SimDuration::Seconds(seconds), [this, id] { HandleCompletion(id); });
-      ++flows_rescheduled_;
+          queue_.ScheduleAt(finish, [this, id] { HandleCompletion(id); });
     }
-    // else: stalled (zero cap or downed link); waits for a change.
+    ++flows_rescheduled_;
   }
 }
 

@@ -74,6 +74,7 @@ class FlowSim final : public FlowControlSurface {
   // (same-node transfer). If `on_abort` is set, a link fault on the path
   // aborts the flow and fires it; without one the flow stalls at rate 0
   // until the link recovers (a blackhole, counted in the fault telemetry).
+  // Arguments that break ValidFlowStart are refused: FlowId() comes back.
   FlowId StartFlow(std::vector<LinkId> path, double bytes,
                    CompletionFn on_complete, double weight = 1.0,
                    double rate_cap_bps = std::numeric_limits<double>::infinity(),

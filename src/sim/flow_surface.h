@@ -53,6 +53,14 @@ inline SimDuration QueuePenaltyForUtilization(double utilization,
   return penalty < per_link_cap ? penalty : per_link_cap;
 }
 
+// The StartFlow contract both executors enforce: `bytes` is a number >= 0
+// (infinity for a persistent flow; NaN is refused) and `weight` passes
+// SetWeight's rule, > 0 (which also refuses NaN). A refused start returns
+// the invalid FlowId() and registers, schedules and calls back nothing.
+inline bool ValidFlowStart(double bytes, double weight) {
+  return bytes >= 0 && weight > 0;
+}
+
 class FlowControlSurface {
  public:
   using CompletionFn = std::function<void(FlowId, SimTime finish)>;
@@ -68,6 +76,7 @@ class FlowControlSurface {
   // (same-node transfer). If `on_abort` is set, a link fault on the path
   // aborts the flow and fires it; without one the flow stalls at rate 0
   // until the link recovers (a blackhole, counted in the fault telemetry).
+  // Arguments that break ValidFlowStart are refused: FlowId() comes back.
   virtual FlowId StartFlow(
       std::vector<LinkId> path, double bytes, CompletionFn on_complete,
       double weight = 1.0,

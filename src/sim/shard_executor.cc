@@ -260,6 +260,9 @@ void ShardExecutor::ReconcileLeases() {
 FlowId ShardExecutor::StartFlow(std::vector<LinkId> path, double bytes,
                                 CompletionFn on_complete, double weight,
                                 double rate_cap_bps, AbortFn on_abort) {
+  if (!ValidFlowStart(bytes, weight)) {
+    return FlowId();
+  }
   bool crossing = false;
   uint32_t shard = HomeShardOfPath(path, &crossing);
   FlowId global_id = global_ids_.Next();

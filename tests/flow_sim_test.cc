@@ -7,6 +7,8 @@
 #include <limits>
 #include <map>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/sim/flow_sim.h"
@@ -194,6 +196,39 @@ TEST(FlowSimTest, UnknownFlowOperationsFail) {
   EXPECT_EQ(sim.SetRateCap(FlowId(999), 1).code(), StatusCode::kNotFound);
   EXPECT_FALSE(sim.CurrentRate(FlowId(999)).ok());
   EXPECT_EQ(sim.FindFlow(FlowId(999)), nullptr);
+}
+
+// StartFlow's contract holds without assert, so in Release builds too: NaN
+// or negative bytes, and a weight SetWeight would refuse, come back as
+// FlowId() with nothing registered, scheduled or called back.
+TEST(FlowSimTest, InvalidStartsAreRefused) {
+  Line w;
+  FlowSim sim(w.queue, w.topo);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  int callbacks = 0;
+  auto count = [&callbacks](FlowId, SimTime) { ++callbacks; };
+  const std::vector<std::pair<double, double>> refused = {
+      {-1.0, 1.0}, {nan, 1.0}, {1e6, 0.0}, {1e6, -2.0}, {1e6, nan}};
+  for (auto [bytes, weight] : refused) {
+    for (const std::vector<LinkId>& path :
+         {std::vector<LinkId>{w.ab, w.bc}, std::vector<LinkId>{}}) {
+      EXPECT_FALSE(
+          sim.StartFlow(path, bytes, count, weight, inf, count).valid())
+          << bytes << " bytes, weight " << weight;
+    }
+  }
+  EXPECT_FALSE(sim.StartPersistentFlow({w.ab}, 0.0).valid());
+  EXPECT_EQ(sim.active_flow_count(), 0u);
+  EXPECT_EQ(sim.reallocation_count(), 0u);
+  EXPECT_TRUE(w.queue.empty());
+  EXPECT_EQ(w.queue.RunAll(), 0u);
+  EXPECT_EQ(callbacks, 0);
+  EXPECT_EQ(sim.total_bytes_delivered(), 0.0);
+  // No id was spent on the refused starts.
+  EXPECT_EQ(sim.StartFlow({w.ab}, 1e6, count), FlowId(1));
+  w.queue.RunAll();
+  EXPECT_EQ(callbacks, 1);
 }
 
 // Property: on random topologies with random weighted/capped flows, the

@@ -18,6 +18,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <algorithm>
@@ -412,6 +413,38 @@ TEST(ShardExecutorTest, UnmatchedEndBatchIsACountedNoOp) {
   EXPECT_EQ(exec.unmatched_end_batches(), 1u);
   exec.RunAll();
   EXPECT_EQ(exec.active_flow_count(), 0u);
+}
+
+// The executor refuses what FlowSim refuses, before it spends a global
+// id: no mapping, no shard flow, no callback.
+TEST(ShardExecutorTest, InvalidStartsAreRefused) {
+  EventQueue control;
+  std::vector<std::vector<LinkId>> islands;
+  Topology topo = BuildIslands(&islands);
+  ShardExecutor::Options opts;
+  opts.num_threads = 2;
+  ShardExecutor exec(control, topo, opts);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  int callbacks = 0;
+  auto count = [&callbacks](FlowId, SimTime) { ++callbacks; };
+  const std::vector<std::pair<double, double>> refused = {
+      {-1.0, 1.0}, {nan, 1.0}, {1e6, 0.0}, {1e6, -2.0}, {1e6, nan}};
+  for (auto [bytes, weight] : refused) {
+    EXPECT_FALSE(exec.StartFlow({islands[0][0], islands[0][1]}, bytes, count,
+                                weight,
+                                std::numeric_limits<double>::infinity(), count)
+                     .valid())
+        << bytes << " bytes, weight " << weight;
+  }
+  EXPECT_FALSE(exec.StartPersistentFlow({islands[1][0]}, 0.0).valid());
+  EXPECT_EQ(exec.active_flow_count(), 0u);
+  EXPECT_EQ(exec.reallocation_count(), 0u);
+  EXPECT_EQ(exec.shared_link_count(), 0u);
+  EXPECT_EQ(exec.RunAll(), 0u);
+  EXPECT_EQ(callbacks, 0);
+  EXPECT_EQ(exec.StartFlow({islands[0][0]}, 1e6, count), FlowId(1));
+  exec.RunAll();
+  EXPECT_EQ(callbacks, 1);
 }
 
 TEST(ShardExecutorTest, FaultsLandOnTheOwningShard) {

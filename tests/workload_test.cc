@@ -248,5 +248,48 @@ TEST_F(WorkloadTest, TransactionsAfterALinkFaultTakeTheOtherPath) {
   EXPECT_EQ(flows_.bytes_blackholed(), blackholed_before);
 }
 
+// Links fail per direction. With every link out of the west host down, a
+// request still reaches the server but its response has no way back: each
+// such attempt is denied as no-physical-path, not answered instantly over
+// an empty path.
+TEST_F(WorkloadTest, TransactionsWithoutAReturnPathAreDenied) {
+  MetricRegistry metrics;
+  FaultInjector injector(queue_, tw_.world->topology(), flows_,
+                         tw_.world.get(), metrics, {});
+  size_t p = workload_.AddPattern("east-west", {east_a_}, {west_}, 50.0,
+                                  AllowAll());
+  workload_.Start(SimDuration::Seconds(10));
+  while (workload_.stats(p).completed < 5 || workload_.inflight() > 0) {
+    ASSERT_TRUE(queue_.Step());
+  }
+  const Topology& topology = tw_.world->topology();
+  NodeId east = tw_.world->FindInstance(east_a_)->host_node;
+  NodeId west = tw_.world->FindInstance(west_)->host_node;
+  ASSERT_FALSE(topology.OutLinks(west).empty());
+  for (LinkId link : topology.OutLinks(west)) {
+    FaultSpec fault;
+    fault.kind = FaultKind::kLinkDown;
+    fault.link = link;
+    fault.duration = SimDuration::Seconds(60);
+    ASSERT_TRUE(injector.InjectNow(fault).ok());
+  }
+  ASSERT_TRUE(
+      tw_.world->ResolvePath(east, west, EgressPolicy::kColdPotato).ok());
+  ASSERT_FALSE(
+      tw_.world->ResolvePath(west, east, EgressPolicy::kColdPotato).ok());
+  const PatternStats& stats = workload_.stats(p);
+  const uint64_t attempted_before = stats.attempted;
+  const uint64_t completed_before = stats.completed;
+  ASSERT_EQ(stats.denied, 0u);
+
+  queue_.RunUntil(SimTime::FromSeconds(30));
+  EXPECT_GT(stats.attempted, attempted_before + 100);
+  EXPECT_EQ(stats.denied, stats.attempted - attempted_before);
+  EXPECT_EQ(stats.DenyByStage().at("no-physical-path"), stats.denied);
+  EXPECT_EQ(stats.completed, completed_before);
+  EXPECT_EQ(workload_.inflight(), 0u);
+  EXPECT_EQ(flows_.active_flow_count(), 0u);
+}
+
 }  // namespace
 }  // namespace tenantnet
