@@ -10,8 +10,9 @@
 //   * the same state's modeled pre-diet footprint — node-per-bit heap trie
 //     for the RIB (~72 bytes per bit-node) and per-endpoint list copies in
 //     nested hash maps for the bank — and the reduction factor (>= 4x).
-//   * warm verdicts/s through the cached data plane at full population
-//     (the E4b fast path must survive the diet; gated against baseline).
+//   * verdicts/s through the data plane at full population, and the
+//     admitted count of the seeded queries (the E4b verdict path must
+//     survive the diet; both gated).
 //   * churn convergence: permit-list reinstalls/s against the fully
 //     populated bank (intern hit + version bump + epoch bump per op).
 //   * streaming open-loop generator flatness: pending event-queue entries
@@ -171,16 +172,16 @@ StreamingProbe ProbeStreamingFlatness(uint64_t endpoints) {
 void RunSweep(BenchJsonWriter& json, bool smoke) {
   TablePrinter table({10, 9, 12, 11, 12, 9, 12, 12, 10});
   table.Row({"endpoints", "lists", "rib B/ep", "bank B/ep", "prediet B/ep",
-             "redux", "warm v/s", "churn i/s", "peakRSS MB"});
+             "redux", "verdicts/s", "churn i/s", "peakRSS MB"});
   table.Rule();
 
   std::vector<uint64_t> sizes =
       smoke ? std::vector<uint64_t>{100000, 1000000}
             : std::vector<uint64_t>{100000, 250000, 500000, 1000000};
   const size_t kQueries = 16384;
-  // Warm throughput is measured best-of-3 with enough passes for a ~50ms
-  // window; single-digit-ms windows are noise on shared runners.
-  const int kWarmPasses = 16;
+  // Throughput is measured best-of-3 with enough passes for a window of
+  // tens of ms; single-digit-ms windows are noise on shared runners.
+  const int kPasses = 16;
   const uint64_t kChurnOps = smoke ? 20000 : 50000;
 
   for (uint64_t endpoints : sizes) {
@@ -198,9 +199,7 @@ void RunSweep(BenchJsonWriter& json, bool smoke) {
     rib.ShrinkToFit();
 
     // --- Build the permit bank: interned cohort lists. --------------------
-    EdgeFilterParams params;
-    params.verdict_cache_slots = 1 << 19;
-    EdgeFilterBank bank("p", nullptr, 1, params);
+    EdgeFilterBank bank("p", nullptr, 1);
     for (size_t e = 0; e < kEdges; ++e) {
       bank.AddEdge("edge" + std::to_string(e));
     }
@@ -226,7 +225,7 @@ void RunSweep(BenchJsonWriter& json, bool smoke) {
     MetricRegistry metrics;
     bank.PublishMemoryGauges(metrics);
 
-    // --- Warm verdict throughput at full population. ----------------------
+    // --- Verdict throughput at full population. ---------------------------
     Rng rng(42);
     std::vector<FiveTuple> queries;
     queries.reserve(kQueries);
@@ -256,25 +255,15 @@ void RunSweep(BenchJsonWriter& json, bool smoke) {
       }
       queries.push_back(flow);
     }
-    auto [cold_vps, cold_admits] = MeasureVerdicts(
-        queries, 1, [&](const FiveTuple& q) { return bank.Admits(0, q); });
-    bank.ResetVerdictCacheStats();
-    double warm_vps = 0;
-    uint64_t warm_admits = 0;
+    double verdict_vps = 0;
+    uint64_t admitted = 0;
     for (int rep = 0; rep < 3; ++rep) {
       auto [vps, admits] = MeasureVerdicts(
-          queries, kWarmPasses,
+          queries, kPasses,
           [&](const FiveTuple& q) { return bank.Admits(0, q); });
-      warm_vps = std::max(warm_vps, vps);
-      warm_admits = admits;
+      verdict_vps = std::max(verdict_vps, vps);
+      admitted = admits;
     }
-    if (warm_admits != cold_admits) {
-      std::printf("VERDICT MISMATCH: cold=%llu warm=%llu\n",
-                  static_cast<unsigned long long>(cold_admits),
-                  static_cast<unsigned long long>(warm_admits));
-      return;
-    }
-    const double warm_hit = bank.verdict_cache_stats().hit_rate();
 
     // --- Churn: reinstalls/s against the populated bank. ------------------
     auto churn_start = std::chrono::steady_clock::now();
@@ -299,7 +288,7 @@ void RunSweep(BenchJsonWriter& json, bool smoke) {
                FmtF(static_cast<double>(rib_bytes) / endpoints, 1),
                FmtF(static_cast<double>(bank_bytes) / endpoints, 1),
                FmtF(prediet_per_ep, 0), FmtF(reduction, 1) + "x",
-               FmtF(warm_vps, 0), FmtF(churn_installs_per_s, 0),
+               FmtF(verdict_vps, 0), FmtF(churn_installs_per_s, 0),
                FmtF(static_cast<double>(peak_rss) / (1 << 20), 0)});
     json.Recordf(
         "{\"bench\":\"million_diet\",\"endpoints\":%llu,"
@@ -308,7 +297,7 @@ void RunSweep(BenchJsonWriter& json, bool smoke) {
         "\"bytes_per_endpoint\":%.1f,"
         "\"modeled_prediet_bytes_per_endpoint\":%.1f,"
         "\"reduction_vs_prediet\":%.2f,"
-        "\"cold_vps\":%.0f,\"warm_vps\":%.0f,\"warm_hit_rate\":%.4f,"
+        "\"verdict_vps\":%.0f,\"admitted\":%llu,"
         "\"churn_installs_per_s\":%.0f,"
         "\"streaming_pending_events\":%llu,"
         "\"streaming_equivalent_transactions\":%llu,"
@@ -318,7 +307,8 @@ void RunSweep(BenchJsonWriter& json, bool smoke) {
         static_cast<unsigned long long>(bank.distinct_permit_sets()),
         static_cast<unsigned long long>(rib_bytes),
         static_cast<unsigned long long>(bank_bytes), bytes_per_ep,
-        prediet_per_ep, reduction, cold_vps, warm_vps, warm_hit,
+        prediet_per_ep, reduction, verdict_vps,
+        static_cast<unsigned long long>(admitted),
         churn_installs_per_s,
         static_cast<unsigned long long>(probe.pending_events),
         static_cast<unsigned long long>(probe.equivalent_transactions),

@@ -9,10 +9,10 @@
 //     permit-list updates on the affected partners. Reports update
 //     messages per simulated second and the install-convergence latency
 //     distribution (time until the *last* edge applies an update).
-//  3. Verdict fast path: cold/warm/churn verdict throughput of the cached
-//     data plane (Admits) against the compiled-uncached matcher and the
-//     original linear scan, plus compile cost and cache hit rates. JSON
-//     rows land in BENCH_scale_permits.json for the CI regression gate.
+//  3. Verdict path: verdict throughput of the data plane (Admits, the
+//     compiled matcher) against the original linear scan, the admitted
+//     count of the seeded queries, and compile cost. JSON rows land in
+//     BENCH_scale_permits.json for the CI regression gate.
 //
 // Args: `--smoke` shrinks the sweeps for CI; `--json_out=<path>` moves the
 // JSON artifact.
@@ -165,7 +165,7 @@ void ChurnReplay(bool smoke) {
 
 // Wall-clock verdicts/sec of `verdict(flow)` over `passes` passes of the
 // query set. The admitted count defeats dead-code elimination and doubles
-// as an equivalence check between the three data-plane paths.
+// as an equivalence check between the two data-plane paths.
 template <typename Fn>
 std::pair<double, uint64_t> MeasureVerdicts(
     const std::vector<FiveTuple>& queries, int passes, Fn&& verdict) {
@@ -188,11 +188,10 @@ std::pair<double, uint64_t> MeasureVerdicts(
 }
 
 void VerdictSweep(BenchJsonWriter& json, bool smoke) {
-  std::printf(
-      "\nVerdict fast path: compiled matchers + generational cache\n");
-  TablePrinter table({10, 11, 12, 12, 12, 12, 12, 10, 9});
-  table.Row({"endpoints", "compile ms", "linear v/s", "uncached", "cold",
-             "warm", "churn", "warm hit%", "speedup"});
+  std::printf("\nVerdict path: compiled matchers vs the linear scan\n");
+  TablePrinter table({10, 11, 12, 12, 10, 9});
+  table.Row({"endpoints", "compile ms", "linear v/s", "compiled v/s",
+             "admitted", "speedup"});
   table.Rule();
 
   const uint64_t kEntriesPerEp = 16;
@@ -200,12 +199,10 @@ void VerdictSweep(BenchJsonWriter& json, bool smoke) {
       smoke ? std::vector<uint64_t>{1000} : std::vector<uint64_t>{10000,
                                                                   100000};
   const size_t kQueries = smoke ? 16384 : 65536;
-  const int kWarmPasses = smoke ? 4 : 6;
+  const int kPasses = smoke ? 4 : 6;
 
   for (uint64_t endpoints : sizes) {
-    EdgeFilterParams params;
-    params.verdict_cache_slots = 1 << 19;  // queries fit: warm ≈ all hits
-    EdgeFilterBank bank("p", nullptr, 1, params);
+    EdgeFilterBank bank("p", nullptr, 1);
     bank.AddEdge("edge0");
 
     // One shared group every list references (exercises the member-snapshot
@@ -292,90 +289,36 @@ void VerdictSweep(BenchJsonWriter& json, bool smoke) {
     auto [linear_vps, linear_admits] = MeasureVerdicts(
         queries, 1,
         [&](const FiveTuple& q) { return bank.AdmitsLinear(0, q); });
-    auto [uncached_vps, uncached_admits] = MeasureVerdicts(
-        queries, 2,
-        [&](const FiveTuple& q) { return bank.AdmitsUncached(0, q); });
-
-    bank.ClearVerdictCache();
-    bank.ResetVerdictCacheStats();
-    auto [cold_vps, cold_admits] = MeasureVerdicts(
-        queries, 1, [&](const FiveTuple& q) { return bank.Admits(0, q); });
-
-    bank.ResetVerdictCacheStats();
-    auto [warm_vps, warm_admits] = MeasureVerdicts(
-        queries, kWarmPasses,
+    auto [verdict_vps, admitted] = MeasureVerdicts(
+        queries, kPasses,
         [&](const FiveTuple& q) { return bank.Admits(0, q); });
-    double warm_hit = bank.verdict_cache_stats().hit_rate();
-
-    if (linear_admits != uncached_admits || linear_admits != cold_admits ||
-        linear_admits != warm_admits) {
-      std::printf("VERDICT MISMATCH: linear=%llu uncached=%llu cold=%llu "
-                  "warm=%llu\n",
+    if (admitted != linear_admits) {
+      std::printf("VERDICT MISMATCH: linear=%llu compiled=%llu\n",
                   static_cast<unsigned long long>(linear_admits),
-                  static_cast<unsigned long long>(uncached_admits),
-                  static_cast<unsigned long long>(cold_admits),
-                  static_cast<unsigned long long>(warm_admits));
+                  static_cast<unsigned long long>(admitted));
       return;
     }
 
-    // Churn: every 1024 verdicts one endpoint's list is reinstalled.
-    // Scoped epochs mean only that endpoint's cached verdicts go stale;
-    // throughput should stay near warm, not collapse to cold.
-    bank.ResetVerdictCacheStats();
-    uint64_t churn_counter = 0;
-    uint64_t churn_victim = 0;
-    auto [churn_vps, churn_admits] = MeasureVerdicts(
-        queries, kWarmPasses, [&](const FiveTuple& q) {
-          if ((++churn_counter & 1023) == 0) {
-            uint64_t ep = churn_victim++ % endpoints;
-            std::vector<PermitEntry> permits;
-            for (uint64_t k = 0; k < 13; ++k) {
-              PermitEntry e;
-              e.source = IpPrefix::Host(host_src(ep, k));
-              permits.push_back(e);
-            }
-            PermitEntry cidr;
-            cidr.source = *IpPrefix::Parse("10.200.0.0/16");
-            cidr.dst_ports = PortRange::Single(8080);
-            permits.push_back(cidr);
-            PermitEntry grp;
-            grp.source_group = group;
-            grp.proto = Protocol::kTcp;
-            grp.dst_ports = PortRange::Single(443);
-            permits.push_back(grp);
-            PermitEntry udp;
-            udp.source = *IpPrefix::Parse("11.0.0.0/8");
-            udp.proto = Protocol::kUdp;
-            permits.push_back(udp);
-            bank.SetPermitList(ep_addr(ep), std::move(permits));
-          }
-          return bank.Admits(0, q);
-        });
-    (void)churn_admits;  // identical lists: verdicts unchanged by churn
-    double churn_hit = bank.verdict_cache_stats().hit_rate();
-
-    double speedup = warm_vps / linear_vps;
+    double speedup = verdict_vps / linear_vps;
     table.Row({FmtInt(endpoints), FmtF(compile_ms, 1), FmtF(linear_vps, 0),
-               FmtF(uncached_vps, 0), FmtF(cold_vps, 0), FmtF(warm_vps, 0),
-               FmtF(churn_vps, 0), FmtF(warm_hit * 100.0, 1),
-               FmtF(speedup, 1)});
+               FmtF(verdict_vps, 0), FmtInt(admitted), FmtF(speedup, 1)});
     json.Recordf(
         "{\"bench\":\"scale_permits_verdict\",\"endpoints\":%llu,"
         "\"entries_per_ep\":%llu,\"compiles\":%llu,\"compile_ms\":%.2f,"
-        "\"linear_vps\":%.0f,\"uncached_vps\":%.0f,\"cold_vps\":%.0f,"
-        "\"warm_vps\":%.0f,\"churn_vps\":%.0f,\"warm_hit_rate\":%.4f,"
-        "\"churn_hit_rate\":%.4f,\"speedup_warm_vs_linear\":%.2f}",
+        "\"linear_vps\":%.0f,\"verdict_vps\":%.0f,\"admitted\":%llu,"
+        "\"speedup_vs_linear\":%.2f}",
         static_cast<unsigned long long>(endpoints),
         static_cast<unsigned long long>(kEntriesPerEp),
         static_cast<unsigned long long>(bank.permit_compiles()), compile_ms,
-        linear_vps, uncached_vps, cold_vps, warm_vps, churn_vps, warm_hit,
-        churn_hit, speedup);
+        linear_vps, verdict_vps, static_cast<unsigned long long>(admitted),
+        speedup);
   }
   std::printf(
-      "Warm verdicts are one cache probe + generation compares; churn only\n"
-      "invalidates the mutated endpoint's verdicts (scoped epochs), so\n"
-      "throughput under churn tracks warm, not cold. Compile cost is paid\n"
-      "once per list update, off the data path.\n");
+      "A verdict is one walk of the endpoint's compiled list: the covering\n"
+      "prefixes of the source, then one member probe per referenced group.\n"
+      "Compile cost is paid once per distinct list update, off the data\n"
+      "path. Nothing is memoized: the first verdict costs what any other\n"
+      "does.\n");
 }
 
 }  // namespace

@@ -11,8 +11,8 @@
 //     edge. A warm completion replays the buffered mutations and applies
 //     only content deltas, so an unchanged permit surface never denies a
 //     packet. Reported: blackholed bytes (denied responses x response
-//     size), denial/retry counts, verdict-epoch bumps (cache kills),
-//     restart-to-converged latency.
+//     size), denial/retry counts, verdict-epoch bumps (each one a change
+//     that may flip verdicts), restart-to-converged latency.
 //
 //   * Routing sweep (baseline world): the storm restarts the whole routing
 //     plane (BgpMesh + TGW FIBs) while backbone link faults and gateway

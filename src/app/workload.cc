@@ -259,13 +259,23 @@ void RequestWorkload::Attempt(uint32_t index) {
 void RequestWorkload::StartResponse(uint32_t index) {
   Transaction& tx = transactions_.Get(index);
   tx.tail_delay = world_.topology().SamplePathDelay(tx.response_path, rng_);
-  flows_.StartFlow(
+  const FlowId flow = flows_.StartFlow(
       std::move(tx.response_path), tx.response_bytes,
       [this, index](FlowId, SimTime finish) { Complete(index, finish); },
       tx.weight, tx.rate_cap_bps, [this, index](FlowId, SimTime) {
         ++patterns_[transactions_.Get(index).pattern].stats.aborted;
         RetryOrGiveUp(index);
       });
+  if (!flow.valid()) {
+    // The executor refused the start (ValidFlowStart: e.g. a connector's
+    // weight of 0 or NaN) and will call nothing back: end it here, once.
+    static const uint32_t kFlowRefused = DenyStage("flow-refused");
+    PatternStats& stats = patterns_[tx.pattern].stats;
+    ++stats.denied;
+    stats.CountDeny(kFlowRefused);
+    --inflight_;
+    transactions_.Free(index);
+  }
 }
 
 void RequestWorkload::Complete(uint32_t index, SimTime finish) {

@@ -244,7 +244,9 @@ class RequestWorkload {
   // An attempt that could not start: attempt 0 is denied under `stage`, a
   // retry backs off again or gives up.
   void Refuse(uint32_t index, uint32_t stage);
-  // The request reached the server: stream the response back.
+  // The request reached the server: stream the response back. A start the
+  // executor refuses (ValidFlowStart) ends the transaction as a denial
+  // under "flow-refused".
   void StartResponse(uint32_t index);
   void Complete(uint32_t index, SimTime finish);
   // Retry after backoff, or give up if the attempt that just failed was

@@ -191,7 +191,7 @@ class CloudWorld {
   size_t instance_count() const { return live_instance_count_; }
 
   // Bumped whenever instance liveness changes (launch, terminate, crash,
-  // recover). Verdict caches validate against it so a cached "delivered"
+  // recover). Both reach verifiers key on it, so a verified "reachable"
   // never outlives the instance it was computed for.
   uint64_t instance_state_epoch() const { return instance_state_epoch_; }
 
@@ -211,8 +211,8 @@ class CloudWorld {
   // The result is a reference into the memo. It stays valid until the
   // first ResolvePath call after topology().revision() moves, which clears
   // the memo; copy it (`auto path = ResolvePath(...)`) to keep it longer.
-  // Not thread-safe: this const call writes the mutable memo. Like the
-  // verdict caches, it belongs to the simulating thread.
+  // Not thread-safe: this const call writes the mutable memo, which belongs
+  // to the simulating thread.
   const Result<std::vector<LinkId>>& ResolvePath(NodeId src, NodeId dst,
                                                  EgressPolicy policy) const;
 

@@ -348,7 +348,7 @@ Status DeclarativeCloud::AddToEndpointGroup(EndpointGroupId group,
     return PermissionDeniedError("EIP belongs to a different tenant");
   }
   // An address already in the group changes nothing, so nothing fans out
-  // and no edge discards its cached verdicts.
+  // and no verdict epoch moves.
   if (MemberSnapshot next = WithMember(it->second.members, eip)) {
     PropagateGroup(group, it->second, std::move(next));
   }

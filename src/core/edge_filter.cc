@@ -10,14 +10,14 @@ namespace tenantnet {
 
 namespace {
 
-// Membership probe of the verdict path, run on every verdict-cache miss.
-// Members are distinct and sorted. When all are v4 (v4 sorts first, and a
-// v4 address is its low word: hi() is 0), member i lies between first + i
-// and last - (n - 1 - i), so only slots key - last + n - 1 through
-// key - first can hold the key. Lowest-first EIP pools hand a tier a run of
-// consecutive addresses; for such a run the window is a slot or two wide.
-// The window is what keeps the probe cheap: on E13's decl_steady workload,
-// a binary search of the whole set cost the verdict path ~7% more.
+// Membership probe of the verdict path, run for each group entry a verdict
+// reaches. Members are distinct and sorted. When all are v4 (v4 sorts first,
+// and a v4 address is its low word: hi() is 0), member i lies between first + i
+// and last - (n - 1 - i), so only slots key - last + n - 1 through key - first
+// can hold the key. Lowest-first EIP pools hand a tier a run of consecutive
+// addresses; for such a run the window is a slot or two wide. The window is
+// what keeps the probe cheap: on E13's decl_steady workload, a binary search of
+// the whole set cost the verdict path ~7% more.
 bool SnapshotContains(const std::vector<IpAddress>& members, IpAddress addr) {
   auto from = members.begin();
   auto to = members.end();
@@ -105,7 +105,7 @@ size_t CompiledPermitList::ApproxBytes() const {
 EdgeFilterBank::EdgeFilterBank(std::string domain, EventQueue* queue,
                                uint64_t rng_seed, EdgeFilterParams params)
     : domain_(std::move(domain)), queue_(queue), rng_(rng_seed),
-      params_(params), cache_(params.verdict_cache_slots) {}
+      params_(params) {}
 
 EdgeFilterBank::~EdgeFilterBank() = default;
 
@@ -339,19 +339,6 @@ void EdgeFilterBank::RemovePermitList(IpAddress endpoint) {
 }
 
 bool EdgeFilterBank::Admits(size_t edge_index, const FiveTuple& flow) const {
-  VerdictKey key{edge_index, flow.src, flow.dst, flow.dst_port, flow.proto};
-  if (const bool* cached = cache_.Lookup(
-          key, gen_, global_epoch_,
-          [&] { return EndpointEpochOf(flow.dst); })) {
-    return *cached;
-  }
-  bool verdict = AdmitsUncached(edge_index, flow);
-  cache_.Insert(key, gen_, global_epoch_, EndpointEpochOf(flow.dst), verdict);
-  return verdict;
-}
-
-bool EdgeFilterBank::AdmitsUncached(size_t edge_index,
-                                    const FiveTuple& flow) const {
   const EdgeState& edge = edges_[edge_index];
   const uint32_t slot = slots_.Lookup(flow.dst);
   if (slot == kNilId || slot >= edge.list_set.size() ||
@@ -675,7 +662,7 @@ ReconcileStats EdgeFilterBank::CompleteRestart(RestartMode mode,
       edge.entry_count = 0;
     }
     if (flushed_any) {
-      BumpGlobalEpoch();  // every cached verdict is now unfounded
+      BumpGlobalEpoch();  // any verdict may have changed
     }
     std::vector<size_t> all = AllEdgeIndices();
     for (const auto& [endpoint, slot] : SortedMasterEndpoints()) {
@@ -703,8 +690,8 @@ ReconcileStats EdgeFilterBank::CompleteRestart(RestartMode mode,
   // ...so the diff of the restored intent against live edge state skips
   // those, and re-pushes only mismatches. Interned set ids are canonical, so
   // an id compare *is* a content compare. Edges already holding the
-  // intended entries are left alone — no message, no epoch bump, their
-  // cached verdicts survive.
+  // intended entries are left alone — no message, no epoch bump, so the
+  // reach verifier's pairs through them stay verified.
   for (const auto& [endpoint, slot] : SortedMasterEndpoints()) {
     if (master_version_[slot] >= replayed_from) {
       continue;  // already converging via the replay above

@@ -11,15 +11,14 @@
 // edge (memory), update fan-out (messages), and install latency until the
 // last edge converges.
 //
-// Data-plane fast path: each installed list is compiled once into a
+// Data plane: each installed list is compiled once into a
 // CompiledPermitList (prefix entries in an LPM trie whose nodes carry the
 // port/protocol scopes, group entries deduped into per-group scope sets),
-// and verdicts are memoized in a generational VerdictCache. List applies
-// bump the endpoint's epoch, group applies bump the bank-wide epoch, so
-// cached verdicts self-invalidate without enumeration. Admits() is the
-// cached entry point; AdmitsUncached() always evaluates the compiled
-// matcher; AdmitsLinear() is the original O(entries) reference kept for
-// equivalence tests and as the bench baseline.
+// and Admits() walks it; nothing memoizes verdicts. AdmitsLinear() is the
+// original O(entries) reference kept for equivalence tests and as the
+// bench baseline. List applies bump the endpoint's verdict epoch and group
+// applies the bank-wide one, so a consumer that keeps verdicts (the
+// reachability verifier) knows which ones a change can have flipped.
 //
 // Memory model: endpoints map to dense slots via an open-addressed
 // AddrIndex, and everything per-endpoint is a struct-of-arrays column
@@ -51,7 +50,6 @@
 #include "src/common/status.h"
 #include "src/common/time.h"
 #include "src/net/flow.h"
-#include "src/net/verdict_cache.h"
 #include "src/routing/lpm_trie.h"
 #include "src/sim/event_queue.h"
 
@@ -206,10 +204,6 @@ struct EdgeFilterParams {
   double degraded_drop_prob = 0.35;
   SimDuration degraded_retransmit = SimDuration::Millis(50);
   SimDuration degraded_extra = SimDuration::Millis(20);
-
-  // Slot count of the bank's verdict cache (rounded up to a power of two;
-  // storage is lazy, so untouched banks cost nothing).
-  size_t verdict_cache_slots = 1 << 16;
 };
 
 // The replicated filter state of one enforcement domain (a provider or an
@@ -261,14 +255,9 @@ class EdgeFilterBank {
   void RemoveGroup(EndpointGroupId group);
 
   // Data plane: does edge `edge_index` admit this flow toward flow.dst?
-  // Default-off: no installed list, or an empty list, admits nothing.
-  // Memoized in the bank's verdict cache; epoch bumps on list/group applies
-  // keep cached verdicts honest without enumeration.
+  // Default-off: no installed list, or an empty list, admits nothing. A
+  // walk of the list's compiled matcher; reads nothing but edge state.
   bool Admits(size_t edge_index, const FiveTuple& flow) const;
-
-  // Same verdict via the compiled matcher, skipping the cache. The cache
-  // miss path; exposed for benches and equivalence tests.
-  bool AdmitsUncached(size_t edge_index, const FiveTuple& flow) const;
 
   // Same verdict via the original linear scan over the installed entries
   // (the pre-fast-path data plane). Reference implementation for the
@@ -321,11 +310,11 @@ class EdgeFilterBank {
   //     fan-out, then a reconcile sweep compares every (endpoint, edge) pair
   //     the replay did not push (version below the counter's value when
   //     replay began) against the master and re-pushes only mismatches —
-  //     matching edges keep their verdict-cache epochs, and traffic never
-  //     sees a default-off window.
+  //     matching edges keep their verdict epochs, and traffic never sees a
+  //     default-off window.
   //   kCold: the log replays into an edgeless, queueless scratch bank
   //     restored from `snap`, whose Checkpoint() becomes the intent; every
-  //     edge is flushed (one global epoch bump — all cached verdicts die)
+  //     edge is flushed (one global epoch bump: every verdict may change)
   //     and the full intent is re-fanned-out with install latency; until
   //     the re-installs land, default-off denies everything.
   ReconcileStats CompleteRestart(RestartMode mode,
@@ -381,17 +370,16 @@ class EdgeFilterBank {
   // Endpoints currently holding a master list, sorted by address.
   std::vector<IpAddress> MasterEndpoints() const;
 
-  // --- Verdict fast-path introspection -------------------------------------
-  const VerdictCacheStats& verdict_cache_stats() const {
-    return cache_.stats();
-  }
-  void ResetVerdictCacheStats() { cache_.ResetStats(); }
-  // Drops all memoized verdicts (benches: cold-start measurement).
-  void ClearVerdictCache() { cache_.Clear(); }
+  // --- Verdict path introspection -------------------------------------------
   // Distinct-list compilations performed. Interning dedupes: re-installing
   // a byte-identical list anywhere reuses the existing matcher for free.
   uint64_t permit_compiles() const { return compiles_; }
+  // Total verdict-epoch bumps, endpoint and bank-wide (E9b counts them).
   uint64_t verdict_epoch() const { return gen_; }
+  // Stubs over an all-zero value: the bank keeps no verdict cache. Only
+  // perfbench/e2e/episode.cc still calls them; remove both once it stops.
+  VerdictCacheStats verdict_cache_stats() const { return {}; }
+  void ResetVerdictCacheStats() {}
 
  private:
   // An interned permit list. Equality/hash cover `entries` only; `compiled`
@@ -438,26 +426,6 @@ class EdgeFilterBank {
     std::unordered_map<EndpointGroupId, uint64_t> group_removed_at;
     uint64_t entry_count = 0;
     uint64_t flush_version = 0;  // installs numbered below it are stale
-  };
-
-  struct VerdictKey {
-    uint64_t edge = 0;
-    IpAddress src;
-    IpAddress dst;
-    uint16_t dst_port = 0;
-    Protocol proto = Protocol::kAny;
-
-    friend bool operator==(const VerdictKey& a, const VerdictKey& b) = default;
-  };
-  struct VerdictKeyHash {
-    size_t operator()(const VerdictKey& k) const {
-      size_t h = std::hash<IpAddress>{}(k.src);
-      h = h * 1099511628211ull ^ std::hash<IpAddress>{}(k.dst);
-      h = h * 1099511628211ull ^
-          (k.edge << 24 | static_cast<size_t>(k.dst_port) << 8 |
-           static_cast<size_t>(k.proto));
-      return h;
-    }
   };
 
   // One message's delivery delay, including any degraded-mode drop/retry
@@ -539,13 +507,12 @@ class EdgeFilterBank {
   // Mutations accepted while the control plane is down (see reconcile.h).
   OutageLog<EdgeFilterBank> outage_;
 
-  // Verdict fast path. Scoped epochs: list applies/removals bump the
-  // endpoint's epoch, group applies/removals bump the bank-wide one; gen_
-  // moves with every bump so validated slots hit with one integer compare.
+  // Scoped verdict epochs: list applies/removals bump the endpoint's
+  // epoch, group applies/removals bump the bank-wide one, and gen_ counts
+  // every bump of either kind.
   uint64_t global_epoch_ = 0;
   uint64_t gen_ = 0;
   uint64_t compiles_ = 0;
-  mutable VerdictCache<VerdictKey, bool, VerdictKeyHash> cache_;
 };
 
 }  // namespace tenantnet

@@ -75,6 +75,14 @@ struct FlowMatch {
   friend bool operator==(const FlowMatch& a, const FlowMatch& b) = default;
 };
 
+// What the verdict-cache statistics stubs of EdgeFilterBank and
+// BaselineNetwork return: always zero, since neither world caches verdicts.
+// Kept only for perfbench/e2e/episode.cc; remove with those stubs.
+struct VerdictCacheStats {
+  uint64_t lookups = 0;
+  uint64_t hits = 0;
+};
+
 }  // namespace tenantnet
 
 namespace std {

@@ -140,15 +140,15 @@ void DeclarativeReachEngine::ReachConcrete(IpAddress src_eip, IpAddress dst,
   verdict.stages.push_back(Via("edge-filter@" + edge->where));
 
   // The same admission question the data plane asks, minus the traffic: the
-  // compiled matcher at the destination's enforcement edge, bypassing the
-  // verdict cache so the query leaves no data-plane trace. src_port is
+  // compiled matcher at the destination's enforcement edge. Admits reads
+  // edge state only, so the query leaves no data-plane trace. src_port is
   // irrelevant to permit matching.
   FiveTuple flow;
   flow.src = src_eip;
   flow.dst = dst;
   flow.dst_port = dst_port;
   flow.proto = proto;
-  if (!edge->bank->AdmitsUncached(edge->edge_index, flow)) {
+  if (!edge->bank->Admits(edge->edge_index, flow)) {
     facts.filtered = true;
     Deny(verdict, "edge-filter");
     return;
@@ -272,8 +272,7 @@ ReachVerdict BaselineReachEngine::CanReach(InstanceId src, InstanceId dst,
   ReachFacts facts;
   facts.dst_known = true;  // instance-addressed query
 
-  Result<BaselineDelivery> result =
-      net_->EvaluateUncached(src, dst, dst_port, proto);
+  Result<BaselineDelivery> result = net_->Evaluate(src, dst, dst_port, proto);
   if (!result.ok()) {
     // The fabric refuses up front when either instance is unknown or down;
     // the message distinguishes the two.

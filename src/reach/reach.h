@@ -1,32 +1,33 @@
 // tn_reach: the reachability verifier ("can src reach dst, through which
 // stages, and is that what I intended?").
 //
-// PR 3 made single-flow verdicts fast; this layer answers the tenant-level
-// question on top of them, over *both* worlds:
+// The data planes answer single-flow verdicts; this layer answers the
+// tenant-level question on top of them, over *both* worlds:
 //
 //  * DeclarativeReachEngine walks the Table-2 state directly — EIP/SIP
 //    bindings, instance liveness, and the compiled permit-list matchers at
 //    the destination's enforcement edge — without evaluating traffic: no
-//    SIP pick counter advances, no inspection counters move, no verdict
-//    cache is touched. SIP destinations resolve existentially (`reachable`
-//    = some healthy backend admits the flow) with a universal bound
-//    (`all_backends`); EIP destinations are exact.
+//    SIP pick counter advances and no inspection counters move. SIP
+//    destinations resolve existentially (`reachable` = some healthy
+//    backend admits the flow) with a universal bound (`all_backends`);
+//    EIP destinations are exact.
 //  * BaselineReachEngine composes route tables, SG/ACL/DPI stages and TGW
-//    FIBs by driving the fabric's uncached staged evaluator — the verdict
-//    and ordered stage trace are the walk the baseline data plane performs.
+//    FIBs by driving the fabric's staged evaluator — the verdict and
+//    ordered stage trace are the walk the baseline data plane performs.
 //
 // Both return a ReachVerdict whose stage trace reuses the interned
-// via/deny-stage labels from PR 8 (RouteLabels() / DenyStages()), and both
-// triage denials through a decision-tree evaluation (BasicDecisionNode over
+// via/deny-stage labels (RouteLabels() / DenyStages()), and both triage
+// denials through a decision-tree evaluation (BasicDecisionNode over
 // ReachFacts) into a remediation recommendation.
 //
-// The verifiers keep a pair set verified incrementally, keyed off the PR 3
-// revision hooks: the declarative side dirties only pairs whose destination
-// endpoint epoch (EdgeFilterBank::EndpointVerdictEpoch), domain group
-// epoch, SIP config revision, endpoint-allocation revision or instance
-// epoch moved, so permit churn re-verifies only the touched destinations;
-// the baseline side keys on the fabric's coarse verdict_generation() and is
-// deliberately all-or-nothing — the factorization asymmetry E12 measures.
+// The verifiers keep a pair set verified incrementally, keyed off the
+// verdict epochs and revision hooks: the declarative side dirties only pairs
+// whose destination endpoint epoch (EdgeFilterBank::EndpointVerdictEpoch),
+// domain group epoch, SIP config revision, endpoint-allocation revision or
+// instance epoch moved, so permit churn re-verifies only the touched
+// destinations; the baseline side keys on the fabric's coarse
+// verdict_generation() and is deliberately all-or-nothing — the
+// factorization asymmetry E12 measures.
 
 #ifndef TENANTNET_SRC_REACH_REACH_H_
 #define TENANTNET_SRC_REACH_REACH_H_

@@ -17,7 +17,7 @@
 //
 // The interesting contrast is the mode. kWarm restores the checkpoint and
 // applies only the diffs the outage produced — unchanged edge state, FIB
-// entries and verdict caches survive. kCold flushes and rebuilds from
+// entries and verdict epochs survive. kCold flushes and rebuilds from
 // scratch — the measurable blackhole/default-off window E9b quantifies.
 
 #ifndef TENANTNET_SRC_RESTART_WARM_RESTART_H_

@@ -411,7 +411,7 @@ BgpMesh::ConvergenceStats BgpMesh::Converge(uint64_t max_rounds) {
 
   stats.converged = pending_work_ == 0;
   if (changed_any) {
-    ++mutations_;  // RIBs actually changed: downstream caches must drop
+    ++mutations_;  // RIBs actually changed: downstream verdicts may move
   }
   return stats;
 }
@@ -600,7 +600,7 @@ void BgpMesh::RestoreFromSnapshot(const BgpMeshSnapshot& snap) {
     dirty_[i].clear();
     pre_delta_[i].clear();
   }
-  ++mutations_;  // downstream caches must conservatively drop
+  ++mutations_;  // downstream verdicts must conservatively re-verify
 }
 
 uint64_t BgpMesh::ReconcileFromSnapshot(const BgpMeshSnapshot& snap) {

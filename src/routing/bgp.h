@@ -18,8 +18,8 @@
 // advertisement replaces its previous one), and only *changed* best routes
 // are re-advertised, with explicit withdraw messages sent when a best
 // route disappears or stops passing an export filter. A convergence that
-// changes nothing advertises nothing and does not invalidate downstream
-// verdict caches.
+// changes nothing advertises nothing and leaves the mutation count, and so
+// the downstream verdict generation, where it was.
 //
 // ConvergeFull() is the from-scratch reference: it clears every RIB and
 // re-floods the whole mesh through the same engine. Differential tests
@@ -207,8 +207,8 @@ class BgpMesh {
 
   // Bumped by every config mutation (speakers, sessions, origins, policy)
   // and by every Converge()/ConvergeFull() that actually changed a Loc-RIB
-  // entry. A convergence that changes nothing does NOT bump it, so verdict
-  // caches folding this counter into their generation survive no-op
+  // entry. A convergence that changes nothing does NOT bump it, so a
+  // verdict generation folding this counter in holds across no-op
   // re-propagation.
   uint64_t mutation_count() const { return mutations_; }
 
@@ -220,8 +220,8 @@ class BgpMesh {
   // Wholesale restore of what Checkpoint() captured: RIBs are replaced, the
   // dirty queue and delta accumulator of restored speakers are cleared (the
   // restored image is the new delta baseline), and the mutation counter is
-  // bumped (downstream caches must conservatively drop). The disaster path —
-  // warm reconciliation goes through ReconcileFromSnapshot instead.
+  // bumped (downstream verdicts must conservatively re-verify). The disaster
+  // path — warm reconciliation goes through ReconcileFromSnapshot instead.
   void RestoreFromSnapshot(const BgpMeshSnapshot& snap);
 
   // The control plane dies. Graceful-restart semantics: the RIBs are

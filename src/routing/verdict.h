@@ -1,7 +1,7 @@
 // Verdict vocabulary shared by both worlds' data planes.
 //
-// A verdict is a plain value: building one allocates nothing, and a verdict
-// cache stores and returns it by copy. Names appear only when someone asks
+// A verdict is a plain value: building or copying one allocates nothing.
+// Names appear only when someone asks
 // for text (sonic-swss vnetorch makes the same split: it programs by object
 // id and names objects only when it logs a refusal):
 //  * hops are RouteLabels() ids in a fixed inline LabelTrace; every box or

@@ -542,7 +542,10 @@ void ShardExecutor::EndBatch() {
 // --- Epoch loop --------------------------------------------------------------
 
 uint64_t ShardExecutor::RunUntil(SimTime deadline) {
-  assert(batch_depth_ == 0 && "cannot run the executor inside a batch");
+  if (batch_depth_ != 0) {
+    ++runs_in_batch_;  // reallocations are deferred: refuse, fire nothing
+    return 0;
+  }
   uint64_t fired = 0;
   for (;;) {
     // Re-split shared links whose membership or demand changed since the

@@ -120,6 +120,8 @@ class ShardExecutor final : public FlowControlSurface {
   // Runs data-plane and control events until every queue is drained or past
   // `deadline`; advances all clocks to `deadline` if finite. Replaces
   // EventQueue::RunUntil as the simulation driver. Returns events fired.
+  // Inside an open batch it is refused in every build: it fires nothing,
+  // returns 0 and counts the call (runs_in_batch()).
   uint64_t RunUntil(SimTime deadline);
   uint64_t RunAll() { return RunUntil(SimTime::Infinite()); }
 
@@ -176,6 +178,8 @@ class ShardExecutor final : public FlowControlSurface {
   void BeginBatch() override;
   void EndBatch() override;
   uint64_t unmatched_end_batches() const { return unmatched_end_batches_; }
+  // RunUntil/RunAll calls refused because a batch was open.
+  uint64_t runs_in_batch() const { return runs_in_batch_; }
 
   // --- Telemetry -------------------------------------------------------------
   uint64_t epochs_run() const { return epochs_; }
@@ -280,6 +284,7 @@ class ShardExecutor final : public FlowControlSurface {
 
   uint32_t batch_depth_ = 0;
   uint64_t unmatched_end_batches_ = 0;
+  uint64_t runs_in_batch_ = 0;
   bool in_parallel_ = false;  // written on main; read by workers mid-epoch
   uint64_t epochs_ = 0;
   uint64_t callbacks_deferred_ = 0;

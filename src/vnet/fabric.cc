@@ -973,7 +973,7 @@ uint64_t BaselineNetwork::ReconcileTgwFibs(uint64_t* checked) {
       }
     }
     // Install/refresh intended entries. Change-only: a FIB entry that
-    // already matches bumps no revision, so verdict caches survive it.
+    // already matches bumps no revision, so the verdict generation holds.
     for (const auto& [prefix, attachment] : intended) {
       if (checked != nullptr) {
         ++*checked;
@@ -1075,7 +1075,6 @@ void BaselineNetwork::DeliverIntoVpc(EvalContext& ctx, const FiveTuple& flow,
       DpiFirewall* fw = firewalls_.at(fw_it->second).get();
       ctx.delivery.logical_hops.push_back(fw->label().hop);
       ++ctx.delivery.gateway_hops;
-      ctx.delivery.inspected = true;
       if (fw->Inspect(flow, payload) == FirewallVerdict::kDeny) {
         Drop(ctx, "firewall", {"denied by {name}", {}, fw->label().name});
         return;
@@ -1539,28 +1538,6 @@ Result<BaselineDelivery> BaselineNetwork::Evaluate(InstanceId src,
                                                    uint16_t dst_port,
                                                    Protocol proto,
                                                    std::string_view payload) {
-  if (!payload.empty()) {
-    // Payload matching (DPI) makes the verdict a function of the payload;
-    // don't pollute the 4-tuple-keyed cache.
-    return EvaluateUncached(src, dst, dst_port, proto, payload);
-  }
-  InstanceFlowKey key{src.value(), dst.value(), dst_port, proto};
-  const uint64_t gen = VerdictGen();
-  if (const BaselineDelivery* cached =
-          instance_cache_.Lookup(key, gen, gen, [gen] { return gen; })) {
-    return *cached;
-  }
-  Result<BaselineDelivery> result =
-      EvaluateUncached(src, dst, dst_port, proto, payload);
-  if (result.ok() && CacheableDelivery(*result)) {
-    instance_cache_.Insert(key, gen, gen, gen, *result);
-  }
-  return result;
-}
-
-Result<BaselineDelivery> BaselineNetwork::EvaluateUncached(
-    InstanceId src, InstanceId dst, uint16_t dst_port, Protocol proto,
-    std::string_view payload) {
   const Instance* src_inst = world_->FindInstance(src);
   const Instance* dst_inst = world_->FindInstance(dst);
   if (src_inst == nullptr || dst_inst == nullptr) {

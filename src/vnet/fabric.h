@@ -29,7 +29,7 @@
 
 #include "src/cloud/world.h"
 #include "src/net/ipam.h"
-#include "src/net/verdict_cache.h"
+#include "src/net/flow.h"
 #include "src/routing/bgp.h"
 #include "src/routing/verdict.h"
 #include "src/vnet/config_ledger.h"
@@ -55,12 +55,9 @@ using LogicalHops = LabelTrace<21>;
 static_assert(LogicalHops::kCapacity >= kGatewayBudget + 3 + 2,
               "a trace must hold the longest walk the gateway budget allows");
 
-// The verdict for one evaluated flow. Small fields come first so none pads
-// (the verdict cache holds 65,536 of these).
+// The verdict for one evaluated flow. Small fields come first so none pads.
 struct BaselineDelivery {
   bool delivered = false;
-  // A DPI firewall inspected the flow (such verdicts are never cached).
-  bool inspected = false;
   bool used_public_path = false;
   EgressPolicy egress_policy = EgressPolicy::kHotPotato;
   int gateway_hops = 0;
@@ -236,7 +233,7 @@ class BaselineNetwork {
   //     re-selected), replay logged mutations, converge incrementally,
   //     apply the resulting Loc-RIB deltas, then sweep every TGW FIB against
   //     its speaker's Loc-RIB with change-only installs/withdraws. FIBs that
-  //     match are untouched — no revision bump, verdict caches survive.
+  //     match are untouched — no revision bump, verdict generation unmoved.
   //   kCold: replay logged mutations, then PropagateRoutesFull() — every
   //     RIB rebuilt, every propagated FIB entry dropped and reinstalled
   //     (the revision storm the warm path exists to avoid).
@@ -246,28 +243,15 @@ class BaselineNetwork {
 
   // --- Data plane --------------------------------------------------------------
 
-  // Evaluates instance-to-instance traffic (either instance may be on-prem).
-  // Successful payload-free verdicts are memoized in a generational cache
-  // validated against the fabric's config epoch (every control-plane
-  // mutation bumps it — including direct mutation through pointers from
-  // FindRouteTable and friends, via their attached revision counters), the
-  // world's instance-state epoch, and the BGP mesh's mutation count.
-  // Payload-bearing flows and flows that traversed a DPI firewall always
-  // take the uncached path (the firewall's inspection counters are part of
-  // the observable saturation model).
+  // Evaluates instance-to-instance traffic (either instance may be on-prem):
+  // the full staged walk on every call, so a DPI firewall on the path
+  // inspects (and counts) every evaluation, payload or not.
   Result<BaselineDelivery> Evaluate(InstanceId src, InstanceId dst,
                                     uint16_t dst_port, Protocol proto,
                                     std::string_view payload = {});
 
-  // The full walk, bypassing the verdict cache. Reference implementation
-  // for equivalence tests and the bench speedup baseline.
-  Result<BaselineDelivery> EvaluateUncached(InstanceId src, InstanceId dst,
-                                            uint16_t dst_port, Protocol proto,
-                                            std::string_view payload = {});
-
   // Evaluates traffic from an arbitrary external (internet) source toward a
-  // destination address the tenant may own. For attack simulation. Always
-  // the full walk: no verdict cache.
+  // destination address the tenant may own. For attack simulation.
   BaselineDelivery EvaluateExternal(IpAddress src, IpAddress dst,
                                     uint16_t dst_port, Protocol proto,
                                     std::string_view payload = {});
@@ -307,22 +291,25 @@ class BaselineNetwork {
   size_t tgw_count() const { return tgws_.size(); }
   size_t tgw_attachment_count() const;
 
-  // --- Verdict fast-path introspection -------------------------------------
+  // --- Verdict epochs --------------------------------------------------------
   // Bumped by every verdict-affecting control-plane mutation (fabric
   // methods and direct mutation of hooked objects alike).
   uint64_t config_epoch() const { return config_epoch_; }
-  // The coarse verdict generation the verdict cache validates against: any
-  // config / instance-state / BGP change moves it. The baseline side of the
-  // reach verifier keys its pair cache on this — deliberately
-  // all-or-nothing, where the declarative world factorizes per endpoint
-  // (EdgeFilterBank's EndpointVerdictEpoch): the asymmetry E12 measures.
-  uint64_t verdict_generation() const { return VerdictGen(); }
-  const VerdictCacheStats& evaluate_cache_stats() const {
-    return instance_cache_.stats();
+  // The coarse verdict generation: any config / instance-state / BGP change
+  // moves it. The baseline side of the reach verifier keys its pair set on
+  // this — deliberately all-or-nothing, where the declarative world
+  // factorizes per endpoint (EdgeFilterBank's EndpointVerdictEpoch): the
+  // asymmetry E12 measures. The baseline verdict depends on so many coupled
+  // objects that its scope is one generation for the whole fabric. All
+  // three counters are monotonic, so their sum is a valid generation.
+  uint64_t verdict_generation() const {
+    return config_epoch_ + world_->instance_state_epoch() +
+           bgp_.mutation_count();
   }
-  void ResetVerdictCacheStats() { instance_cache_.ResetStats(); }
-  // Drops all memoized verdicts (benches: cold-start measurement).
-  void ClearVerdictCaches() { instance_cache_.Clear(); }
+  // Stubs over an all-zero value: the fabric keeps no verdict cache. Only
+  // perfbench/e2e/episode.cc still calls them; remove both once it stops.
+  VerdictCacheStats evaluate_cache_stats() const { return {}; }
+  void ResetVerdictCacheStats() {}
 
  private:
   struct EvalContext {
@@ -361,40 +348,7 @@ class BaselineNetwork {
   const Subnet* SubnetOf(const Eni& eni) const;
   Vpc* MutableVpc(VpcId id);
 
-  // --- Verdict cache plumbing ----------------------------------------------
-  struct InstanceFlowKey {
-    uint64_t src = 0;
-    uint64_t dst = 0;
-    uint16_t dst_port = 0;
-    Protocol proto = Protocol::kAny;
-    friend bool operator==(const InstanceFlowKey& a,
-                           const InstanceFlowKey& b) = default;
-  };
-  struct InstanceFlowKeyHash {
-    size_t operator()(const InstanceFlowKey& k) const {
-      size_t h = k.src * 0x9E3779B97F4A7C15ull;
-      h ^= k.dst * 1099511628211ull;
-      return h ^ (static_cast<size_t>(k.dst_port) << 8 |
-                  static_cast<size_t>(k.proto));
-    }
-  };
-
-  // The baseline verdict depends on so many coupled objects that its epoch
-  // scope is deliberately coarse: any config/world/BGP change invalidates
-  // everything. (The declarative world factorizes per endpoint; see
-  // EdgeFilterBank.) All three counters are monotonic, so their sum is a
-  // valid generation.
-  uint64_t VerdictGen() const {
-    return config_epoch_ + world_->instance_state_epoch() +
-           bgp_.mutation_count();
-  }
   void BumpConfigEpoch() { ++config_epoch_; }
-  // A delivery is memoizable unless the flow went through a DPI firewall
-  // (Inspect's offered-load counters feed the E6 saturation model and must
-  // keep counting per call).
-  static bool CacheableDelivery(const BaselineDelivery& delivery) {
-    return !delivery.inspected;
-  }
 
   // Speaker value -> attachment index for one TGW (which attachment a
   // route learned from that speaker resolves to).
@@ -475,8 +429,6 @@ class BaselineNetwork {
   uint64_t lb_pick_seq_ = 0;
 
   uint64_t config_epoch_ = 0;
-  mutable VerdictCache<InstanceFlowKey, BaselineDelivery, InstanceFlowKeyHash>
-      instance_cache_;
 };
 
 }  // namespace tenantnet

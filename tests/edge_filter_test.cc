@@ -199,19 +199,7 @@ TEST(EdgeFilterTest, RemovalOutranksGroupInstallInFlight) {
   }
 }
 
-// --- Verdict fast path -------------------------------------------------------
-
-TEST(EdgeFilterTest, RepeatedVerdictsHitTheCache) {
-  EdgeFilterBank bank("p", nullptr, 1);
-  bank.AddEdge("e0");
-  bank.SetPermitList(*IpAddress::Parse("5.0.0.1"), {Permit("10.0.0.0/8")});
-  FiveTuple flow = Flow("10.1.1.1", "5.0.0.1", 443);
-  EXPECT_TRUE(bank.Admits(0, flow));  // miss + insert
-  EXPECT_TRUE(bank.Admits(0, flow));  // hit
-  EXPECT_TRUE(bank.Admits(0, flow));  // hit
-  EXPECT_EQ(bank.verdict_cache_stats().hits, 2u);
-  EXPECT_EQ(bank.verdict_cache_stats().insertions, 1u);
-}
+// --- Verdict path ------------------------------------------------------------
 
 TEST(EdgeFilterTest, ListsCompileOncePerDistinctListNotPerEdge) {
   EdgeFilterBank bank("p", nullptr, 1);
@@ -236,17 +224,23 @@ TEST(EdgeFilterTest, ListsCompileOncePerDistinctListNotPerEdge) {
   EXPECT_EQ(bank.distinct_permit_sets(), 1u);
 }
 
+// A verdict that flips moves the endpoint's epoch, which is what a kept
+// verdict (the reach verifier's) is keyed on.
 TEST(EdgeFilterTest, ListReplaceInvalidatesCachedVerdict) {
   EdgeFilterBank bank("p", nullptr, 1);
   bank.AddEdge("e0");
   IpAddress endpoint = *IpAddress::Parse("5.0.0.1");
   bank.SetPermitList(endpoint, {Permit("10.0.0.0/8")});
   FiveTuple flow = Flow("10.1.1.1", "5.0.0.1", 443);
-  EXPECT_TRUE(bank.Admits(0, flow));  // now cached as admitted
+  EXPECT_TRUE(bank.Admits(0, flow));
+  uint64_t epoch = bank.EndpointVerdictEpoch(endpoint);
   bank.SetPermitList(endpoint, {Permit("20.0.0.0/8")});
-  EXPECT_FALSE(bank.Admits(0, flow));  // stale verdict must not survive
+  EXPECT_FALSE(bank.Admits(0, flow));
+  EXPECT_GT(bank.EndpointVerdictEpoch(endpoint), epoch);
+  epoch = bank.EndpointVerdictEpoch(endpoint);
   bank.RemovePermitList(endpoint);
   EXPECT_FALSE(bank.Admits(0, flow));
+  EXPECT_GT(bank.EndpointVerdictEpoch(endpoint), epoch);
 }
 
 TEST(EdgeFilterTest, GroupUpdateInvalidatesCachedVerdict) {
@@ -258,9 +252,11 @@ TEST(EdgeFilterTest, GroupUpdateInvalidatesCachedVerdict) {
   bank.SetPermitList(*IpAddress::Parse("5.0.0.1"), {entry});
   bank.SetGroup(group, {*IpAddress::Parse("10.1.1.1")});
   FiveTuple flow = Flow("10.1.1.1", "5.0.0.1", 443);
-  EXPECT_TRUE(bank.Admits(0, flow));  // cached as admitted
+  EXPECT_TRUE(bank.Admits(0, flow));
+  const uint64_t global = bank.global_verdict_epoch();
   bank.SetGroup(group, {*IpAddress::Parse("10.2.2.2")});  // member swapped
   EXPECT_FALSE(bank.Admits(0, flow));
+  EXPECT_GT(bank.global_verdict_epoch(), global);
   bank.RemoveGroup(group);
   EXPECT_FALSE(bank.Admits(0, Flow("10.2.2.2", "5.0.0.1", 443)));
 }
@@ -318,11 +314,11 @@ TEST(EdgeFilterTest, GroupProbeAgreesWithReferenceSearch) {
                       canonical.end());
       EXPECT_EQ(*bank.Checkpoint().groups.at(0).members, canonical);
       for (const IpAddress& member : members) {
-        EXPECT_TRUE(bank.AdmitsUncached(0, flow_from(member))) << member;
+        EXPECT_TRUE(bank.Admits(0, flow_from(member))) << member;
         EXPECT_TRUE(bank.AdmitsLinear(0, flow_from(member))) << member;
       }
       for (const IpAddress& probe : probes) {
-        EXPECT_EQ(bank.AdmitsUncached(0, flow_from(probe)),
+        EXPECT_EQ(bank.Admits(0, flow_from(probe)),
                   bank.AdmitsLinear(0, flow_from(probe)))
             << probe;
       }
@@ -354,20 +350,25 @@ TEST(EdgeFilterTest, SharedGroupSnapshotIsCountedOnce) {
   }
 }
 
+// Mutating endpoint .2 bumps only its own verdict epoch, so verdicts the
+// reach verifier keeps for .1 (keyed on .1's epoch) stay valid.
 TEST(EdgeFilterTest, UnrelatedListUpdateKeepsOtherVerdictsCached) {
   EdgeFilterBank bank("p", nullptr, 1);
   bank.AddEdge("e0");
-  bank.SetPermitList(*IpAddress::Parse("5.0.0.1"), {Permit("10.0.0.0/8")});
-  bank.SetPermitList(*IpAddress::Parse("5.0.0.2"), {Permit("10.0.0.0/8")});
+  const IpAddress one = *IpAddress::Parse("5.0.0.1");
+  const IpAddress two = *IpAddress::Parse("5.0.0.2");
+  bank.SetPermitList(one, {Permit("10.0.0.0/8")});
+  bank.SetPermitList(two, {Permit("10.0.0.0/8")});
   FiveTuple flow1 = Flow("10.1.1.1", "5.0.0.1", 443);
   EXPECT_TRUE(bank.Admits(0, flow1));
-  bank.ResetVerdictCacheStats();
-  // Mutating endpoint .2 bumps only its own epoch; .1's cached verdict
-  // revalidates instead of being discarded.
-  bank.SetPermitList(*IpAddress::Parse("5.0.0.2"), {Permit("30.0.0.0/8")});
+  const uint64_t epoch_one = bank.EndpointVerdictEpoch(one);
+  const uint64_t epoch_two = bank.EndpointVerdictEpoch(two);
+  const uint64_t global = bank.global_verdict_epoch();
+  bank.SetPermitList(two, {Permit("30.0.0.0/8")});
   EXPECT_TRUE(bank.Admits(0, flow1));
-  EXPECT_EQ(bank.verdict_cache_stats().hits, 1u);
-  EXPECT_EQ(bank.verdict_cache_stats().stale, 0u);
+  EXPECT_EQ(bank.EndpointVerdictEpoch(one), epoch_one);
+  EXPECT_GT(bank.EndpointVerdictEpoch(two), epoch_two);
+  EXPECT_EQ(bank.global_verdict_epoch(), global);
 }
 
 TEST(EdgeFilterTest, OverlappingPrefixesAdmitOnAnyCoveringScope) {
@@ -382,10 +383,9 @@ TEST(EdgeFilterTest, OverlappingPrefixesAdmitOnAnyCoveringScope) {
   EXPECT_TRUE(bank.Admits(0, Flow("10.1.2.3", "5.0.0.1", 443)));  // via /8
   EXPECT_TRUE(bank.Admits(0, Flow("10.1.2.3", "5.0.0.1", 80)));   // via /16
   EXPECT_FALSE(bank.Admits(0, Flow("10.2.2.2", "5.0.0.1", 80)));  // /8 only
-  // All three evaluation paths agree on these.
+  // The compiled walk and the linear reference agree on these.
   for (uint16_t port : {443, 80, 8080}) {
     FiveTuple f = Flow("10.1.2.3", "5.0.0.1", port);
-    EXPECT_EQ(bank.AdmitsUncached(0, f), bank.AdmitsLinear(0, f));
     EXPECT_EQ(bank.Admits(0, f), bank.AdmitsLinear(0, f));
   }
 }

@@ -7,9 +7,9 @@
 // destinations (∃/∀ sandwich for SIPs) — through permit/group/binding
 // churn, partially drained replication queues, and a FaultInjector storm
 // that crashes instances and degrades the control plane mid-round.
-// Property, baseline world: CanReach must equal the cached Evaluate (the
-// engine composes EvaluateUncached, so cached-vs-engine is a real
-// differential) through SG/ACL/route/instance churn.
+// Property, baseline world: CanReach's verdict and deny stage must equal
+// Evaluate's through SG/ACL/route/instance churn (the engine translates the
+// delivery into a ReachVerdict; this checks the translation).
 // In both worlds, every round's incremental Revalidate must fingerprint
 // byte-identical to a from-scratch verifier.
 //

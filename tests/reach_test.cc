@@ -181,7 +181,7 @@ TEST(DeclarativeReachTest, QueriesLeaveNoDataPlaneTrace) {
   // Warm up lazily created domains, then pin the counters.
   (void)engine.CanReach(fx.vms[0], sip, 443, Protocol::kTcp);
   EdgeFilterBank& bank = fx.cloud->provider_filters(fx.tw.provider);
-  const uint64_t lookups_before = bank.verdict_cache_stats().lookups;
+  const uint64_t epoch_before = bank.verdict_epoch();
   const uint64_t resolutions_before = fx.cloud->sip_lb().resolutions();
 
   for (size_t s = 0; s < fx.vms.size(); ++s) {
@@ -191,9 +191,9 @@ TEST(DeclarativeReachTest, QueriesLeaveNoDataPlaneTrace) {
     (void)engine.CanReach(fx.vms[s], sip, 443, Protocol::kTcp);
   }
 
-  // Nothing moved: the queries never touched the verdict cache and never
-  // advanced the SIP pick counter.
-  EXPECT_EQ(bank.verdict_cache_stats().lookups, lookups_before);
+  // Nothing moved: the queries changed no filter state and never advanced
+  // the SIP pick counter.
+  EXPECT_EQ(bank.verdict_epoch(), epoch_before);
   EXPECT_EQ(fx.cloud->sip_lb().resolutions(), resolutions_before);
 }
 

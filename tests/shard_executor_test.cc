@@ -415,6 +415,35 @@ TEST(ShardExecutorTest, UnmatchedEndBatchIsACountedNoOp) {
   EXPECT_EQ(exec.active_flow_count(), 0u);
 }
 
+// RunUntil inside an open batch is refused in every build, since the
+// batch's reallocations have not run: nothing fires, no clock moves, and
+// the call is counted. After EndBatch the same call runs.
+TEST(ShardExecutorTest, RunUntilInsideABatchIsRefused) {
+  EventQueue control;
+  std::vector<std::vector<LinkId>> islands;
+  Topology topo = BuildIslands(&islands);
+  ShardExecutor::Options opts;
+  opts.num_threads = 2;
+  ShardExecutor exec(control, topo, opts);
+  int completions = 0;
+  int control_fired = 0;
+  control.ScheduleAt(SimTime::FromSeconds(0.1), [&] { ++control_fired; });
+  exec.BeginBatch();
+  exec.StartFlow({islands[0][0]}, 1e9,
+                 [&completions](FlowId, SimTime) { ++completions; });
+  EXPECT_EQ(exec.RunUntil(SimTime::FromSeconds(10)), 0u);
+  EXPECT_EQ(exec.RunAll(), 0u);
+  EXPECT_EQ(exec.runs_in_batch(), 2u);
+  EXPECT_EQ(completions, 0);
+  EXPECT_EQ(control_fired, 0);
+  EXPECT_EQ(exec.now(), SimTime::Epoch());
+  exec.EndBatch();
+  EXPECT_GT(exec.RunUntil(SimTime::FromSeconds(10)), 0u);
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(control_fired, 1);
+  EXPECT_EQ(exec.runs_in_batch(), 2u);
+}
+
 // The executor refuses what FlowSim refuses, before it spends a global
 // id: no mapping, no shard flow, no callback.
 TEST(ShardExecutorTest, InvalidStartsAreRefused) {

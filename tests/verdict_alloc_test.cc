@@ -1,7 +1,8 @@
-// Allocation guard: after one warm-up pass, a verdict in either world costs
-// no heap allocation, cached or not, delivered or denied. This binary
-// replaces the global operator new/delete with counting versions; only
-// allocations inside a counting window are tallied.
+// Allocation guard: a verdict in either world costs no heap allocation,
+// delivered or denied, from the very first one on (no lazily built
+// per-bank or per-fabric verdict table). This binary replaces the global
+// operator new/delete with counting versions; only allocations inside a
+// counting window are tallied.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include "src/cloud/presets.h"
 #include "src/core/api.h"
+#include "src/core/edge_filter.h"
 #include "src/vnet/builder.h"
 #include "src/vnet/fabric.h"
 
@@ -69,7 +71,7 @@ TEST(VerdictAllocationTest, CountingOperatorNewIsInstalled) {
 }
 
 // Fig. 1's baseline fabric: TGW, circuit and firewall paths, an SG denial
-// and an internet source, through both the cached and the uncached walk.
+// and an internet source.
 TEST(VerdictAllocationTest, BaselineVerdictsAllocateNothing) {
   Fig1World fig = BuildFig1World();
   ConfigLedger ledger;
@@ -91,7 +93,7 @@ TEST(VerdictAllocationTest, BaselineVerdictsAllocateNothing) {
       *net.FindEniByInstance(fig.web_eu[0])->public_ip;
   const IpAddress internet = IpAddress::V4(198, 18, 0, 7);
 
-  // Warm-up: fills the verdict cache and checks what each flow covers.
+  // Checks what each flow covers.
   std::vector<std::vector<std::string>> hops;
   for (const Flow& f : flows) {
     auto d = net.Evaluate(f.src, f.dst, f.port, Protocol::kTcp);
@@ -102,22 +104,20 @@ TEST(VerdictAllocationTest, BaselineVerdictsAllocateNothing) {
   EXPECT_TRUE(HasHop(hops[1], "direct-connect:"));
   EXPECT_TRUE(HasHop(hops[2], "exchange:"));
   EXPECT_TRUE(HasHop(hops[3], "peering:"));
-  EXPECT_EQ(net.EvaluateUncached(flows[4].src, flows[4].dst, flows[4].port,
-                                 Protocol::kTcp)
+  EXPECT_EQ(net.Evaluate(flows[4].src, flows[4].dst, flows[4].port,
+                         Protocol::kTcp)
                 ->drop_stage,
             "sg-ingress");
   BaselineDelivery external =
       net.EvaluateExternal(internet, web_public, Fig1Baseline::kWebPort,
                            Protocol::kTcp);
   ASSERT_TRUE(external.delivered) << Explain(external);
-  EXPECT_TRUE(external.inspected);
+  EXPECT_TRUE(HasHop(external.logical_hops.Names(), "firewall:"));
 
   for (const Flow& f : flows) {
     EXPECT_EQ(AllocationsIn([&] {
                 for (int i = 0; i < 3; ++i) {
                   (void)net.Evaluate(f.src, f.dst, f.port, Protocol::kTcp);
-                  (void)net.EvaluateUncached(f.src, f.dst, f.port,
-                                             Protocol::kTcp);
                 }
               }),
               0u)
@@ -180,7 +180,6 @@ TEST(VerdictAllocationTest, VpnVerdictsAllocateNothing) {
     EXPECT_EQ(AllocationsIn([&] {
                 for (int i = 0; i < 3; ++i) {
                   (void)net.Evaluate(src, dst, 443, Protocol::kTcp);
-                  (void)net.EvaluateUncached(src, dst, 443, Protocol::kTcp);
                 }
               }),
               0u);
@@ -234,6 +233,58 @@ TEST(VerdictAllocationTest, DeclarativeVerdictsAllocateNothing) {
                                            Protocol::kTcp);
             }),
             0u);
+}
+
+// The first verdict of a freshly built Fig-1 fabric allocates nothing: no
+// verdict table is built on first use. (Running instances only: a refusal
+// for a downed one renders its Status text.)
+TEST(VerdictAllocationTest, FirstBaselineVerdictAllocatesNothing) {
+  Fig1World fig = BuildFig1World();
+  ConfigLedger ledger;
+  BaselineNetwork net(*fig.world, ledger);
+  ASSERT_TRUE(BuildFig1Baseline(net, fig).ok());
+  Result<BaselineDelivery> d = NotFoundError("not evaluated");
+  EXPECT_EQ(AllocationsIn([&] {
+              d = net.Evaluate(fig.web_eu[0], fig.spark[0],
+                               Fig1Baseline::kSparkPort, Protocol::kTcp);
+            }),
+            0u);
+  ASSERT_TRUE(d.ok()) << d.status();
+  EXPECT_TRUE(d->delivered) << Explain(*d);
+}
+
+// The same for a fresh filter bank with lists and a group installed: its
+// first admitted, group-admitted and denied verdicts allocate nothing.
+TEST(VerdictAllocationTest, FirstEdgeVerdictAllocatesNothing) {
+  EdgeFilterBank bank("p", nullptr, 1);
+  bank.AddEdge("e0");
+  bank.AddEdge("e1");
+  const EndpointGroupId group(1);
+  bank.SetGroup(group,
+                {IpAddress::V4(10, 2, 0, 1), IpAddress::V4(10, 2, 0, 2)});
+  PermitEntry prefix;
+  prefix.source = *IpPrefix::Parse("10.1.0.0/16");
+  PermitEntry members;
+  members.source_group = group;
+  bank.SetPermitList(IpAddress::V4(5, 0, 0, 1), {prefix, members});
+  auto flow = [](IpAddress src) {
+    FiveTuple t;
+    t.src = src;
+    t.dst = IpAddress::V4(5, 0, 0, 1);
+    t.dst_port = 443;
+    t.proto = Protocol::kTcp;
+    return t;
+  };
+  bool verdicts[3] = {};
+  EXPECT_EQ(AllocationsIn([&] {
+              verdicts[0] = bank.Admits(1, flow(IpAddress::V4(10, 1, 2, 3)));
+              verdicts[1] = bank.Admits(1, flow(IpAddress::V4(10, 2, 0, 2)));
+              verdicts[2] = bank.Admits(1, flow(IpAddress::V4(10, 3, 0, 1)));
+            }),
+            0u);
+  EXPECT_TRUE(verdicts[0]);
+  EXPECT_TRUE(verdicts[1]);
+  EXPECT_FALSE(verdicts[2]);
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
-// Randomized cached-vs-uncached equivalence for the verdict fast path.
+// Randomized equivalence for the verdict paths.
 //
-// The property: after ANY interleaving of verdict-affecting mutations the
-// cached entry point must agree with the uncached evaluation — in the edge
-// world Admits == AdmitsUncached == AdmitsLinear (compiled matcher and the
-// original linear scan), in the baseline world Evaluate == EvaluateUncached.
-// Mutations include permit-list and group churn with in-flight replication
-// (partial queue drains), fault-injector storms over a declarative cloud,
-// and SG/ACL/route/instance-state churn against the baseline fabric. If an
-// epoch bump is ever missed, a stale cached verdict survives and one of
-// these comparisons fails.
+// The property: after ANY interleaving of verdict-affecting mutations each
+// world's verdict agrees with an independent witness — in the edge world
+// Admits (the compiled matcher) == AdmitsLinear (the original linear scan),
+// in the baseline world Evaluate agrees with the reach engine's CanReach on
+// the verdict and the deny stage. Mutations include permit-list and group
+// churn with in-flight replication (partial queue drains), fault-injector
+// storms over a declarative cloud, and SG/ACL/route/instance-state churn
+// against the baseline fabric.
 
 #include <gtest/gtest.h>
 
@@ -95,6 +94,8 @@ TEST_P(EdgeEquivalenceTest, CachedMatchesCompiledMatchesLinear) {
   bank.AddEdge("e1");
   bank.AddEdge("e2");
 
+  int admitted = 0;
+  int denied = 0;
   for (int round = 0; round < 80; ++round) {
     // One mutation per round.
     switch (rng.NextU64(6)) {
@@ -134,22 +135,18 @@ TEST_P(EdgeEquivalenceTest, CachedMatchesCompiledMatchesLinear) {
       }
     }
     // Drain the replication queue only partially: queries below run while
-    // some applies are still in flight, so cached verdicts must track each
-    // edge's *applied* state, not the send-time intent.
+    // some applies are still in flight, so verdicts must track each edge's
+    // *applied* state, not the send-time intent.
     queue.RunUntil(queue.now() + SimDuration::Millis(rng.NextU64(25)));
 
     for (int q = 0; q < 30; ++q) {
       FiveTuple flow = RandomFlow(rng, kEndpoints, kSources);
       size_t edge = rng.NextU64(3);
       bool linear = bank.AdmitsLinear(edge, flow);
-      bool compiled = bank.AdmitsUncached(edge, flow);
-      bool cached = bank.Admits(edge, flow);
-      ASSERT_EQ(compiled, linear)
+      ASSERT_EQ(bank.Admits(edge, flow), linear)
           << "compiled matcher diverged at round " << round << " flow "
           << flow.ToString();
-      ASSERT_EQ(cached, linear)
-          << "cached verdict diverged at round " << round << " flow "
-          << flow.ToString();
+      ++(linear ? admitted : denied);
     }
   }
   queue.RunAll();
@@ -157,13 +154,11 @@ TEST_P(EdgeEquivalenceTest, CachedMatchesCompiledMatchesLinear) {
   for (int q = 0; q < 200; ++q) {
     FiveTuple flow = RandomFlow(rng, kEndpoints, kSources);
     size_t edge = rng.NextU64(3);
-    bool linear = bank.AdmitsLinear(edge, flow);
-    ASSERT_EQ(bank.AdmitsUncached(edge, flow), linear);
-    ASSERT_EQ(bank.Admits(edge, flow), linear);
+    ASSERT_EQ(bank.Admits(edge, flow), bank.AdmitsLinear(edge, flow));
   }
-  // The cache did real work (this is a property test, not a no-op pass).
-  EXPECT_GT(bank.verdict_cache_stats().hits, 0u);
-  EXPECT_GT(bank.verdict_cache_stats().stale, 0u);
+  // Both verdicts occurred (this is a property test, not a no-op pass).
+  EXPECT_GT(admitted, 0);
+  EXPECT_GT(denied, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EdgeEquivalenceTest,
@@ -234,9 +229,8 @@ TEST(EdgeEquivalenceTest, HoldsThroughFaultInjectorStorm) {
       flow.dst_port = rng.NextBool(0.5) ? 443 : 80;
       flow.proto = Protocol::kTcp;
       size_t edge = rng.NextU64(bank.edge_count());
-      bool linear = bank.AdmitsLinear(edge, flow);
-      ASSERT_EQ(bank.AdmitsUncached(edge, flow), linear);
-      ASSERT_EQ(bank.Admits(edge, flow), linear) << "round " << round;
+      ASSERT_EQ(bank.Admits(edge, flow), bank.AdmitsLinear(edge, flow))
+          << "round " << round;
     }
 
     // Third leg of the equivalence: the reach engine's static walk must
@@ -273,7 +267,7 @@ TEST(EdgeEquivalenceTest, HoldsThroughFaultInjectorStorm) {
 
 class BaselineEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(BaselineEquivalenceTest, CachedEvaluateMatchesUncached) {
+TEST_P(BaselineEquivalenceTest, EvaluateMatchesReachEngine) {
   SCOPED_TRACE("reproduce with TN_SEED=" + std::to_string(GetParam()));
   Rng rng(GetParam());
   TestWorld tw = BuildTestWorld();
@@ -289,6 +283,13 @@ TEST_P(BaselineEquivalenceTest, CachedEvaluateMatchesUncached) {
                             *IpPrefix::Parse("10.0.0.0/16"));
   auto subnet = *net.CreateSubnet(vpc, "s1", 20, 0, false);
   auto sg = *net.CreateSecurityGroup(vpc, "sg");
+  // Egress is open in a group of its own, so flows reach the ingress checks
+  // the churn below toggles and some verdicts deliver.
+  auto egress_sg = *net.CreateSecurityGroup(vpc, "egress");
+  SgRule egress;
+  egress.direction = TrafficDirection::kEgress;
+  egress.peer = IpPrefix::Any(IpFamily::kIpv4);
+  ASSERT_TRUE(net.AddSgRule(egress_sg, egress).ok());
   auto acl = *net.CreateNetworkAcl(vpc, "acl");
   for (TrafficDirection dir :
        {TrafficDirection::kIngress, TrafficDirection::kEgress}) {
@@ -306,12 +307,14 @@ TEST_P(BaselineEquivalenceTest, CachedEvaluateMatchesUncached) {
   for (int i = 0; i < 8; ++i) {
     InstanceId id =
         *tw.world->LaunchInstance(tw.tenant, tw.provider, tw.east, 0);
-    ASSERT_TRUE(net.AttachInstance(id, subnet, {sg}, false).ok());
+    ASSERT_TRUE(net.AttachInstance(id, subnet, {sg, egress_sg}, false).ok());
     instances.push_back(id);
   }
 
   uint32_t next_acl_rule = 100;
   size_t sg_rules = 0;
+  int delivered = 0;
+  int denied = 0;
   for (int round = 0; round < 60; ++round) {
     switch (rng.NextU64(6)) {
       case 0: {  // add an SG allow rule for a random port
@@ -369,34 +372,27 @@ TEST_P(BaselineEquivalenceTest, CachedEvaluateMatchesUncached) {
       InstanceId a = instances[rng.NextU64(instances.size())];
       InstanceId b = instances[rng.NextU64(instances.size())];
       uint16_t port = static_cast<uint16_t>(80 + rng.NextU64(6));
-      auto cached = net.Evaluate(a, b, port, Protocol::kTcp);
-      auto uncached = net.EvaluateUncached(a, b, port, Protocol::kTcp);
-      ASSERT_EQ(cached.ok(), uncached.ok()) << "round " << round;
+      auto d = net.Evaluate(a, b, port, Protocol::kTcp);
       ReachVerdict v = reach.CanReach(a, b, port, Protocol::kTcp);
-      if (cached.ok()) {
-        EXPECT_EQ(cached->delivered, uncached->delivered)
-            << "round " << round << " port " << port;
-        EXPECT_EQ(cached->drop_stage, uncached->drop_stage)
-            << "round " << round << " port " << port;
-        // Field for field: hops, reason record, addresses, nodes, policy.
-        EXPECT_EQ(*cached, *uncached)
-            << "round " << round << " port " << port << ": "
-            << Explain(*cached) << " vs " << Explain(*uncached);
-        // The reach engine is the third witness: verdict and deny stage
-        // must match the staged evaluation exactly.
-        EXPECT_EQ(v.reachable, cached->delivered)
+      if (d.ok()) {
+        // The reach engine is the witness: verdict and deny stage must
+        // match the staged evaluation exactly.
+        EXPECT_EQ(v.reachable, d->delivered)
             << "round " << round << " " << v.ToString();
-        if (!cached->delivered) {
-          EXPECT_EQ(DenyStages().Name(v.deny_stage), cached->drop_stage)
+        if (!d->delivered) {
+          EXPECT_EQ(DenyStages().Name(v.deny_stage), d->drop_stage)
               << "round " << round << " " << v.ToString();
         }
+        ++(d->delivered ? delivered : denied);
       } else {
         EXPECT_FALSE(v.reachable) << "round " << round << " " << v.ToString();
       }
     }
   }
   queue.RunAll();
-  EXPECT_GT(net.evaluate_cache_stats().hits, 0u);
+  // Both verdicts occurred (this is a property test, not a no-op pass).
+  EXPECT_GT(delivered, 0);
+  EXPECT_GT(denied, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BaselineEquivalenceTest,

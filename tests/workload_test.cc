@@ -291,5 +291,34 @@ TEST_F(WorkloadTest, TransactionsWithoutAReturnPathAreDenied) {
   EXPECT_EQ(flows_.active_flow_count(), 0u);
 }
 
+// A route the executor refuses to start (weight 0 fails ValidFlowStart)
+// ends its transaction once, as a denial under "flow-refused": nothing
+// stays in flight and every attempt is accounted for. A pattern beside it
+// with a valid route still completes every transaction.
+TEST_F(WorkloadTest, RefusedResponseStartEndsTheTransaction) {
+  ConnectorFn weightless = [allow = AllowAll()](InstanceId src,
+                                                InstanceId dst) {
+    ResolvedRoute route = allow(src, dst);
+    route.weight = 0.0;
+    return route;
+  };
+  size_t refused = workload_.AddPattern("weightless", {east_a_}, {west_},
+                                        20.0, weightless);
+  size_t valid = workload_.AddPattern("east-west", {east_b_}, {west_}, 20.0,
+                                      AllowAll());
+  workload_.Start(SimDuration::Seconds(5));
+  queue_.RunAll();
+  const PatternStats& stats = workload_.stats(refused);
+  EXPECT_GT(stats.attempted, 50u);
+  EXPECT_EQ(stats.denied, stats.attempted);
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.DenyByStage().at("flow-refused"), stats.denied);
+  const PatternStats& valid_stats = workload_.stats(valid);
+  EXPECT_GT(valid_stats.attempted, 50u);
+  EXPECT_EQ(valid_stats.completed, valid_stats.attempted);
+  EXPECT_EQ(workload_.inflight(), 0u);
+  EXPECT_EQ(flows_.active_flow_count(), 0u);
+}
+
 }  // namespace
 }  // namespace tenantnet
