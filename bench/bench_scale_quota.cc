@@ -27,7 +27,6 @@ struct QuotaResult {
 
 QuotaResult RunQuota(size_t points, size_t tenants) {
   QuotaParams params;
-  params.epoch = SimDuration::Millis(100);
   params.ewma_alpha = 0.4;
   EgressQuotaManager qos(params);
   RegionId region(1);

@@ -26,8 +26,7 @@ bool Serve(DeclarativeCloud& cloud, InstanceId client, IpAddress sip) {
 
 int main() {
   // Two providers, one region each (plus extras we ignore).
-  WorldParams params;
-  Fig1World fig = BuildFig1World(params);
+  Fig1World fig = BuildFig1World();
   CloudWorld& world = *fig.world;
   ConfigLedger ledger;
   DeclarativeCloud cloud(world, ledger);

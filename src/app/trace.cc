@@ -19,8 +19,10 @@ TenantTrace GenerateTrace(const TraceParams& params) {
 
   // Pareto scale so that the mean matches mean_lifetime_seconds:
   // E[X] = alpha * x_min / (alpha - 1) for alpha > 1.
-  double x_min = params.mean_lifetime_seconds * (params.pareto_alpha - 1) /
-                 params.pareto_alpha;
+  constexpr double kParetoAlpha = 1.3;  // lifetime tail index
+  constexpr double kMaxLifetimeSeconds = 86400;
+  double x_min = params.mean_lifetime_seconds * (kParetoAlpha - 1) /
+                 kParetoAlpha;
 
   uint64_t next_instance = 0;
   std::vector<std::vector<uint64_t>> per_tenant_instances(params.tenants);
@@ -37,8 +39,8 @@ TenantTrace GenerateTrace(const TraceParams& params) {
       uint64_t instance = next_instance++;
       per_tenant_instances[tenant].push_back(instance);
       double lifetime =
-          std::min(tenant_rng.NextPareto(x_min, params.pareto_alpha),
-                   params.max_lifetime_seconds);
+          std::min(tenant_rng.NextPareto(x_min, kParetoAlpha),
+                   kMaxLifetimeSeconds);
       pending.push_back(
           {SimTime::FromSeconds(t), true, tenant, instance});
       pending.push_back(
@@ -60,12 +62,13 @@ TenantTrace GenerateTrace(const TraceParams& params) {
 
   // Partner selection: Zipf over the tenant's instance population (popular
   // instances attract most flows).
+  constexpr double kZipfS = 1.1;
   std::vector<ZipfSampler> samplers;
   samplers.reserve(params.tenants);
   for (uint64_t tenant = 0; tenant < params.tenants; ++tenant) {
     samplers.emplace_back(
         std::max<uint64_t>(1, per_tenant_instances[tenant].size()),
-        params.zipf_s);
+        kZipfS);
   }
 
   trace.events.reserve(pending.size());

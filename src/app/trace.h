@@ -40,9 +40,6 @@ struct TraceParams {
   uint64_t tenants = 10;
   double launches_per_second_per_tenant = 2.0;
   double mean_lifetime_seconds = 300;
-  double pareto_alpha = 1.3;          // lifetime tail index
-  double max_lifetime_seconds = 86400;
-  double zipf_s = 1.1;                // popularity skew of partners
   uint64_t partners_per_instance = 4;
   SimDuration duration = SimDuration::Seconds(3600);
   uint64_t seed = 1234;

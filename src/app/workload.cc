@@ -4,6 +4,19 @@
 #include <cmath>
 
 namespace tenantnet {
+namespace {
+
+constexpr SimDuration kServerTime = SimDuration::Micros(500);
+// QueuePenalty's per-link base and cap for the request's forward delay.
+constexpr SimDuration kQueuePenaltyBase = SimDuration::Millis(1);
+constexpr SimDuration kQueuePenaltyCap = SimDuration::Millis(50);
+// Retry backoff: kRetryBase * 2^attempt, capped at kRetryCap, times a
+// seeded jitter factor in [1 - kRetryJitter, 1 + kRetryJitter].
+constexpr SimDuration kRetryBase = SimDuration::Millis(10);
+constexpr SimDuration kRetryCap = SimDuration::Seconds(1);
+constexpr double kRetryJitter = 0.2;
+
+}  // namespace
 
 std::map<std::string, uint64_t> PatternStats::DenyByStage() const {
   std::map<std::string, uint64_t> out;
@@ -179,12 +192,12 @@ void RequestWorkload::RetryOrGiveUp(uint32_t index) {
     return;
   }
   ++stats.retries;
-  SimDuration backoff = params_.retry_base;
-  for (int i = 0; i < tx.attempt && backoff < params_.retry_cap; ++i) {
+  SimDuration backoff = kRetryBase;
+  for (int i = 0; i < tx.attempt && backoff < kRetryCap; ++i) {
     backoff = backoff * 2.0;
   }
-  backoff = std::min(backoff, params_.retry_cap);
-  backoff = backoff * (1.0 + params_.retry_jitter * rng_.NextDouble(-1.0, 1.0));
+  backoff = std::min(backoff, kRetryCap);
+  backoff = backoff * (1.0 + kRetryJitter * rng_.NextDouble(-1.0, 1.0));
   ++tx.attempt;
   queue_.ScheduleAfter(backoff, [this, index] { Attempt(index); });
 }
@@ -231,8 +244,8 @@ void RequestWorkload::Attempt(uint32_t index) {
   }
 
   SimDuration forward = topology.SamplePathDelay(*path, rng_) +
-                        flows_.QueuePenalty(*path, params_.queue_penalty_base,
-                                            params_.queue_penalty_cap);
+                        flows_.QueuePenalty(*path, kQueuePenaltyBase,
+                                            kQueuePenaltyCap);
   // Heavy-tailed response size (bounded Pareto-ish: scale for the mean).
   double x_min = params_.mean_response_bytes *
                  (params_.response_pareto_alpha - 1) /
@@ -252,7 +265,7 @@ void RequestWorkload::Attempt(uint32_t index) {
   tx.response_path = *reverse_path;
   // Request arrives at the server after the forward delay + server time;
   // the response then streams back through the fluid simulator.
-  queue_.ScheduleAfter(forward + params_.server_time,
+  queue_.ScheduleAfter(forward + kServerTime,
                        [this, index] { StartResponse(index); });
 }
 

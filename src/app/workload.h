@@ -82,23 +82,17 @@ ResolvedRoute RouteFor(const Result<Delivery>& d) {
 struct WorkloadParams {
   double mean_response_bytes = 256 * 1024;
   double response_pareto_alpha = 1.5;   // heavy-tailed response sizes
-  SimDuration server_time = SimDuration::Micros(500);
-  SimDuration queue_penalty_base = SimDuration::Millis(1);
-  SimDuration queue_penalty_cap = SimDuration::Millis(50);
   uint64_t seed = 7;
 
-  // Retry policy for fault-aborted transactions: bounded exponential
-  // backoff (retry_base * 2^attempt, capped at retry_cap) with a seeded
-  // jitter factor in [1-retry_jitter, 1+retry_jitter]. Each retry
-  // re-resolves the route, so traffic reroutes around downed links. The
-  // default max_retries=0 disables retries entirely — aborted transactions
-  // are dropped — which also leaves the RNG draw sequence identical to a
-  // fault-free run (replays stay deterministic either way: all draws come
-  // from the workload's seeded RNG).
+  // Retries for fault-aborted transactions, each after a bounded
+  // exponential backoff (10 ms * 2^attempt, capped at 1 s) with a seeded
+  // jitter factor in [0.8, 1.2]. Each retry re-resolves the route, so
+  // traffic reroutes around downed links. The default max_retries=0
+  // disables retries entirely — aborted transactions are dropped — which
+  // also leaves the RNG draw sequence identical to a fault-free run
+  // (replays stay deterministic either way: all draws come from the
+  // workload's seeded RNG).
   int max_retries = 0;
-  SimDuration retry_base = SimDuration::Millis(10);
-  SimDuration retry_cap = SimDuration::Seconds(1);
-  double retry_jitter = 0.2;
 };
 
 struct PatternStats {

@@ -27,9 +27,9 @@ std::vector<InstanceId> Fig1World::AllInstances() const {
   return all;
 }
 
-Fig1World BuildFig1World(WorldParams params) {
+Fig1World BuildFig1World() {
   Fig1World fig;
-  fig.world = std::make_unique<CloudWorld>(params);
+  fig.world = std::make_unique<CloudWorld>();
   CloudWorld& w = *fig.world;
 
   // Public internet core: US east/west, central US, EU west/central.
@@ -71,9 +71,9 @@ Fig1World BuildFig1World(WorldParams params) {
   return fig;
 }
 
-TestWorld BuildTestWorld(WorldParams params) {
+TestWorld BuildTestWorld() {
   TestWorld tw;
-  tw.world = std::make_unique<CloudWorld>(params);
+  tw.world = std::make_unique<CloudWorld>();
   CloudWorld& w = *tw.world;
   w.AddTransitRouter("transit:east", {1, 1});
   w.AddTransitRouter("transit:west", {-19, 1});

@@ -48,7 +48,7 @@ struct Fig1World {
   std::vector<InstanceId> AllInstances() const;
 };
 
-Fig1World BuildFig1World(WorldParams params = {});
+Fig1World BuildFig1World();
 
 // A smaller two-region, one-provider world for unit tests.
 struct TestWorld {
@@ -61,7 +61,7 @@ struct TestWorld {
   OnPremId on_prem;
 };
 
-TestWorld BuildTestWorld(WorldParams params = {});
+TestWorld BuildTestWorld();
 
 }  // namespace tenantnet
 

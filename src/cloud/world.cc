@@ -6,6 +6,23 @@
 #include <limits>
 
 namespace tenantnet {
+namespace {
+
+// The link and instance model of every world.
+constexpr double kDcLinkBps = 400e9;          // zone <-> edge
+constexpr SimDuration kDcLinkDelay = SimDuration::Micros(250);
+constexpr double kBackboneBps = 100e9;        // region <-> region, same provider
+constexpr SimDuration kBackboneJitter = SimDuration::Micros(50);
+constexpr double kInternetBps = 40e9;         // transit links
+constexpr SimDuration kInternetJitter = SimDuration::Millis(2);
+constexpr double kInternetLoss = 0.0005;
+constexpr double kEdgeUplinkBps = 80e9;       // provider edge <-> transit router
+constexpr double kExchangeUplinkBps = 50e9;   // IXP <-> transit router
+constexpr double kDefaultVmEgressBps = 10e9;
+// One-way delay per unit of geo distance.
+constexpr SimDuration kDelayPerDistance = SimDuration::Millis(1);
+
+}  // namespace
 
 double GeoDistance(GeoPoint a, GeoPoint b) {
   double dx = a.x - b.x;
@@ -25,13 +42,11 @@ std::string_view EgressPolicyName(EgressPolicy policy) {
   return "?";
 }
 
-CloudWorld::CloudWorld(WorldParams params) : params_(params) {}
-
 SimDuration CloudWorld::DelayFor(GeoPoint a, GeoPoint b) const {
   double d = GeoDistance(a, b);
   // Minimum floor keeps co-located sites from having zero-delay links.
   return std::max(SimDuration::Micros(100),
-                  params_.delay_per_distance * d);
+                  kDelayPerDistance * d);
 }
 
 NodeId CloudWorld::NearestTransit(GeoPoint position) const {
@@ -57,10 +72,10 @@ NodeId CloudWorld::AddTransitRouter(const std::string& name,
     topology_.AddDuplexLink(LinkInfo{
         .src = node,
         .dst = peer,
-        .capacity_bps = params_.internet_bps,
+        .capacity_bps = kInternetBps,
         .delay = DelayFor(position, pos),
-        .jitter_stddev = params_.internet_jitter,
-        .loss_rate = params_.internet_loss,
+        .jitter_stddev = kInternetJitter,
+        .loss_rate = kInternetLoss,
         .cls = LinkClass::kPublicInternet,
     });
   }
@@ -94,8 +109,8 @@ RegionId CloudWorld::AddRegion(ProviderId provider, const std::string& name,
     topology_.AddDuplexLink(LinkInfo{
         .src = host,
         .dst = region.edge_node,
-        .capacity_bps = params_.dc_link_bps,
-        .delay = params_.dc_link_delay,
+        .capacity_bps = kDcLinkBps,
+        .delay = kDcLinkDelay,
         .jitter_stddev = SimDuration::Micros(10),
         .loss_rate = 0,
         .cls = LinkClass::kDatacenter,
@@ -109,9 +124,9 @@ RegionId CloudWorld::AddRegion(ProviderId provider, const std::string& name,
     topology_.AddDuplexLink(LinkInfo{
         .src = region.edge_node,
         .dst = other.edge_node,
-        .capacity_bps = params_.backbone_bps,
+        .capacity_bps = kBackboneBps,
         .delay = DelayFor(position, other.position),
-        .jitter_stddev = params_.backbone_jitter,
+        .jitter_stddev = kBackboneJitter,
         .loss_rate = 0,
         .cls = LinkClass::kBackbone,
     });
@@ -128,10 +143,10 @@ RegionId CloudWorld::AddRegion(ProviderId provider, const std::string& name,
   topology_.AddDuplexLink(LinkInfo{
       .src = region.edge_node,
       .dst = transit,
-      .capacity_bps = params_.edge_uplink_bps,
+      .capacity_bps = kEdgeUplinkBps,
       .delay = DelayFor(position, transit_pos),
-      .jitter_stddev = params_.internet_jitter,
-      .loss_rate = params_.internet_loss,
+      .jitter_stddev = kInternetJitter,
+      .loss_rate = kInternetLoss,
       .cls = LinkClass::kPublicInternet,
   });
 
@@ -155,10 +170,10 @@ ExchangeId CloudWorld::AddExchange(const std::string& name,
   topology_.AddDuplexLink(LinkInfo{
       .src = node,
       .dst = transit,
-      .capacity_bps = params_.exchange_uplink_bps,
+      .capacity_bps = kExchangeUplinkBps,
       .delay = DelayFor(position, transit_pos),
-      .jitter_stddev = params_.internet_jitter,
-      .loss_rate = params_.internet_loss,
+      .jitter_stddev = kInternetJitter,
+      .loss_rate = kInternetLoss,
       .cls = LinkClass::kPublicInternet,
   });
   exchanges_.push_back(ExchangeSite{name, position, node});
@@ -174,8 +189,8 @@ OnPremId CloudWorld::AddOnPrem(const std::string& name, GeoPoint position,
   topology_.AddDuplexLink(LinkInfo{
       .src = host,
       .dst = router,
-      .capacity_bps = params_.dc_link_bps,
-      .delay = params_.dc_link_delay,
+      .capacity_bps = kDcLinkBps,
+      .delay = kDcLinkDelay,
       .jitter_stddev = SimDuration::Micros(10),
       .loss_rate = 0,
       .cls = LinkClass::kDatacenter,
@@ -190,10 +205,10 @@ OnPremId CloudWorld::AddOnPrem(const std::string& name, GeoPoint position,
   topology_.AddDuplexLink(LinkInfo{
       .src = router,
       .dst = transit,
-      .capacity_bps = params_.internet_bps / 4,
+      .capacity_bps = kInternetBps / 4,
       .delay = DelayFor(position, transit_pos),
-      .jitter_stddev = params_.internet_jitter,
-      .loss_rate = params_.internet_loss,
+      .jitter_stddev = kInternetJitter,
+      .loss_rate = kInternetLoss,
       .cls = LinkClass::kPublicInternet,
   });
   on_prems_.push_back(OnPremSite{name, position, router, host, address_space});
@@ -277,7 +292,7 @@ Result<InstanceId> CloudWorld::LaunchInstance(TenantId tenant,
   inst.region = region;
   inst.zone_index = zone_index;
   inst.host_node = r.zones[zone_index].host_node;
-  inst.vm_egress_cap_bps = params_.default_vm_egress_bps;
+  inst.vm_egress_cap_bps = kDefaultVmEgressBps;
   InstanceId id = inst.id;
   instances_.emplace(id, inst);
   ++live_instance_count_;
@@ -298,7 +313,7 @@ Result<InstanceId> CloudWorld::LaunchOnPremInstance(TenantId tenant,
   inst.tenant = tenant;
   inst.on_prem = on_prem;
   inst.host_node = on_prems_[on_prem.value() - 1].host_node;
-  inst.vm_egress_cap_bps = params_.default_vm_egress_bps;
+  inst.vm_egress_cap_bps = kDefaultVmEgressBps;
   InstanceId id = inst.id;
   instances_.emplace(id, inst);
   ++live_instance_count_;

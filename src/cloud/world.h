@@ -107,29 +107,10 @@ struct Instance {
   bool running = true;
 };
 
-// Tunables for world construction.
-struct WorldParams {
-  double dc_link_bps = 400e9;           // zone <-> edge
-  SimDuration dc_link_delay = SimDuration::Micros(250);
-  double backbone_bps = 100e9;          // region <-> region, same provider
-  SimDuration backbone_jitter = SimDuration::Micros(50);
-  double internet_bps = 40e9;           // transit links
-  SimDuration internet_jitter = SimDuration::Millis(2);
-  double internet_loss = 0.0005;
-  double edge_uplink_bps = 80e9;        // provider edge <-> transit router
-  double exchange_uplink_bps = 50e9;    // IXP <-> transit router
-  double default_vm_egress_bps = 10e9;
-  // One-way delay per unit of geo distance.
-  SimDuration delay_per_distance = SimDuration::Millis(1);
-};
-
 class CloudWorld {
  public:
-  explicit CloudWorld(WorldParams params = {});
-
   Topology& topology() { return topology_; }
   const Topology& topology() const { return topology_; }
-  const WorldParams& params() const { return params_; }
 
   // --- World construction -------------------------------------------------
 
@@ -241,7 +222,6 @@ class CloudWorld {
     size_t operator()(const PathKey& key) const;
   };
 
-  WorldParams params_;
   Topology topology_;
 
   std::vector<ProviderSite> providers_;

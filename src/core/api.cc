@@ -51,7 +51,7 @@ DeclarativeCloud::DeclarativeCloud(CloudWorld& world, ConfigLedger& ledger,
                                    EventQueue* queue,
                                    DeclarativeParams params)
     : world_(&world), ledger_(&ledger), queue_(queue), params_(params),
-      qos_(params.quota), sip_lb_hop_(RouteLabels().Intern("sip-lb")) {}
+      sip_lb_hop_(RouteLabels().Intern("sip-lb")) {}
 
 DeclarativeCloud::ProviderState& DeclarativeCloud::Provider(ProviderId id) {
   auto it = providers_.find(id);

@@ -90,7 +90,6 @@ std::string Explain(const DeclarativeDelivery& delivery);
 
 struct DeclarativeParams {
   EdgeFilterParams filter;
-  QuotaParams quota;
   uint64_t rng_seed = 42;
 };
 

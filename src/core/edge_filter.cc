@@ -115,10 +115,13 @@ size_t EdgeFilterBank::AddEdge(const std::string& name) {
 }
 
 SimDuration EdgeFilterBank::SampleDeliveryLatency() {
+  constexpr SimDuration kInstallBase = SimDuration::Millis(5);
+  constexpr SimDuration kInstallExtraMean = SimDuration::Millis(10);
+  constexpr SimDuration kDegradedRetransmit = SimDuration::Millis(50);
+  constexpr SimDuration kDegradedExtra = SimDuration::Millis(20);
   SimDuration latency =
-      params_.install_base +
-      SimDuration::Seconds(rng_.NextExponential(
-          1.0 / std::max(1e-9, params_.install_extra_mean.ToSeconds())));
+      kInstallBase + SimDuration::Seconds(rng_.NextExponential(
+                         1.0 / kInstallExtraMean.ToSeconds()));
   if (!degraded_) {
     return latency;
   }
@@ -129,11 +132,10 @@ SimDuration EdgeFilterBank::SampleDeliveryLatency() {
   for (int attempt = 0;
        attempt < 64 && rng_.NextBool(params_.degraded_drop_prob); ++attempt) {
     ++messages_dropped_;
-    ++retransmissions_;
     ++messages_;  // the retransmit is one more control-plane message
-    latency += params_.degraded_retransmit;
+    latency += kDegradedRetransmit;
   }
-  return latency + params_.degraded_extra;
+  return latency + kDegradedExtra;
 }
 
 uint32_t EdgeFilterBank::SlotFor(IpAddress endpoint) {

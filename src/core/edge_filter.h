@@ -150,8 +150,6 @@ class CompiledPermitList {
     return group_scopes_;
   }
 
-  size_t prefix_node_count() const { return prefix_index_.node_count(); }
-
   // Matcher footprint (trie arena + scope heap), for E10 accounting.
   size_t ApproxBytes() const;
 
@@ -191,19 +189,13 @@ struct FilterBankSnapshot {
 };
 
 struct EdgeFilterParams {
-  // Control-plane install latency per edge: base + Exp(1/mean_extra).
-  SimDuration install_base = SimDuration::Millis(5);
-  SimDuration install_extra_mean = SimDuration::Millis(10);
-
   // Degraded-replication model (control-plane faults). While degraded, each
   // replication message is independently dropped with `degraded_drop_prob`
-  // and retransmitted after `degraded_retransmit` (a retransmit may drop
-  // again); deliveries that do land also pay `degraded_extra`. Drop/retry
-  // outcomes are drawn up front at send time from the bank's seeded RNG, so
-  // a replayed schedule produces byte-identical apply times.
+  // and retransmitted 50 ms later (a retransmit may drop again); deliveries
+  // that do land also pay 20 ms more. Drop/retry outcomes are drawn up
+  // front at send time from the bank's seeded RNG, so a replayed schedule
+  // produces byte-identical apply times.
   double degraded_drop_prob = 0.35;
-  SimDuration degraded_retransmit = SimDuration::Millis(50);
-  SimDuration degraded_extra = SimDuration::Millis(20);
 };
 
 // The replicated filter state of one enforcement domain (a provider or an
@@ -212,7 +204,8 @@ struct EdgeFilterParams {
 class EdgeFilterBank {
  public:
   // `queue` may be null: updates then apply immediately (tests, and scale
-  // benches that account latency analytically).
+  // benches that account latency analytically). With a queue, each install
+  // reaches an edge 5 ms + Exp(mean 10 ms) after it is sent.
   EdgeFilterBank(std::string domain, EventQueue* queue, uint64_t rng_seed,
                  EdgeFilterParams params = {});
   ~EdgeFilterBank();
@@ -331,7 +324,6 @@ class EdgeFilterBank {
   uint64_t update_messages_sent() const { return messages_; }
   uint64_t endpoints_with_lists() const { return master_lists_; }
   uint64_t messages_dropped() const { return messages_dropped_; }
-  uint64_t retransmissions() const { return retransmissions_; }
 
   // --- Memory accounting (E10) ---------------------------------------------
   // Resident footprint of the bank's endpoint-indexed state: slot index,
@@ -487,7 +479,6 @@ class EdgeFilterBank {
   EdgeFilterParams params_;
   bool degraded_ = false;
   uint64_t messages_dropped_ = 0;
-  uint64_t retransmissions_ = 0;
   std::vector<EdgeState> edges_;
 
   // Endpoint slot index + bank-wide SoA columns (all sized to slot count).

@@ -5,6 +5,13 @@
 #include <limits>
 
 namespace tenantnet {
+namespace {
+
+constexpr SimDuration kEpoch = SimDuration::Millis(100);  // coordination period
+constexpr double kMinShareFraction = 0.02;  // floor share per idle point
+constexpr double kBurstSeconds = 0.05;  // bucket depth, as seconds of share rate
+
+}  // namespace
 
 void TokenBucket::Refill(SimTime now) {
   if (now <= last_refill_) {
@@ -79,7 +86,7 @@ Status EgressQuotaManager::SetQuota(TenantId tenant, RegionId region,
   // Initial division: equal shares (no demand signal yet).
   double share = bps / static_cast<double>(state.points.size());
   for (PointState& p : state.points) {
-    p.bucket = TokenBucket{share, share * params_.burst_seconds};
+    p.bucket = TokenBucket{share, share * kBurstSeconds};
     messages_ += 1;  // coordinator -> point
   }
   return Status::Ok();
@@ -234,7 +241,7 @@ void EgressQuotaManager::Redivide(QuotaState& state, SimTime now,
   }
   // Proportional shares with an idle floor.
   double floor =
-      state.quota_bps * params_.min_share_fraction /
+      state.quota_bps * kMinShareFraction /
       static_cast<double>(state.points.size());
   double distributable =
       state.quota_bps - floor * static_cast<double>(state.points.size());
@@ -249,7 +256,7 @@ void EgressQuotaManager::Redivide(QuotaState& state, SimTime now,
       share += distributable / static_cast<double>(state.points.size());
     }
     p.bucket.SetRate(share, now);
-    p.bucket.SetBurst(share * params_.burst_seconds);
+    p.bucket.SetBurst(share * kBurstSeconds);
     messages_ += 1;  // coordinator -> point new share
     ApplyPointCaps(p);
   }
@@ -257,9 +264,9 @@ void EgressQuotaManager::Redivide(QuotaState& state, SimTime now,
 
 void EgressQuotaManager::RunEpoch(SimTime now) {
   SimDuration elapsed =
-      epochs_ == 0 ? params_.epoch : (now - last_epoch_);
+      epochs_ == 0 ? kEpoch : (now - last_epoch_);
   if (elapsed <= SimDuration::Zero()) {
-    elapsed = params_.epoch;
+    elapsed = kEpoch;
   }
   // With a FlowSim attached, the whole epoch's cap updates — every quota,
   // every point, every registered flow — coalesce into one reallocation.

@@ -79,10 +79,7 @@ struct QosSelector {
 };
 
 struct QuotaParams {
-  SimDuration epoch = SimDuration::Millis(100);  // coordination period
   double ewma_alpha = 0.3;       // demand smoothing per epoch
-  double min_share_fraction = 0.02;  // floor share per idle point
-  double burst_seconds = 0.05;   // bucket depth, as seconds of share rate
 };
 
 class EgressQuotaManager {

@@ -65,7 +65,6 @@ class SipLoadBalancer {
   // All bindings of a SIP (healthy or not).
   Result<std::vector<Binding>> Bindings(IpAddress sip) const;
 
-  size_t sip_count() const { return bindings_.size(); }
   uint64_t resolutions() const { return pick_seq_; }
 
   // Revision hook (reach-verifier keying): bumped by every mutation that can

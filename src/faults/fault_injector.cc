@@ -85,10 +85,9 @@ FaultSchedule FaultSchedule::Storm(uint64_t seed, const StormParams& params) {
 
 FaultInjector::FaultInjector(EventQueue& queue, Topology& topology,
                              FlowControlSurface& flow_sim, CloudWorld* world,
-                             MetricRegistry& metrics, FaultHooks hooks,
-                             SimDuration probe_interval)
+                             MetricRegistry& metrics, FaultHooks hooks)
     : queue_(queue), topology_(topology), flow_sim_(flow_sim), world_(world),
-      hooks_(std::move(hooks)), probe_interval_(probe_interval) {
+      hooks_(std::move(hooks)) {
   injected_counter_ = &metrics.GetCounter("faults.injected");
   unconverged_counter_ = &metrics.GetCounter("faults.unconverged");
   for (uint8_t k = 0; k < 5; ++k) {
@@ -243,13 +242,15 @@ void FaultInjector::Probe(const FaultSpec& spec, SimTime recovered_at,
         (queue_.now() - recovered_at).ToMillis());
     return;
   }
-  if (tries >= max_probe_tries_) {
+  constexpr int kMaxProbeTries = 10000;
+  if (tries >= kMaxProbeTries) {
     // Permanently unconverged — the failure the parity tests look for.
     ++faults_unconverged_;
     unconverged_counter_->Increment();
     return;
   }
-  queue_.ScheduleAfter(probe_interval_, [this, spec, recovered_at, tries] {
+  constexpr SimDuration kProbeInterval = SimDuration::Millis(10);
+  queue_.ScheduleAfter(kProbeInterval, [this, spec, recovered_at, tries] {
     Probe(spec, recovered_at, tries + 1);
   });
 }

@@ -18,8 +18,8 @@
 //     the same link — directly and via a gateway restart — must not restore
 //     it at the first recovery).
 //   * Recovery probing is periodic on the shared EventQueue, so
-//     time-to-reconverge is quantized at probe_interval and replays
-//     identically.
+//     time-to-reconverge is quantized at the 10 ms probe interval and
+//     replays identically.
 
 #ifndef TENANTNET_SRC_FAULTS_FAULT_INJECTOR_H_
 #define TENANTNET_SRC_FAULTS_FAULT_INJECTOR_H_
@@ -93,7 +93,7 @@ struct FaultHooks {
   std::function<void(const FaultSpec&)> on_inject;
   // Runs right after the injector restores state at recovery time.
   std::function<void(const FaultSpec&)> on_recover;
-  // Convergence predicate, probed every probe_interval after recovery until
+  // Convergence predicate, probed every 10 ms after recovery until
   // true (or the probe budget runs out). Default: no flow is stalled on a
   // downed link anywhere in the sim.
   std::function<bool(const FaultSpec&)> recovered;
@@ -115,8 +115,7 @@ class FaultInjector {
   // schedule contains no instance faults. Metrics land in `metrics` under
   // "faults.*" names.
   FaultInjector(EventQueue& queue, Topology& topology, FlowControlSurface& flow_sim,
-                CloudWorld* world, MetricRegistry& metrics, FaultHooks hooks,
-                SimDuration probe_interval = SimDuration::Millis(10));
+                CloudWorld* world, MetricRegistry& metrics, FaultHooks hooks);
 
   // Schedules every event of `schedule` relative to now. May be called
   // more than once (schedules accumulate). InvalidArgument, with nothing
@@ -178,8 +177,6 @@ class FaultInjector {
   FlowControlSurface& flow_sim_;
   CloudWorld* world_;
   FaultHooks hooks_;
-  SimDuration probe_interval_;
-  int max_probe_tries_ = 10000;
 
   // Overlap reference counts.
   std::vector<int> link_refs_;                       // dense link index

@@ -272,7 +272,7 @@ ReachVerdict BaselineReachEngine::CanReach(InstanceId src, InstanceId dst,
   ReachFacts facts;
   facts.dst_known = true;  // instance-addressed query
 
-  Result<BaselineDelivery> result = net_->Evaluate(src, dst, dst_port, proto);
+  Result<BaselineDelivery> result = net_->Query(src, dst, dst_port, proto);
   if (!result.ok()) {
     // The fabric refuses up front when either instance is unknown or down;
     // the message distinguishes the two.

@@ -12,8 +12,9 @@
 //    backend admits the flow) with a universal bound (`all_backends`);
 //    EIP destinations are exact.
 //  * BaselineReachEngine composes route tables, SG/ACL/DPI stages and TGW
-//    FIBs by driving the fabric's staged evaluator — the verdict and
-//    ordered stage trace are the walk the baseline data plane performs.
+//    FIBs by driving the fabric's staged walk through Query — the verdict
+//    and ordered stage trace are the walk the baseline data plane
+//    performs, and a DPI firewall on the path counts nothing.
 //
 // Both return a ReachVerdict whose stage trace reuses the interned
 // via/deny-stage labels (RouteLabels() / DenyStages()), and both triage

@@ -69,9 +69,6 @@ uint32_t WarmRestartCoordinator::Register(RestartableComponent component) {
       &metrics_->GetHistogram("restart.to_converged_ms." + component.name);
   entry.component = std::move(component);
   components_.push_back(std::move(entry));
-  // Components checkpoint at registration so a kill before the first
-  // explicit Checkpoint() still reconciles against a meaningful image.
-  components_.back().component.checkpoint();
   return static_cast<uint32_t>(components_.size() - 1);
 }
 
@@ -86,23 +83,12 @@ const WarmRestartCoordinator::Entry& WarmRestartCoordinator::Get(
   return components_[id];
 }
 
-void WarmRestartCoordinator::Checkpoint(uint32_t id) {
-  Entry& entry = Get(id);
-  // A dead control plane cannot write a snapshot; the kill-time (or prior)
-  // checkpoint stays authoritative until reconcile.
-  if (!entry.in_restart) {
-    entry.component.checkpoint();
-  }
-}
-
 void WarmRestartCoordinator::BeginRestart(uint32_t id) {
   Entry& entry = Get(id);
   if (entry.in_restart) {
     return;  // overlapping restarts extend the same outage
   }
-  if (checkpoint_on_kill_) {
-    entry.component.checkpoint();
-  }
+  entry.component.checkpoint();
   entry.in_restart = true;
   entry.began_at = queue_.now();
   entry.component.begin();
@@ -115,18 +101,12 @@ bool WarmRestartCoordinator::InRestart(uint32_t id) const {
 }
 
 ReconcileStats WarmRestartCoordinator::CompleteRestart(uint32_t id) {
-  return CompleteRestart(id, mode_);
-}
-
-ReconcileStats WarmRestartCoordinator::CompleteRestart(uint32_t id,
-                                                       RestartMode mode) {
   Entry& entry = Get(id);
   if (!entry.in_restart) {
     return ReconcileStats{};
   }
-  ReconcileStats stats = entry.component.complete(mode);
+  ReconcileStats stats = entry.component.complete(mode_);
   entry.in_restart = false;
-  entry.last = stats;
   total_.Merge(stats);
   ++restarts_completed_;
   completed_counter_->Increment();
@@ -148,10 +128,6 @@ void WarmRestartCoordinator::WireHooks(FaultHooks& hooks) {
   hooks.on_restart_complete = [this](const FaultSpec& spec) {
     CompleteRestart(spec.component);
   };
-}
-
-const ReconcileStats& WarmRestartCoordinator::last_stats(uint32_t id) const {
-  return Get(id).last;
 }
 
 const Histogram& WarmRestartCoordinator::outage_ms(uint32_t id) const {

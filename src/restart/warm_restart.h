@@ -41,7 +41,8 @@ class SipLoadBalancer;
 class BaselineNetwork;
 
 // One restartable control-plane component, type-erased. The adapter owns
-// the snapshot: `checkpoint` refreshes it, `complete` reconciles against it.
+// the snapshot: `checkpoint` refreshes it at every kill, `complete`
+// reconciles against it.
 struct RestartableComponent {
   std::string name;
   std::function<void()> checkpoint;
@@ -59,35 +60,23 @@ RestartableComponent MakeRoutingComponent(std::string name,
 
 class WarmRestartCoordinator {
  public:
-  // Metrics land under "restart.*". `mode` is the default for completions.
+  // Metrics land under "restart.*". Every completion runs under `mode`.
   WarmRestartCoordinator(EventQueue& queue, MetricRegistry& metrics,
                          RestartMode mode = RestartMode::kWarm);
 
   // Registers a component and returns its id (also valid as
   // FaultSpec::component / StormParams::restart_components entries).
   uint32_t Register(RestartableComponent component);
-  size_t component_count() const { return components_.size(); }
 
-  RestartMode mode() const { return mode_; }
-  void set_mode(RestartMode mode) { mode_ = mode; }
-
-  // By default a kill checkpoints first (the component crashed with a
-  // current snapshot on disk). Disable to reconcile against the last
-  // explicit Checkpoint() — the stale-snapshot path, where the diff pass
-  // earns its keep.
-  void set_checkpoint_on_kill(bool on) { checkpoint_on_kill_ = on; }
-
-  void Checkpoint(uint32_t id);
-
-  // Kills the component's control plane. Idempotent per component: a second
+  // Checkpoints the component, then kills its control plane (it crashed
+  // with a current snapshot on disk). Idempotent per component: a second
   // Begin before the matching Complete extends the same outage.
   void BeginRestart(uint32_t id);
   bool InRestart(uint32_t id) const;
 
-  // Replays + reconciles under `mode` (or the default mode). No-op (empty
-  // stats) unless the component is in restart.
+  // Replays + reconciles under the coordinator's mode. No-op (empty stats)
+  // unless the component is in restart.
   ReconcileStats CompleteRestart(uint32_t id);
-  ReconcileStats CompleteRestart(uint32_t id, RestartMode mode);
 
   // Routes FaultInjector's kControlPlaneRestart edges into Begin/Complete.
   // Overwrites hooks.on_restart_begin / hooks.on_restart_complete.
@@ -98,8 +87,6 @@ class WarmRestartCoordinator {
   uint64_t restarts_completed() const { return restarts_completed_; }
   // Merged stats across every completed restart.
   const ReconcileStats& total() const { return total_; }
-  // Stats of the most recent completion of one component.
-  const ReconcileStats& last_stats(uint32_t id) const;
   // Sim time from BeginRestart to CompleteRestart, per component.
   const Histogram& outage_ms(uint32_t id) const;
   // Sim time from BeginRestart until the reconciled state finished
@@ -111,7 +98,6 @@ class WarmRestartCoordinator {
     RestartableComponent component;
     bool in_restart = false;
     SimTime began_at = SimTime::Epoch();
-    ReconcileStats last;
     Histogram* outage_ms = nullptr;
     Histogram* to_converged_ms = nullptr;
   };
@@ -120,7 +106,6 @@ class WarmRestartCoordinator {
 
   EventQueue& queue_;
   RestartMode mode_;
-  bool checkpoint_on_kill_ = true;
   std::vector<Entry> components_;
 
   uint64_t restarts_begun_ = 0;

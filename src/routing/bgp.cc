@@ -323,7 +323,8 @@ void BgpMesh::ClearAdjRib(Speaker& s) {
   s.adj_rib_in.clear();
 }
 
-BgpMesh::ConvergenceStats BgpMesh::Converge(uint64_t max_rounds) {
+BgpMesh::ConvergenceStats BgpMesh::Converge() {
+  constexpr uint64_t kMaxRounds = 1000;
   ConvergenceStats stats;
   if (outage_.active()) {
     return stats;  // dead control plane: dirty work waits for the replay
@@ -339,7 +340,7 @@ BgpMesh::ConvergenceStats BgpMesh::Converge(uint64_t max_rounds) {
   };
   std::vector<Outgoing> deliveries;
 
-  while (pending_work_ > 0 && stats.rounds < max_rounds) {
+  while (pending_work_ > 0 && stats.rounds < kMaxRounds) {
     ++stats.rounds;
     std::vector<std::set<IpPrefix>> current(speakers_.size());
     current.swap(dirty_);
@@ -416,7 +417,7 @@ BgpMesh::ConvergenceStats BgpMesh::Converge(uint64_t max_rounds) {
   return stats;
 }
 
-BgpMesh::ConvergenceStats BgpMesh::ConvergeFull(uint64_t max_rounds) {
+BgpMesh::ConvergenceStats BgpMesh::ConvergeFull() {
   if (outage_.active()) {
     return ConvergenceStats{};  // must not wipe surviving forwarding state
   }
@@ -437,7 +438,7 @@ BgpMesh::ConvergenceStats BgpMesh::ConvergeFull(uint64_t max_rounds) {
       MarkDirty(i, prefix);
     }
   }
-  ConvergenceStats stats = Converge(max_rounds);
+  ConvergenceStats stats = Converge();
   ++mutations_;  // full rebuild: conservatively invalidate downstream
   return stats;
 }

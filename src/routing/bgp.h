@@ -144,7 +144,7 @@ class BgpMesh {
   Status WithdrawOrigin(SpeakerId speaker, const IpPrefix& prefix);
 
   // Drains the dirty-prefix queue in synchronous advertisement rounds
-  // until no speaker changes its Loc-RIB, or `max_rounds` is hit. A call
+  // until no speaker changes its Loc-RIB, or 1000 rounds have run. A call
   // with nothing pending does no work. Returns per-call stats.
   struct ConvergenceStats {
     uint64_t rounds = 0;
@@ -154,13 +154,13 @@ class BgpMesh {
     uint64_t best_path_changes = 0;  // Loc-RIB writes (incl. transients)
     bool converged = false;
   };
-  ConvergenceStats Converge(uint64_t max_rounds = 1000);
+  ConvergenceStats Converge();
 
   // From-scratch reference: clears every Adj-RIB-In and Loc-RIB, re-seeds
   // origins, and re-floods the whole mesh through the same engine. The
   // result is the state Converge() maintains incrementally; the cost is
   // what every mutation used to pay.
-  ConvergenceStats ConvergeFull(uint64_t max_rounds = 1000);
+  ConvergenceStats ConvergeFull();
 
   // Best route at `speaker` for exactly `prefix` (post-convergence).
   const BgpRoute* BestRoute(SpeakerId speaker, const IpPrefix& prefix) const;
@@ -186,10 +186,6 @@ class BgpMesh {
   // buckets + 16-byte compact entries, the interned AS-path pool, and the
   // Loc-RIBs. Capacity-based, feeds the telemetry gauges.
   size_t ApproxBytes() const;
-
-  // Distinct AS paths alive in the mesh-wide intern pool. Most routes in a
-  // realistic mesh share a handful of paths; this is the dedup win.
-  size_t distinct_as_paths() const { return paths_.size(); }
 
   // --- Delta API -----------------------------------------------------------
 

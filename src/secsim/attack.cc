@@ -18,6 +18,10 @@ std::string_view AttackKindName(AttackKind kind) {
 
 AttackOutcome RunAttack(const AttackConfig& config, NetworkCheckFn network,
                         AppCheckFn app_check) {
+  // Spoofed/botnet source space for floods and scans, and the payload of
+  // every probe.
+  static const IpPrefix kBotnet = *IpPrefix::Parse("203.0.0.0/16");
+  static const std::string kPayload = "GET /";
   Rng rng(config.seed);
   AttackOutcome outcome;
   outcome.attempts = config.attempts;
@@ -30,12 +34,12 @@ AttackOutcome RunAttack(const AttackConfig& config, NetworkCheckFn network,
 
     switch (config.kind) {
       case AttackKind::kVolumetricFlood:
-        flow.src = config.botnet.AddressAt(
-            rng.NextU64(config.botnet.AddressCount()));
+        flow.src = kBotnet.AddressAt(
+            rng.NextU64(kBotnet.AddressCount()));
         flow.dst_port = config.target_port;
         break;
       case AttackKind::kPortScan:
-        flow.src = config.botnet.AddressAt(17);  // single scanning host
+        flow.src = kBotnet.AddressAt(17);  // single scanning host
         flow.dst_port = static_cast<uint16_t>(1 + (i % 65535));
         break;
       case AttackKind::kUnauthorizedAccess:
@@ -43,13 +47,13 @@ AttackOutcome RunAttack(const AttackConfig& config, NetworkCheckFn network,
         flow.dst_port = config.target_port;
         break;
       case AttackKind::kStolenCredential:
-        flow.src = config.botnet.AddressAt(
-            rng.NextU64(config.botnet.AddressCount()));
+        flow.src = kBotnet.AddressAt(
+            rng.NextU64(kBotnet.AddressCount()));
         flow.dst_port = config.target_port;
         break;
     }
 
-    NetworkVerdict verdict = network(flow, config.payload);
+    NetworkVerdict verdict = network(flow, kPayload);
     if (!verdict.delivered) {
       ++outcome.dropped_by_stage[verdict.stage];
       continue;
@@ -63,7 +67,7 @@ AttackOutcome RunAttack(const AttackConfig& config, NetworkCheckFn network,
     request.method = "POST";
     request.path = "/api/v1/query";
     request.token = config.token;
-    request.body = config.payload;
+    request.body = kPayload;
     GatewayVerdict app = app_check(request);
     if (app == GatewayVerdict::kAccepted) {
       ++outcome.served;

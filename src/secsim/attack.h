@@ -49,13 +49,10 @@ struct AttackConfig {
   IpAddress target;
   uint16_t target_port = 443;
   uint64_t attempts = 10000;
-  // Spoofed/botnet source space for floods and scans.
-  IpPrefix botnet = *IpPrefix::Parse("203.0.0.0/16");
   // For credentialed attacks.
   std::string token;                 // empty/bogus for kUnauthorizedAccess
   IpAddress insider_source;          // a network-permitted address, for
                                      // kUnauthorizedAccess
-  std::string payload = "GET /";     // flood/scan payload
   uint64_t seed = 99;
 };
 

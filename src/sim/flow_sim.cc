@@ -162,7 +162,30 @@ FlowId FlowSim::StartFlow(std::vector<LinkId> path, double bytes,
     flows_.emplace(id, std::move(flow));
     return id;
   }
+  // A path across a downed link gets the contract of a link that fails
+  // right after the start (see SetLinkUp): with a handler the flow aborts,
+  // its handler firing through the queue now; without one it stalls at
+  // rate 0 and counts as blackholed.
+  const bool blocked = std::any_of(path.begin(), path.end(),
+                                   [this](LinkId l) { return !IsLinkUp(l); });
+  if (blocked && on_abort) {
+    ++flows_aborted_;
+    if (std::isfinite(bytes)) {
+      bytes_blackholed_ += bytes;
+    }
+    queue_.ScheduleAt(now, [on_abort = std::move(on_abort), id, now] {
+      on_abort(id, now);
+    });
+    return id;
+  }
   LiveFlow flow;
+  if (blocked && bytes > 0) {
+    flow.blackhole_counted = true;
+    ++flows_blackholed_;
+    if (std::isfinite(bytes)) {
+      bytes_blackholed_ += bytes;
+    }
+  }
   flow.state.path = std::move(path);
   flow.state.bytes_total = bytes;
   flow.state.bytes_left = bytes;
@@ -644,7 +667,6 @@ void FlowSim::RefillComponent(const FlowId* seed_flows, size_t seed_flow_count,
 }
 
 bool FlowSim::RunFillPass() {
-  ++fill_passes_;
   ++pass_stamp_;
   fill_link_freezes_ = 0;
 

@@ -74,7 +74,10 @@ class FlowSim final : public FlowControlSurface {
   // (same-node transfer). If `on_abort` is set, a link fault on the path
   // aborts the flow and fires it; without one the flow stalls at rate 0
   // until the link recovers (a blackhole, counted in the fault telemetry).
-  // Arguments that break ValidFlowStart are refused: FlowId() comes back.
+  // A link already down at the start counts as one that fails right
+  // after it: the flow aborts (its handler fires once, through the queue,
+  // at the start time) or stalls. Arguments that break ValidFlowStart are
+  // refused: FlowId() comes back.
   FlowId StartFlow(std::vector<LinkId> path, double bytes,
                    CompletionFn on_complete, double weight = 1.0,
                    double rate_cap_bps = std::numeric_limits<double>::infinity(),
@@ -180,7 +183,6 @@ class FlowSim final : public FlowControlSurface {
   // completion (re)scheduling — the waterfill fuzz suite replays identical
   // scripts through both modes and compares fingerprints bit-for-bit.
   void SetIncrementalRelevel(bool enabled) { incremental_ = enabled; }
-  bool incremental_relevel() const { return incremental_; }
 
   // --- BatchUpdate -----------------------------------------------------------
   // Coalesces a burst of starts/cancels/cap changes into one reallocation.
@@ -229,11 +231,9 @@ class FlowSim final : public FlowControlSurface {
   const Histogram& groups_releveled_histogram() const {
     return groups_releveled_hist_;
   }
-  // Fill passes actually executed (>= reallocation_count(); region growth
-  // and external-rebind aborts re-run the pass) and how many of those were
-  // restarts. A high restart share means churn keeps straddling group
-  // boundaries — the fallback-to-full heuristic territory.
-  uint64_t fill_passes() const { return fill_passes_; }
+  // Fill passes re-run after region growth or an external-rebind abort. A
+  // high count means churn keeps straddling group boundaries — the
+  // fallback-to-full heuristic territory.
   uint64_t fill_restarts() const { return fill_restarts_; }
   // Reallocations that ran the full component-scoped fill: all of them in
   // oracle mode, only region-growth fallbacks in incremental mode.
@@ -426,7 +426,6 @@ class FlowSim final : public FlowControlSurface {
   Histogram realloc_micros_hist_;
   Histogram fill_levels_hist_;
   Histogram groups_releveled_hist_;
-  uint64_t fill_passes_ = 0;
   uint64_t fill_restarts_ = 0;
   uint64_t full_fills_ = 0;
 };

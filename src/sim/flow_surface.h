@@ -76,7 +76,10 @@ class FlowControlSurface {
   // (same-node transfer). If `on_abort` is set, a link fault on the path
   // aborts the flow and fires it; without one the flow stalls at rate 0
   // until the link recovers (a blackhole, counted in the fault telemetry).
-  // Arguments that break ValidFlowStart are refused: FlowId() comes back.
+  // A link already down at the start counts as one that fails right
+  // after it: the flow aborts (its handler fires once, through the queue,
+  // at the start time) or stalls. Arguments that break ValidFlowStart are
+  // refused: FlowId() comes back.
   virtual FlowId StartFlow(
       std::vector<LinkId> path, double bytes, CompletionFn on_complete,
       double weight = 1.0,

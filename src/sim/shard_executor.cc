@@ -26,8 +26,10 @@ ShardExecutor::ShardExecutor(EventQueue& control, const Topology& topology,
     shard_count = static_cast<int>(
         std::min<uint32_t>(std::max({components, by_size, 1u}), 32));
   }
+  // The link-cut partitioner's seed (it rotates region growth starts).
+  constexpr uint64_t kPartitionSeed = 0;
   partition_ = ComputeLinkCutPartition(
-      topology, static_cast<uint32_t>(shard_count), opts_.partition_seed);
+      topology, static_cast<uint32_t>(shard_count), kPartitionSeed);
   // The partitioner may return fewer parts than asked (tiny topologies);
   // shards_ mirrors the actual part count so every shard owns some nodes.
   shard_count = static_cast<int>(std::max<uint32_t>(partition_.count, 1));

@@ -45,8 +45,8 @@
 //      worker pool. Finished crossing flows mark their links dirty here,
 //      so freed shared capacity is re-split in the next epoch's step 0.
 //
-// Determinism: the partition (topology + num_shards + partition_seed, never
-// thread count), per-shard event order, outbox drain order, lease
+// Determinism: the partition (topology + num_shards, never thread count),
+// per-shard event order, outbox drain order, lease
 // reconciliation order, and epoch schedule depend only on the topology and
 // the call sequence — never on thread count or OS scheduling. Worker
 // threads only decide *which core* runs a shard's (sequential) epoch, not
@@ -98,9 +98,6 @@ class ShardExecutor final : public FlowControlSurface {
     // num_threads*, so the partition (and thus the result) does not change
     // when the thread count does.
     int num_shards = 0;
-    // Deterministic seed for the link-cut partitioner (rotates region
-    // growth starts). Same topology + shards + seed => same partition.
-    uint64_t partition_seed = 0;
     // Upper bound on how far an epoch may outrun the earliest pending
     // event. Smaller = user callbacks observe completion times sooner and
     // shared-link leases re-split more often; larger = fewer barriers.

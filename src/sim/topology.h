@@ -156,9 +156,9 @@ class Topology {
 // pair or any directed link joins its endpoints). Components are numbered
 // deterministically: component k contains the k-th smallest node index
 // among component minima, so the numbering depends only on insertion order,
-// never on traversal order. This is the unit of parallelism for the shard
-// executor — flows never span components, so per-component state is
-// data-independent by construction.
+// never on traversal order. The shard executor reads only the count, as a
+// floor on its shard target; its shards are link-cut parts (below), which
+// may cut through a component.
 struct TopologyComponents {
   // Dense node index (NodeId.value()-1) -> component number.
   std::vector<uint32_t> node_component;

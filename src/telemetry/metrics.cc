@@ -9,15 +9,13 @@ namespace tenantnet {
 namespace {
 // Smallest representable bucket bound; samples at or below land in bucket 0.
 constexpr double kFloor = 1e-9;
+// Bucket width ratio.
+constexpr double kGrowth = 1.05;
+const double kLogGrowth = std::log(kGrowth);
 }  // namespace
-
-Histogram::Histogram(double growth)
-    : growth_(growth), log_growth_(std::log(growth)) {}
 
 Histogram::Histogram(const Histogram& other) {
   std::lock_guard<std::mutex> lock(other.mu_);
-  growth_ = other.growth_;
-  log_growth_ = other.log_growth_;
   buckets_ = other.buckets_;
   count_ = other.count_;
   sum_ = other.sum_;
@@ -37,8 +35,6 @@ Histogram& Histogram::operator=(const Histogram& other) {
   // copies. Take a snapshot, then install it.
   Histogram snapshot(other);
   std::lock_guard<std::mutex> lock(mu_);
-  growth_ = snapshot.growth_;
-  log_growth_ = snapshot.log_growth_;
   buckets_ = std::move(snapshot.buckets_);
   count_ = snapshot.count_;
   sum_ = snapshot.sum_;
@@ -53,7 +49,7 @@ size_t Histogram::BucketFor(double sample) const {
   if (sample <= kFloor) {
     return 0;
   }
-  double idx = std::log(sample / kFloor) / log_growth_;
+  double idx = std::log(sample / kFloor) / kLogGrowth;
   return static_cast<size_t>(idx) + 1;
 }
 
@@ -120,7 +116,7 @@ double Histogram::QuantileLocked(double q) const {
         return min_;
       }
       // Upper bound of bucket i, clamped to the observed extrema.
-      double bound = kFloor * std::pow(growth_, static_cast<double>(i));
+      double bound = kFloor * std::pow(kGrowth, static_cast<double>(i));
       return std::clamp(bound, min_, max_);
     }
   }

@@ -72,10 +72,10 @@ class Gauge {
 
 // Streaming histogram over non-negative samples. Mutex-guarded: concurrent
 // Record()s never lose samples and readers see consistent snapshots.
+// Buckets grow by 5% each, so quantiles carry ~5% relative error.
 class Histogram {
  public:
-  // `growth` is the bucket width ratio; 1.05 gives ~5% relative error.
-  explicit Histogram(double growth = 1.05);
+  Histogram() = default;
 
   // Copyable so it can live by value in registries/maps; copies snapshot
   // the source under its lock.
@@ -110,8 +110,6 @@ class Histogram {
   double QuantileLocked(double q) const;
 
   mutable std::mutex mu_;
-  double growth_;
-  double log_growth_;
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;
   double sum_ = 0;

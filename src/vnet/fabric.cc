@@ -733,7 +733,7 @@ Result<LoadBalancerId> BaselineNetwork::CreateLoadBalancer(
     return NotFoundError("no such vpc");
   }
   LoadBalancerId id = lb_ids_.Next();
-  lbs_.emplace(id, std::make_unique<LoadBalancer>(id, type, name, vpc));
+  lbs_.emplace(id, std::make_unique<LoadBalancer>(id, type, name));
   ledger_->CreateComponent(std::string(LbTypeName(type)), name);
   ledger_->Decision("load-balancer", "family-selection(alb/nlb/clb/gwlb)");
   ledger_->CrossReference("load-balancer", "vpc");
@@ -1064,8 +1064,7 @@ Vpc* BaselineNetwork::MutableVpc(VpcId id) {
 
 void BaselineNetwork::DeliverIntoVpc(EvalContext& ctx, const FiveTuple& flow,
                                      const Eni& dst_eni, bool from_outside_vpc,
-                                     std::string_view payload,
-                                     VpcId origin_vpc) {
+                                     std::string_view payload) {
   const Subnet* subnet = SubnetOf(dst_eni);
   const Vpc* vpc = FindVpc(subnet->vpc);
 
@@ -1075,7 +1074,9 @@ void BaselineNetwork::DeliverIntoVpc(EvalContext& ctx, const FiveTuple& flow,
       DpiFirewall* fw = firewalls_.at(fw_it->second).get();
       ctx.delivery.logical_hops.push_back(fw->label().hop);
       ++ctx.delivery.gateway_hops;
-      if (fw->Inspect(flow, payload) == FirewallVerdict::kDeny) {
+      ctx.inspected_by = fw;
+      ctx.firewall_verdict = fw->Judge(flow, payload);
+      if (ctx.firewall_verdict == FirewallVerdict::kDeny) {
         Drop(ctx, "firewall", {"denied by {name}", {}, fw->label().name});
         return;
       }
@@ -1114,7 +1115,6 @@ void BaselineNetwork::DeliverIntoVpc(EvalContext& ctx, const FiveTuple& flow,
     return;
   }
 
-  (void)origin_vpc;
   const Instance* inst = world_->FindInstance(dst_eni.instance);
   ctx.delivery.delivered = true;
   ctx.delivery.dst_node = inst->host_node;
@@ -1150,8 +1150,7 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
         return;
       }
       ctx.delivery.egress_policy = EgressPolicy::kColdPotato;
-      DeliverIntoVpc(ctx, flow, dst_eni, /*from_outside_vpc=*/false, payload,
-                     src_vpc);
+      DeliverIntoVpc(ctx, flow, dst_eni, /*from_outside_vpc=*/false, payload);
       return;
     }
 
@@ -1188,8 +1187,7 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
         return;
       }
       ctx.delivery.egress_policy = EgressPolicy::kColdPotato;
-      DeliverIntoVpc(ctx, flow, dst_eni, /*from_outside_vpc=*/true, payload,
-                     src_vpc);
+      DeliverIntoVpc(ctx, flow, dst_eni, /*from_outside_vpc=*/true, payload);
       return;
     }
 
@@ -1235,7 +1233,7 @@ void BaselineNetwork::RouteAndDeliver(EvalContext& ctx, const FiveTuple& flow,
             }
             ctx.delivery.egress_policy = EgressPolicy::kColdPotato;
             DeliverIntoVpc(ctx, flow, dst_eni, /*from_outside_vpc=*/true,
-                           payload, src_vpc);
+                           payload);
             return;
           }
           case TgwAttachmentKind::kPeering: {
@@ -1368,8 +1366,7 @@ void BaselineNetwork::DeliverFromInternet(EvalContext& ctx,
       return;
     }
     ctx.delivery.used_public_path = true;
-    DeliverIntoVpc(ctx, flow, dst_eni, /*from_outside_vpc=*/true, payload,
-                   VpcId());
+    DeliverIntoVpc(ctx, flow, dst_eni, /*from_outside_vpc=*/true, payload);
     return;
   }
   // On-prem public exposure is not modeled (sites are private).
@@ -1474,8 +1471,7 @@ void BaselineNetwork::DeliverViaDirectConnect(EvalContext& ctx,
            {"destination VPC has no return route to {ip}", flow.src});
       return;
     }
-    DeliverIntoVpc(ctx, flow, dst_eni, /*from_outside_vpc=*/true, payload,
-                   VpcId());
+    DeliverIntoVpc(ctx, flow, dst_eni, /*from_outside_vpc=*/true, payload);
     return;
   }
   // Another circuit (the other cloud's side)?
@@ -1511,8 +1507,7 @@ void BaselineNetwork::DeliverViaDirectConnect(EvalContext& ctx,
         return;
       }
       const Eni& dst_eni = *enis_.at(it->second);
-      DeliverIntoVpc(ctx, flow, dst_eni, /*from_outside_vpc=*/true, payload,
-                     VpcId());
+      DeliverIntoVpc(ctx, flow, dst_eni, /*from_outside_vpc=*/true, payload);
       return;
     }
   }
@@ -1538,6 +1533,25 @@ Result<BaselineDelivery> BaselineNetwork::Evaluate(InstanceId src,
                                                    uint16_t dst_port,
                                                    Protocol proto,
                                                    std::string_view payload) {
+  EvalContext ctx;
+  Result<BaselineDelivery> delivery =
+      Walk(ctx, src, dst, dst_port, proto, payload);
+  Charge(ctx);
+  return delivery;
+}
+
+Result<BaselineDelivery> BaselineNetwork::Query(InstanceId src, InstanceId dst,
+                                                uint16_t dst_port,
+                                                Protocol proto) {
+  EvalContext ctx;
+  return Walk(ctx, src, dst, dst_port, proto, {});
+}
+
+Result<BaselineDelivery> BaselineNetwork::Walk(EvalContext& ctx,
+                                               InstanceId src, InstanceId dst,
+                                               uint16_t dst_port,
+                                               Protocol proto,
+                                               std::string_view payload) {
   const Instance* src_inst = world_->FindInstance(src);
   const Instance* dst_inst = world_->FindInstance(dst);
   if (src_inst == nullptr || dst_inst == nullptr) {
@@ -1547,7 +1561,6 @@ Result<BaselineDelivery> BaselineNetwork::Evaluate(InstanceId src,
     return FailedPreconditionError("instance is not running");
   }
 
-  EvalContext ctx;
   ctx.delivery.src_node = src_inst->host_node;
 
   // --- Resolve the source side and the address the app would dial. ---------
@@ -1630,7 +1643,7 @@ Result<BaselineDelivery> BaselineNetwork::Evaluate(InstanceId src,
             return ctx.delivery;
           }
           DeliverIntoVpc(ctx, flow, *dst_eni, /*from_outside_vpc=*/true,
-                         payload, VpcId());
+                         payload);
           return ctx.delivery;
         }
       }
@@ -1739,6 +1752,7 @@ BaselineDelivery BaselineNetwork::EvaluateExternal(IpAddress src,
   ctx.delivery.used_public_path = true;
   ctx.delivery.egress_policy = EgressPolicy::kHotPotato;
   DeliverFromInternet(ctx, flow, payload);
+  Charge(ctx);
   return ctx.delivery;
 }
 

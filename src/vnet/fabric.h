@@ -249,6 +249,10 @@ class BaselineNetwork {
   Result<BaselineDelivery> Evaluate(InstanceId src, InstanceId dst,
                                     uint16_t dst_port, Protocol proto,
                                     std::string_view payload = {});
+  // The same walk and verdict as a reach query: no data-plane counter
+  // moves (a firewall on the path judges the flow but counts nothing).
+  Result<BaselineDelivery> Query(InstanceId src, InstanceId dst,
+                                 uint16_t dst_port, Protocol proto);
 
   // Evaluates traffic from an arbitrary external (internet) source toward a
   // destination address the tenant may own. For attack simulation.
@@ -282,7 +286,6 @@ class BaselineNetwork {
   size_t appliance_count() const;  // LBs + firewalls
 
   // Per-kind counts (the cost model bills by box type).
-  size_t igw_count() const { return igws_.size() + egress_igws_.size(); }
   size_t nat_count() const { return nats_.size(); }
   size_t vpn_count() const { return vpns_.size(); }
   size_t dx_count() const { return dxs_.size(); }
@@ -315,7 +318,21 @@ class BaselineNetwork {
   struct EvalContext {
     BaselineDelivery delivery;
     int budget = kGatewayBudget;
+    // The firewall that judged the flow, if any, and its verdict: traffic
+    // charges it after the walk (Charge), a query does not.
+    DpiFirewall* inspected_by = nullptr;
+    FirewallVerdict firewall_verdict = FirewallVerdict::kAllow;
   };
+
+  // The staged walk behind Evaluate and Query.
+  Result<BaselineDelivery> Walk(EvalContext& ctx, InstanceId src,
+                                InstanceId dst, uint16_t dst_port,
+                                Protocol proto, std::string_view payload);
+  static void Charge(const EvalContext& ctx) {
+    if (ctx.inspected_by != nullptr) {
+      ctx.inspected_by->Count(ctx.firewall_verdict);
+    }
+  }
 
   // Walks the gateway chain after the source-side checks passed. `src_vpc`
   // may be invalid when the flow originates on-prem or externally.
@@ -325,7 +342,7 @@ class BaselineNetwork {
   // Destination-side checks for a flow arriving at an ENI.
   void DeliverIntoVpc(EvalContext& ctx, const FiveTuple& flow,
                       const Eni& dst_eni, bool from_outside_vpc,
-                      std::string_view payload, VpcId origin_vpc);
+                      std::string_view payload);
 
   // Delivery of a public-internet flow to whatever holds the destination.
   void DeliverFromInternet(EvalContext& ctx, const FiveTuple& flow,

@@ -13,9 +13,8 @@ void DpiFirewall::AddRule(FirewallRule rule) {
   BumpRevision();
 }
 
-FirewallVerdict DpiFirewall::Inspect(const FiveTuple& flow,
-                                     std::string_view payload) {
-  ++inspected_;
+FirewallVerdict DpiFirewall::Judge(const FiveTuple& flow,
+                                   std::string_view payload) const {
   for (const FirewallRule& rule : rules_) {
     if (!rule.match.Matches(flow)) {
       continue;
@@ -24,13 +23,7 @@ FirewallVerdict DpiFirewall::Inspect(const FiveTuple& flow,
         payload.find(rule.payload_signature) == std::string_view::npos) {
       continue;
     }
-    if (rule.verdict == FirewallVerdict::kDeny) {
-      ++denied_;
-    }
     return rule.verdict;
-  }
-  if (default_verdict_ == FirewallVerdict::kDeny) {
-    ++denied_;
   }
   return default_verdict_;
 }

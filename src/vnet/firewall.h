@@ -55,11 +55,16 @@ class DpiFirewall : public RevisionHooked {
     default_verdict_ = v;
     BumpRevision();
   }
-  FirewallVerdict default_verdict() const { return default_verdict_; }
 
-  // Inspects one unit of traffic. Rules are consulted ascending by
+  // The verdict on one unit of traffic. Rules are consulted ascending by
   // priority; the first whose match and signature both hit decides.
-  FirewallVerdict Inspect(const FiveTuple& flow, std::string_view payload);
+  FirewallVerdict Judge(const FiveTuple& flow, std::string_view payload) const;
+  // Counts one unit of traffic inspected and judged `verdict`; the fabric
+  // calls it for traffic, never for a reach query.
+  void Count(FirewallVerdict verdict) {
+    ++inspected_;
+    denied_ += verdict == FirewallVerdict::kDeny ? 1 : 0;
+  }
 
   // Offered-load bookkeeping for the saturation model: callers report the
   // inspection rate they are pushing; Overloaded() compares to capacity.

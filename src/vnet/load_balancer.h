@@ -70,7 +70,6 @@ class TargetGroup {
   void SetHealth(InstanceId instance, bool healthy);
 
   const std::vector<TargetEntry>& targets() const { return targets_; }
-  const HealthCheckConfig& health_check() const { return health_check_; }
   HealthCheckConfig& mutable_health_check() { return health_check_; }
 
   size_t HealthyCount() const;
@@ -117,13 +116,12 @@ struct LbListener {
 
 class LoadBalancer {
  public:
-  LoadBalancer(LoadBalancerId id, LbType type, std::string name, VpcId vpc)
-      : id_(id), type_(type), name_(std::move(name)), vpc_(vpc.value()) {}
+  LoadBalancer(LoadBalancerId id, LbType type, std::string name)
+      : id_(id), type_(type), name_(std::move(name)) {}
 
   LoadBalancerId id() const { return id_; }
   LbType type() const { return type_; }
   const std::string& name() const { return name_; }
-  uint64_t vpc_value() const { return vpc_; }
 
   void AddListener(LbListener listener) {
     listeners_.push_back(std::move(listener));
@@ -143,7 +141,6 @@ class LoadBalancer {
   LoadBalancerId id_;
   LbType type_;
   std::string name_;
-  uint64_t vpc_;
   std::vector<LbListener> listeners_;
 };
 

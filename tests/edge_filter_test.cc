@@ -122,18 +122,18 @@ TEST(EdgeFilterTest, AsyncInstallConvergesAfterLatency) {
 
 TEST(EdgeFilterTest, StaleUpdateNeverOverwritesNewer) {
   EventQueue queue;
-  // Large jitter makes reordering overwhelmingly likely across versions.
-  EdgeFilterParams params;
-  params.install_base = SimDuration::Millis(1);
-  params.install_extra_mean = SimDuration::Millis(50);
-  EdgeFilterBank bank("p", &queue, 11, params);
+  // All 20 versions are sent at one instant and each lands 5 ms + Exp(10 ms)
+  // later, so they land out of order and older ones land after the newest.
+  EdgeFilterBank bank("p", &queue, 11);
   bank.AddEdge("e0");
   IpAddress endpoint = *IpAddress::Parse("5.0.0.1");
+  std::vector<SimTime> lands;
   for (int version = 0; version < 20; ++version) {
-    bank.SetPermitList(
+    lands.push_back(bank.SetPermitList(
         endpoint,
-        {Permit(version % 2 == 0 ? "10.0.0.0/8" : "11.0.0.0/8")});
+        {Permit(version % 2 == 0 ? "10.0.0.0/8" : "11.0.0.0/8")}));
   }
+  EXPECT_LT(lands.back(), *std::max_element(lands.begin(), lands.end()));
   queue.RunAll();
   EXPECT_TRUE(bank.IsConverged(endpoint));
   // Final version (index 19, odd) permits 11/8 and not 10/8.

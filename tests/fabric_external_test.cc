@@ -257,9 +257,12 @@ TEST_F(FabricExternalTest, FirewallDefaultVerdictConfigurable) {
   flow.dst = IpAddress::V4(2, 2, 2, 2);
   flow.dst_port = 443;
   flow.proto = Protocol::kTcp;
-  EXPECT_EQ(fw->Inspect(flow, ""), FirewallVerdict::kDeny);  // default-deny
+  EXPECT_EQ(fw->Judge(flow, ""), FirewallVerdict::kDeny);  // default-deny
   fw->set_default_verdict(FirewallVerdict::kAllow);
-  EXPECT_EQ(fw->Inspect(flow, ""), FirewallVerdict::kAllow);
+  EXPECT_EQ(fw->Judge(flow, ""), FirewallVerdict::kAllow);
+  EXPECT_EQ(fw->inspected_count(), 0u);  // judging alone counts nothing
+  fw->Count(FirewallVerdict::kDeny);
+  fw->Count(FirewallVerdict::kAllow);
   EXPECT_EQ(fw->inspected_count(), 2u);
   EXPECT_EQ(fw->denied_count(), 1u);
 }

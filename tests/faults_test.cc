@@ -315,7 +315,6 @@ TEST(FaultInjectorTest, DegradedReplicationWidensPermitStalenessWindow) {
   EventQueue queue;
   DeclarativeParams dparams;
   dparams.filter.degraded_drop_prob = 0.9;
-  dparams.filter.degraded_retransmit = SimDuration::Millis(50);
   DeclarativeCloud cloud(*tw.world, ledger, &queue, dparams);
   FlowSim sim(queue, tw.world->topology());
   MetricRegistry metrics;
@@ -384,9 +383,8 @@ TEST(FaultInjectorTest, DegradedReplicationWidensPermitStalenessWindow) {
   EXPECT_FALSE(bank.replication_degraded());
   EXPECT_GT(bank.messages_dropped(), 0u);
   // The degraded window includes at least one retransmit round on top of
-  // the base install latency.
-  EXPECT_GT(injector.permit_staleness_ms().max(),
-            dparams.filter.install_base.ToMillis());
+  // the 5 ms base install latency.
+  EXPECT_GT(injector.permit_staleness_ms().max(), 5.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -893,6 +893,63 @@ TEST(FlowSimTest, SameTimestampFaultAndCompletionBothOrdersDeliver) {
   }
 }
 
+// A start across a link that is already down gets the contract of a link
+// that fails right after the start: the flow aborts, its handler firing
+// once, through the queue, at the start time. Recovery does not revive it.
+TEST(FlowSimTest, StartOnADownedLinkAborts) {
+  Line w;
+  FlowSim sim(w.queue, w.topo);
+  w.queue.AdvanceTo(SimTime::FromSeconds(2));
+  ASSERT_TRUE(sim.SetLinkUp(w.bc, false).ok());
+  bool completed = false;
+  int aborts = 0;
+  FlowId aborted_id;
+  SimTime abort_time;
+  FlowId f = sim.StartFlow(
+      {w.ab, w.bc}, 62.5e6, [&](FlowId, SimTime) { completed = true; }, 1.0,
+      std::numeric_limits<double>::infinity(), [&](FlowId id, SimTime t) {
+        ++aborts;
+        aborted_id = id;
+        abort_time = t;
+      });
+  ASSERT_TRUE(f.valid());
+  EXPECT_EQ(aborts, 0);  // not from inside StartFlow
+  EXPECT_EQ(sim.flows_aborted(), 1u);
+  EXPECT_DOUBLE_EQ(sim.bytes_blackholed(), 62.5e6);
+  EXPECT_EQ(sim.active_flow_count(), 0u);
+  ASSERT_TRUE(sim.SetLinkUp(w.bc, true).ok());
+  w.queue.RunAll();
+  EXPECT_EQ(aborts, 1);
+  EXPECT_EQ(aborted_id.value(), f.value());
+  EXPECT_EQ(abort_time.ToSeconds(), 2.0);
+  EXPECT_FALSE(completed);
+  EXPECT_EQ(sim.flows_blackholed(), 0u);
+  EXPECT_DOUBLE_EQ(sim.total_bytes_delivered(), 0.0);
+}
+
+// Without a handler the same start stalls at rate 0 and counts as
+// blackholed once, like a flow whose link fails later.
+TEST(FlowSimTest, StartOnADownedLinkWithoutHandlerStalls) {
+  Line w;
+  FlowSim sim(w.queue, w.topo);
+  ASSERT_TRUE(sim.SetLinkUp(w.bc, false).ok());
+  bool completed = false;
+  FlowId f = sim.StartFlow({w.ab, w.bc}, 62.5e6,
+                           [&](FlowId, SimTime) { completed = true; });
+  EXPECT_DOUBLE_EQ(*sim.CurrentRate(f), 0.0);
+  EXPECT_EQ(sim.stalled_flow_count(), 1u);
+  EXPECT_EQ(sim.flows_blackholed(), 1u);
+  EXPECT_DOUBLE_EQ(sim.bytes_blackholed(), 62.5e6);
+  EXPECT_EQ(sim.flows_aborted(), 0u);
+  ASSERT_TRUE(sim.SetLinkUp(w.bc, true).ok());
+  ASSERT_TRUE(sim.SetLinkUp(w.bc, false).ok());
+  EXPECT_EQ(sim.flows_blackholed(), 1u);  // a stall is counted once
+  ASSERT_TRUE(sim.SetLinkUp(w.bc, true).ok());
+  w.queue.RunAll();
+  EXPECT_TRUE(completed);
+  EXPECT_EQ(sim.stalled_flow_count(), 0u);
+}
+
 TEST(FlowSimTest, SetLinkUpRejectsUnknownLink) {
   Line w;
   FlowSim sim(w.queue, w.topo);

@@ -78,7 +78,7 @@ TEST(TargetGroupTest, RemoveTarget) {
 }
 
 TEST(LoadBalancerTest, ListenerMatchesPortAndProtocol) {
-  LoadBalancer lb(LoadBalancerId(1), LbType::kNetwork, "nlb", VpcId(1));
+  LoadBalancer lb(LoadBalancerId(1), LbType::kNetwork, "nlb");
   LbListener listener;
   listener.proto = Protocol::kTcp;
   listener.port = 443;
@@ -93,7 +93,7 @@ TEST(LoadBalancerTest, ListenerMatchesPortAndProtocol) {
 }
 
 TEST(LoadBalancerTest, AlbRulesRouteByPathHostHeader) {
-  LoadBalancer lb(LoadBalancerId(1), LbType::kApplication, "alb", VpcId(1));
+  LoadBalancer lb(LoadBalancerId(1), LbType::kApplication, "alb");
   LbListener listener;
   listener.proto = Protocol::kTcp;
   listener.port = 443;
@@ -135,7 +135,7 @@ TEST(LoadBalancerTest, AlbRulesRouteByPathHostHeader) {
 }
 
 TEST(LoadBalancerTest, RulesRejectedOnNonAlb) {
-  LoadBalancer lb(LoadBalancerId(1), LbType::kNetwork, "nlb", VpcId(1));
+  LoadBalancer lb(LoadBalancerId(1), LbType::kNetwork, "nlb");
   LbListener listener;
   listener.port = 443;
   listener.default_target = TargetGroupId(1);
@@ -146,14 +146,14 @@ TEST(LoadBalancerTest, RulesRejectedOnNonAlb) {
 }
 
 TEST(LoadBalancerTest, RuleOnMissingListenerFails) {
-  LoadBalancer lb(LoadBalancerId(1), LbType::kApplication, "alb", VpcId(1));
+  LoadBalancer lb(LoadBalancerId(1), LbType::kApplication, "alb");
   L7Rule rule;
   rule.target = TargetGroupId(2);
   EXPECT_EQ(lb.AddRule(443, rule).code(), StatusCode::kNotFound);
 }
 
 TEST(LoadBalancerTest, NonAlbIgnoresRequestMeta) {
-  LoadBalancer lb(LoadBalancerId(1), LbType::kClassic, "clb", VpcId(1));
+  LoadBalancer lb(LoadBalancerId(1), LbType::kClassic, "clb");
   LbListener listener;
   listener.port = 80;
   listener.default_target = TargetGroupId(5);

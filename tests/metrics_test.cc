@@ -62,7 +62,7 @@ class HistogramQuantileTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(HistogramQuantileTest, QuantilesCloseToExact) {
   Rng rng(GetParam());
-  Histogram h(1.05);
+  Histogram h;
   std::vector<double> samples;
   for (int i = 0; i < 20000; ++i) {
     double v = rng.NextPareto(1.0, 1.4);  // heavy tail stresses buckets

@@ -97,7 +97,6 @@ TEST(QosIsolationTest, SharesTrackDemandAcrossPointsPerTenant) {
   // per-tenant re-division must converge independently (A hot at point 0,
   // B hot at point 1).
   QuotaParams params;
-  params.epoch = SimDuration::Millis(100);
   params.ewma_alpha = 0.5;
   EgressQuotaManager qos(params);
   RegionId region(1);
@@ -128,8 +127,7 @@ TEST(QosIsolationTest, EpochRedivisionBatchesFlowCapsIntoOneReallocation) {
   // worth of cap updates collapses into a single water-filling pass.
   SharedLink w;
   FlowSim sim(w.queue, w.topo);
-  QuotaParams params;
-  EgressQuotaManager qos(params);
+  EgressQuotaManager qos;
   qos.AttachFlowSim(&sim);
   RegionId region(1);
   qos.RegisterPoint(region, "p0");
@@ -146,7 +144,7 @@ TEST(QosIsolationTest, EpochRedivisionBatchesFlowCapsIntoOneReallocation) {
   EXPECT_NEAR(*sim.CurrentRate(f2), 200e6, 1e3);
 
   uint64_t before = sim.reallocation_count();
-  now += params.epoch;
+  now += SimDuration::Millis(100);  // one quota epoch
   qos.RunEpoch(now);
   EXPECT_EQ(sim.reallocation_count(), before + 1);
   EXPECT_NEAR(*sim.CurrentRate(f1) + *sim.CurrentRate(f2), 400e6, 1e4);
@@ -154,7 +152,7 @@ TEST(QosIsolationTest, EpochRedivisionBatchesFlowCapsIntoOneReallocation) {
   // Dead flows are pruned at the next re-division; the survivor inherits
   // the whole point share.
   ASSERT_TRUE(sim.CancelFlow(f2).ok());
-  now += params.epoch;
+  now += SimDuration::Millis(100);  // one quota epoch
   qos.RunEpoch(now);
   EXPECT_NEAR(*sim.CurrentRate(f1), 400e6, 1e4);
 

@@ -57,9 +57,7 @@ class QuotaTest : public ::testing::Test {
   }
   static QuotaParams MakeParams() {
     QuotaParams p;
-    p.epoch = SimDuration::Millis(100);
     p.ewma_alpha = 0.5;
-    p.min_share_fraction = 0.04;
     return p;
   }
   EgressQuotaManager qos_;
@@ -104,6 +102,7 @@ TEST_F(QuotaTest, SharesFollowDemand) {
   EXPECT_GT(hot, 0.8 * 8e9);     // demand-proportional division
   EXPECT_GT(idle, 0.0);          // idle floor keeps new traffic startable
   EXPECT_LT(idle, 0.05 * 8e9);
+  EXPECT_DOUBLE_EQ(idle, 8e9 * 0.02 / 4);  // the 2% floor over 4 points
   // Shares never exceed the quota in total.
   double total = 0;
   for (size_t p = 0; p < 4; ++p) {

@@ -20,6 +20,7 @@
 #include "src/core/api.h"
 #include "src/reach/reach.h"
 #include "src/routing/route_table.h"
+#include "src/vnet/builder.h"
 #include "src/vnet/fabric.h"
 
 namespace tenantnet {
@@ -355,6 +356,48 @@ TEST(BaselineReachTest, RefusalsBecomeDenials) {
   EXPECT_TRUE(v.remediation.find("start the destination instance") !=
               std::string::npos)
       << v.remediation;
+}
+
+// A reach query is static: a Fig-1 query judged by the EU web tier's DPI
+// firewall gets the verdict traffic gets and moves none of the firewall's
+// counters, which E6's saturation model reads. Traffic over the same walk
+// is charged once per evaluation.
+TEST(BaselineReachTest, QueriesMoveNoDataPlaneCounter) {
+  Fig1World fig = BuildFig1World();
+  ConfigLedger ledger;
+  BaselineNetwork net(*fig.world, ledger);
+  Result<Fig1Baseline> handles = BuildFig1Baseline(net, fig);
+  ASSERT_TRUE(handles.ok());
+  DpiFirewall* fw = net.FindFirewall(handles->firewall);
+  ASSERT_NE(fw, nullptr);
+  BaselineReachEngine engine(net);
+  auto query = [&] {
+    return engine.CanReach(fig.spark[0], fig.web_eu[0],
+                           Fig1Baseline::kWebPort, Protocol::kTcp);
+  };
+  for (int i = 0; i < 5; ++i) {
+    ReachVerdict v = query();
+    EXPECT_TRUE(v.reachable) << v.ToString();
+  }
+  FirewallRule deny_all;
+  deny_all.priority = 1;
+  deny_all.match = FlowMatch::Any();
+  deny_all.verdict = FirewallVerdict::kDeny;
+  ASSERT_TRUE(net.AddFirewallRule(handles->firewall, deny_all).ok());
+  for (int i = 0; i < 5; ++i) {
+    ReachVerdict v = query();
+    EXPECT_FALSE(v.reachable);
+    EXPECT_EQ(DenyName(v), "firewall") << v.ToString();
+  }
+  EXPECT_EQ(fw->inspected_count(), 0u);
+  EXPECT_EQ(fw->denied_count(), 0u);
+
+  auto d = net.Evaluate(fig.spark[0], fig.web_eu[0], Fig1Baseline::kWebPort,
+                        Protocol::kTcp);
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d->drop_stage, "firewall");
+  EXPECT_EQ(fw->inspected_count(), 1u);
+  EXPECT_EQ(fw->denied_count(), 1u);
 }
 
 // ---------------------------------------------------------------------------

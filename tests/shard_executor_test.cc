@@ -843,6 +843,46 @@ TEST(CrossShardTest, BorderFaultAbortsCrossingFlowMidEpoch) {
   EXPECT_GT(*rate, 0.0);
 }
 
+// A start across a link that is already down gets FlowSim's contract at any
+// thread count: with a handler the flow aborts once, at the start time
+// (through the barrier drain), and its mapping is reclaimed; without one it
+// stalls and counts as blackholed.
+TEST(CrossShardTest, StartOnADownedLinkAbortsOrStalls) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CrossDriver d(threads);
+    int aborts = 0;
+    SimTime abort_when = SimTime::Epoch();
+    FlowId stalled;
+    d.control.ScheduleAt(SimTime::FromSeconds(1), [&] {
+      ASSERT_TRUE(d.exec->SetLinkUp(d.wan.wan_fwd[0], false).ok());
+      FlowId aborted = d.exec->StartFlow(
+          {d.wan.up[0][0], d.wan.wan_fwd[0], d.wan.down[1][0]}, 1e9,
+          [](FlowId, SimTime) {}, 1.0,
+          std::numeric_limits<double>::infinity(), [&](FlowId, SimTime when) {
+            ++aborts;
+            abort_when = when;
+          });
+      ASSERT_TRUE(aborted.valid());
+      stalled = d.exec->StartFlow(
+          {d.wan.up[0][1], d.wan.wan_fwd[0], d.wan.down[1][1]}, 2e9,
+          [](FlowId, SimTime) {});
+    });
+    d.exec->RunUntil(SimTime::FromSeconds(2));
+    EXPECT_EQ(aborts, 1);
+    EXPECT_EQ(abort_when.ToSeconds(), 1.0);
+    EXPECT_EQ(d.exec->flows_aborted(), 1u);
+    EXPECT_EQ(d.exec->flows_blackholed(), 1u);
+    EXPECT_EQ(d.exec->stalled_flow_count(), 1u);
+    EXPECT_DOUBLE_EQ(d.exec->bytes_blackholed(), 3e9);
+    EXPECT_EQ(d.exec->active_flow_count(), 1u);
+    EXPECT_EQ(d.exec->crossing_flow_count(), 1u);
+    auto rate = d.exec->CurrentRate(stalled);
+    ASSERT_TRUE(rate.ok());
+    EXPECT_DOUBLE_EQ(*rate, 0.0);
+  }
+}
+
 // Satellite: a single giant component must not collapse to one shard (the
 // old component-modulo placement left num_threads-1 workers idle). The
 // default heuristic sizes shards from the partitioner target.

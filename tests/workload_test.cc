@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "src/app/workload.h"
 #include "src/sim/flow_sim.h"
 #include "src/cloud/presets.h"
@@ -289,6 +293,110 @@ TEST_F(WorkloadTest, TransactionsWithoutAReturnPathAreDenied) {
   EXPECT_EQ(stats.completed, completed_before);
   EXPECT_EQ(workload_.inflight(), 0u);
   EXPECT_EQ(flows_.active_flow_count(), 0u);
+}
+
+// The reverse-path link fails while the first request is in flight, so its
+// response starts on a downed link: it aborts there and is retried over the
+// other path instead of stalling until the link comes back.
+TEST_F(WorkloadTest, ResponseOnALinkThatFailedMidRequestIsRetried) {
+  WorkloadParams params = MakeParams();
+  params.max_retries = 3;
+  RequestWorkload workload(queue_, flows_, *tw_.world, params);
+  MetricRegistry metrics;
+  FaultInjector injector(queue_, tw_.world->topology(), flows_,
+                         tw_.world.get(), metrics, {});
+  size_t p = workload.AddPattern("east-west", {east_a_}, {west_}, 50.0,
+                                 AllowAll());
+  workload.Start(SimDuration::Seconds(10));
+  while (workload.inflight() == 0) {
+    ASSERT_TRUE(queue_.Step());
+  }
+  ASSERT_EQ(flows_.active_flow_count(), 0u);  // the response has not started
+  NodeId east = tw_.world->FindInstance(east_a_)->host_node;
+  NodeId west = tw_.world->FindInstance(west_)->host_node;
+  auto reverse = tw_.world->ResolvePath(west, east, EgressPolicy::kColdPotato);
+  ASSERT_TRUE(reverse.ok());
+  FaultSpec fault;
+  fault.kind = FaultKind::kLinkDown;
+  fault.duration = SimDuration::Seconds(60);
+  for (LinkId link : *reverse) {
+    if (tw_.world->topology().link(link).cls == LinkClass::kBackbone) {
+      fault.link = link;
+    }
+  }
+  ASSERT_TRUE(injector.InjectNow(fault).ok());
+
+  queue_.RunUntil(SimTime::FromSeconds(30));
+  ASSERT_FALSE(tw_.world->topology().IsLinkUp(fault.link));
+  const PatternStats& stats = workload.stats(p);
+  EXPECT_EQ(stats.aborted, 1u);
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.gave_up, 0u);
+  EXPECT_GT(stats.attempted, 100u);
+  EXPECT_EQ(stats.completed, stats.attempted);
+  EXPECT_EQ(workload.inflight(), 0u);
+  EXPECT_EQ(flows_.stalled_flow_count(), 0u);
+  EXPECT_EQ(flows_.flows_blackholed(), 0u);
+}
+
+// The retry schedule: after attempt k fails, the next try waits
+// min(10 ms * 2^k, 1 s) times a seeded jitter factor in [0.8, 1.2], and
+// after max_retries the transaction gives up. Here the first transaction's
+// response is aborted and every retry is refused; every later transaction
+// is denied at its first attempt.
+TEST_F(WorkloadTest, RetriesBackOffExponentiallyToTheCapThenGiveUp) {
+  WorkloadParams params = MakeParams();
+  params.max_retries = 12;
+  RequestWorkload workload(queue_, flows_, *tw_.world, params);
+  uint64_t seen_attempted = 0;
+  std::vector<SimTime> retry_times;
+  ConnectorFn allow = AllowAll();
+  ConnectorFn first_only = [&](InstanceId src, InstanceId dst) {
+    // A call with no new arrival since the last call is a retry.
+    const uint64_t attempted = workload.stats(0).attempted;
+    const bool retry = attempted == seen_attempted;
+    seen_attempted = attempted;
+    if (retry) {
+      retry_times.push_back(queue_.now());
+    }
+    if (!retry && attempted == 1) {
+      return allow(src, dst);
+    }
+    ResolvedRoute refused;
+    refused.deny_stage = DenyStage("edge-filter");
+    return refused;
+  };
+  size_t p = workload.AddPattern("east-west", {east_a_}, {west_}, 5.0,
+                                 first_only);
+  workload.Start(SimDuration::Seconds(10));
+  while (flows_.active_flow_count() == 0) {
+    ASSERT_TRUE(queue_.Step());
+  }
+  std::vector<LinkId> response_path;
+  flows_.ForEachFlow([&](FlowId, const FlowState& state) {
+    response_path = state.path;
+  });
+  ASSERT_FALSE(response_path.empty());
+  ASSERT_TRUE(flows_.SetLinkUp(response_path[0], false).ok());
+  const SimTime aborted_at = queue_.now();
+  queue_.RunAll();
+
+  const PatternStats& stats = workload.stats(p);
+  EXPECT_EQ(stats.aborted, 1u);
+  EXPECT_EQ(stats.retries, 12u);
+  EXPECT_EQ(stats.gave_up, 1u);
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.denied, stats.attempted - 1);
+  EXPECT_EQ(workload.inflight(), 0u);
+  ASSERT_EQ(retry_times.size(), 12u);
+  SimTime previous = aborted_at;
+  for (size_t k = 0; k < retry_times.size(); ++k) {
+    const double base_ms = std::min(10.0 * std::pow(2.0, k), 1000.0);
+    const double gap_ms = (retry_times[k] - previous).ToMillis();
+    EXPECT_GE(gap_ms, 0.8 * base_ms) << "retry " << k;
+    EXPECT_LE(gap_ms, 1.2 * base_ms) << "retry " << k;
+    previous = retry_times[k];
+  }
 }
 
 // A route the executor refuses to start (weight 0 fails ValidFlowStart)

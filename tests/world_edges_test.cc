@@ -54,12 +54,12 @@ TEST(BgpEdgesTest, AccessorsOnInvalidSpeakers) {
   EXPECT_EQ(stats.update_messages, 0u);
 }
 
-TEST(WorldEdgesTest, InstanceEgressCapComesFromParams) {
-  WorldParams params;
-  params.default_vm_egress_bps = 123e6;
-  TestWorld tw = BuildTestWorld(params);
+TEST(WorldEdgesTest, LaunchedInstanceCarriesTheDefaultEgressCap) {
+  TestWorld tw = BuildTestWorld();
   auto inst = *tw.world->LaunchInstance(tw.tenant, tw.provider, tw.east, 0);
-  EXPECT_DOUBLE_EQ(tw.world->FindInstance(inst)->vm_egress_cap_bps, 123e6);
+  auto on_prem = *tw.world->LaunchOnPremInstance(tw.tenant, tw.on_prem);
+  EXPECT_DOUBLE_EQ(tw.world->FindInstance(inst)->vm_egress_cap_bps, 10e9);
+  EXPECT_DOUBLE_EQ(tw.world->FindInstance(on_prem)->vm_egress_cap_bps, 10e9);
 }
 
 }  // namespace
