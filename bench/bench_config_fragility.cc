@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -220,6 +221,19 @@ void Run() {
       "its own scope, so maintenance is local and reviewable.\n");
 }
 
+// FNV-1a (64-bit) of a verifier's fingerprint, in hex: the E12 records pin
+// the verdict text itself, not only that two sweeps agree on it.
+std::string Fnv1aHex(const std::string& text) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char c : text) {
+    hash = (hash ^ c) * 0x100000001b3ull;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return hex;
+}
+
 // E12 — incremental reachability revalidation. After the blast-radius sweep
 // above showed that a permit entry's scope is local, this measures the
 // operational payoff: when one destination's policy changes, re-verifying
@@ -376,17 +390,19 @@ void RunE12(BenchJsonWriter& json) {
       "\"world\": \"declarative\", \"pairs\": %zu, \"mutations\": %d, "
       "\"full_ms\": %.3f, \"mean_revalidate_ms\": %.4f, "
       "\"revalidate_speedup\": %.2f, \"recompute_fraction\": %.4f, "
-      "\"fingerprint_identical\": %d}",
+      "\"fingerprint_identical\": %d, \"fingerprint_fnv1a\": \"%s\"}",
       pairs.size(), kMutations, full_ms, mean_reval_ms, decl_speedup,
-      decl_fraction, decl_identical ? 1 : 0);
+      decl_fraction, decl_identical ? 1 : 0,
+      Fnv1aHex(fresh.Fingerprint()).c_str());
   json.Recordf(
       "{\"bench\": \"config_fragility\", \"experiment\": \"E12\", "
       "\"world\": \"baseline\", \"pairs\": %zu, \"mutations\": %d, "
       "\"full_ms\": %.3f, \"mean_revalidate_ms\": %.4f, "
       "\"revalidate_speedup\": %.2f, \"recompute_fraction\": %.4f, "
-      "\"fingerprint_identical\": %d}",
+      "\"fingerprint_identical\": %d, \"fingerprint_fnv1a\": \"%s\"}",
       base_pairs.size(), kMutations, base_full_ms, base_mean_reval_ms,
-      base_speedup, base_fraction, base_identical ? 1 : 0);
+      base_speedup, base_fraction, base_identical ? 1 : 0,
+      Fnv1aHex(base_fresh.Fingerprint()).c_str());
 }
 
 }  // namespace

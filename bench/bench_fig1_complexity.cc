@@ -130,10 +130,14 @@ void Run() {
   actions.Row({"TOTAL tenant actions", FmtInt(base_ledger.total()),
                FmtInt(decl_ledger.total())});
 
-  auto bgp = baseline.bgp().Converge();
+  // BuildFig1Baseline already converged the mesh, so an incremental
+  // Converge() finds nothing dirty; re-flooding it from scratch measures
+  // what bringing the tenant's mesh up costs.
+  auto bgp = baseline.bgp().ConvergeFull();
   std::printf(
       "\nBaseline also requires the tenant's BGP mesh: %zu speakers, "
-      "%zu sessions, %llu update messages to converge (%llu rounds).\n",
+      "%zu sessions, %llu update messages to converge from scratch "
+      "(%llu rounds).\n",
       baseline.bgp().speaker_count(), baseline.bgp().session_count(),
       static_cast<unsigned long long>(bgp.update_messages),
       static_cast<unsigned long long>(bgp.rounds));

@@ -461,63 +461,12 @@ Result<DeclarativeCloud::DestinationEdge> DeclarativeCloud::DestinationEdgeOf(
     return NotFoundError("no endpoint holds " + eip.ToString());
   }
   const Endpoint& endpoint = it->second;
-  EdgeFilterBank* bank = endpoint.domain->filters.get();
-  return DestinationEdge{bank, endpoint.edge, bank->edge_name(endpoint.edge)};
+  return DestinationEdge{endpoint.domain->filters.get(), endpoint.edge};
 }
 
-const EipRecord* DeclarativeCloud::Deliver(const Instance* src,
-                                           FiveTuple flow,
-                                           DeclarativeDelivery& d) {
-  // SIP resolution (provider anycast load balancer).
-  if (IsSip(flow.dst)) {
-    d.provider_hops.push_back(sip_lb_hop_);
-    SipLoadBalancer::Pick pick = sip_lb_.PickBackend(flow.dst);
-    if (pick.refusal != nullptr) {
-      Drop(d, "sip", {pick.refusal, flow.dst});
-      return nullptr;
-    }
-    flow.dst = pick.backend;
-    d.effective_dst = pick.backend;
-  }
-
-  auto it = eips_.find(flow.dst);
-  if (it == eips_.end()) {
-    Drop(d, "no-such-endpoint", {"no endpoint holds {ip}", flow.dst});
-    return nullptr;
-  }
-  const Endpoint& dst = it->second;
-
-  // Only tenant traffic is refused toward a stopped endpoint; the baseline
-  // world's external path does not check liveness either.
-  if (src != nullptr) {
-    const Instance* dst_inst = world_->FindInstance(dst.record.instance);
-    if (dst_inst == nullptr || !dst_inst->running) {
-      Drop(d, "instance-down", {"endpoint {ip} is not running", flow.dst});
-      return nullptr;
-    }
-  }
-
-  const HopLabel& edge = dst.domain->edge_labels[dst.edge];
-  d.provider_hops.push_back(edge.hop);
-  if (!dst.domain->filters->Admits(dst.edge, flow)) {
-    // `flow.src` is the verdict's effective source, which "{src}" renders.
-    Drop(d, "edge-filter",
-         src != nullptr
-             ? DropReason{"default-off: {src} is not on the permit list of "
-                          "{ip}",
-                          flow.dst}
-             : DropReason{"default-off at {name}", {}, edge.name});
-    return nullptr;
-  }
-  d.delivered = true;
-  d.dst_node = dst.record.host_node;
-  return &dst.record;
-}
-
-Result<DeclarativeDelivery> DeclarativeCloud::Evaluate(InstanceId src,
-                                                       IpAddress dst,
-                                                       uint16_t dst_port,
-                                                       Protocol proto) {
+Status DeclarativeCloud::FromTenant(InstanceId src, IpAddress dst,
+                                    uint16_t dst_port, Protocol proto,
+                                    Verdict& v) const {
   const Instance* src_inst = world_->FindInstance(src);
   if (src_inst == nullptr || !src_inst->running) {
     return NotFoundError("no such running instance");
@@ -527,51 +476,120 @@ Result<DeclarativeDelivery> DeclarativeCloud::Evaluate(InstanceId src,
     return FailedPreconditionError("source instance has no EIP (request_eip)");
   }
 
-  DeclarativeDelivery d;
-  d.src_node = src_inst->host_node;
-  d.effective_src = sit->second;
-  d.effective_dst = dst;
-  d.vm_egress_cap_bps = src_inst->vm_egress_cap_bps;
+  v.src = src_inst;
+  v.flow.src = sit->second;
+  v.flow.dst = dst;
+  v.flow.src_port = 40000 + static_cast<uint16_t>(src.value() % 20000);
+  v.flow.dst_port = dst_port;
+  v.flow.proto = proto;
+  v.d.src_node = src_inst->host_node;
+  v.d.effective_src = sit->second;
+  v.d.effective_dst = dst;
+  v.d.vm_egress_cap_bps = src_inst->vm_egress_cap_bps;
+  return Status::Ok();
+}
 
-  FiveTuple flow;
-  flow.src = sit->second;
-  flow.dst = dst;
-  flow.src_port = 40000 + static_cast<uint16_t>(src.value() % 20000);
-  flow.dst_port = dst_port;
-  flow.proto = proto;
+bool DeclarativeCloud::PickBackend(Verdict& v) {
+  if (!IsSip(v.flow.dst)) {
+    return true;
+  }
+  v.d.provider_hops.push_back(sip_lb_hop_);
+  SipLoadBalancer::Pick pick = sip_lb_.PickBackend(v.flow.dst);
+  if (pick.refusal != nullptr) {
+    Drop(v.d, "sip", {pick.refusal, v.flow.dst});
+    return false;
+  }
+  v.flow.dst = pick.backend;
+  v.d.effective_dst = pick.backend;
+  return true;
+}
 
-  const EipRecord* dst_record = Deliver(src_inst, flow, d);
-  if (dst_record == nullptr) {
-    return d;
+void DeclarativeCloud::Walk(Verdict& v) const {
+  DeclarativeDelivery& d = v.d;
+  auto it = eips_.find(v.flow.dst);
+  if (it == eips_.end()) {
+    Drop(d, "no-such-endpoint", {"no endpoint holds {ip}", v.flow.dst});
+    return;
   }
-  // Intra-provider traffic rides the backbone; external traffic follows the
-  // tenant's potato profile.
-  if (dst_record->provider.valid() && src_inst->provider.valid() &&
-      dst_record->provider == src_inst->provider) {
-    d.egress_policy = EgressPolicy::kColdPotato;
-  } else {
-    d.egress_policy = EgressProfileOf(src_inst->tenant);
+  const Endpoint& dst = it->second;
+
+  // Only tenant traffic is refused toward a stopped endpoint; the baseline
+  // world's external path does not check liveness either.
+  if (v.src != nullptr) {
+    const Instance* dst_inst = world_->FindInstance(dst.record.instance);
+    if (dst_inst == nullptr || !dst_inst->running) {
+      Drop(d, "instance-down", {"endpoint {ip} is not running", v.flow.dst});
+      return;
+    }
   }
-  return d;
+
+  const HopLabel& edge = dst.domain->edge_labels[dst.edge];
+  d.provider_hops.push_back(edge.hop);
+  if (!dst.domain->filters->Admits(dst.edge, v.flow)) {
+    // `flow.src` is the verdict's effective source, which "{src}" renders.
+    Drop(d, "edge-filter",
+         v.src != nullptr
+             ? DropReason{"default-off: {src} is not on the permit list of "
+                          "{ip}",
+                          v.flow.dst}
+             : DropReason{"default-off at {name}", {}, edge.name});
+    return;
+  }
+  d.delivered = true;
+  d.dst_node = dst.record.host_node;
+  // Intra-provider traffic rides the backbone; other tenant traffic follows
+  // the tenant's potato profile (an internet source keeps hot potato).
+  if (v.src != nullptr) {
+    d.egress_policy = dst.record.provider.valid() && v.src->provider.valid() &&
+                              dst.record.provider == v.src->provider
+                          ? EgressPolicy::kColdPotato
+                          : EgressProfileOf(v.src->tenant);
+  }
+}
+
+Result<DeclarativeDelivery> DeclarativeCloud::Evaluate(InstanceId src,
+                                                       IpAddress dst,
+                                                       uint16_t dst_port,
+                                                       Protocol proto) {
+  Verdict v;
+  TN_RETURN_IF_ERROR(FromTenant(src, dst, dst_port, proto, v));
+  if (PickBackend(v)) {
+    Walk(v);
+  }
+  return v.d;
+}
+
+Result<DeclarativeDelivery> DeclarativeCloud::Query(InstanceId src,
+                                                    IpAddress endpoint,
+                                                    uint16_t dst_port,
+                                                    Protocol proto) const {
+  if (IsSip(endpoint)) {
+    return InvalidArgumentError(
+        "a reach query names an endpoint, not a SIP (expand its bindings)");
+  }
+  Verdict v;
+  TN_RETURN_IF_ERROR(FromTenant(src, endpoint, dst_port, proto, v));
+  Walk(v);
+  return v.d;
 }
 
 DeclarativeDelivery DeclarativeCloud::EvaluateExternal(IpAddress src,
                                                        IpAddress dst,
                                                        uint16_t dst_port,
                                                        Protocol proto) {
-  DeclarativeDelivery d;
-  d.effective_src = src;
-  d.effective_dst = dst;
-  d.egress_policy = EgressPolicy::kHotPotato;
-
-  FiveTuple flow;
-  flow.src = src;
-  flow.dst = dst;
-  flow.src_port = 55555;
-  flow.dst_port = dst_port;
-  flow.proto = proto;
-  Deliver(nullptr, flow, d);
-  return d;
+  Verdict v;
+  v.flow.src = src;
+  v.flow.dst = dst;
+  v.flow.src_port = 55555;
+  v.flow.dst_port = dst_port;
+  v.flow.proto = proto;
+  v.d.effective_src = src;
+  v.d.effective_dst = dst;
+  v.d.egress_policy = EgressPolicy::kHotPotato;
+  if (PickBackend(v)) {
+    Walk(v);
+  }
+  return v.d;
 }
 
 // --------------------------------------------------------------------------

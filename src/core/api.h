@@ -155,6 +155,12 @@ class DeclarativeCloud {
   Result<DeclarativeDelivery> Evaluate(InstanceId src, IpAddress dst,
                                        uint16_t dst_port, Protocol proto);
 
+  // Evaluate minus the SIP pick, as a reach query: the same walk and
+  // verdict toward one concrete endpoint, and nothing moves. A SIP is
+  // refused (InvalidArgument); the reach engine expands it to its bindings.
+  Result<DeclarativeDelivery> Query(InstanceId src, IpAddress endpoint,
+                                    uint16_t dst_port, Protocol proto) const;
+
   // Traffic from an arbitrary internet source (attack simulation).
   DeclarativeDelivery EvaluateExternal(IpAddress src, IpAddress dst,
                                        uint16_t dst_port, Protocol proto);
@@ -172,14 +178,12 @@ class DeclarativeCloud {
 
   // An EIP's enforcement point: the filter bank and ingress edge of its
   // hosting domain (the region's edge in its provider's domain, or the
-  // on-prem site router), and that edge's name, which Evaluate reports as
-  // the "edge-filter@<where>" hop. RequestEip binds it once; this reads the
-  // record and creates nothing. The reach query engine walks the compiled
-  // matchers through it without evaluating traffic.
+  // on-prem site router; `bank->edge_name(edge_index)` names it).
+  // RequestEip binds it once; this reads the record and creates nothing.
+  // The reach verifier keys on its epochs.
   struct DestinationEdge {
     EdgeFilterBank* bank = nullptr;
     size_t edge_index = 0;
-    std::string where;
   };
   Result<DestinationEdge> DestinationEdgeOf(IpAddress eip) const;
 
@@ -232,13 +236,27 @@ class DeclarativeCloud {
 
   void InstallHostRoute(const EipRecord& record);
 
-  // The verdict tail Evaluate and EvaluateExternal share: SIP resolution,
-  // the endpoint lookup and the default-off check at the endpoint's
-  // enforcement point. `src` is the sending tenant instance, or null for an
-  // internet source. Returns the admitted endpoint's record, or null with
-  // `d`'s drop stage set.
-  const EipRecord* Deliver(const Instance* src, FiveTuple flow,
-                           DeclarativeDelivery& d);
+  // A verdict in progress: the sending tenant instance (null for an
+  // internet source), the flow as the destination's edge sees it, and the
+  // delivery.
+  struct Verdict {
+    const Instance* src = nullptr;
+    FiveTuple flow;
+    DeclarativeDelivery d;
+  };
+  // Evaluate and Query's source side: starts `v` for a running sender with
+  // an EIP, or refuses a stopped or EIP-less one.
+  Status FromTenant(InstanceId src, IpAddress dst, uint16_t dst_port,
+                    Protocol proto, Verdict& v) const;
+  // The SIP pick, a verdict's one mutating step: the provider's anycast
+  // balancer names the backend a flow toward a SIP goes to. Returns false,
+  // with the drop stage set, when it refuses.
+  bool PickBackend(Verdict& v);
+  // The walk Evaluate, EvaluateExternal and Query share toward a concrete
+  // endpoint: the endpoint lookup, the instance-down check (tenant traffic
+  // only), the default-off check at the endpoint's bound edge and, for
+  // delivered tenant traffic, the egress policy. A drop sets the stage.
+  void Walk(Verdict& v) const;
 
   CloudWorld* world_;
   ConfigLedger* ledger_;

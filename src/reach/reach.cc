@@ -50,11 +50,11 @@ const ReachTriageNode& TriageTree() {
   return *tree;
 }
 
-uint32_t Via(const std::string& label) { return RouteLabels().Intern(label); }
+uint32_t Via(std::string_view label) { return RouteLabels().Intern(label); }
 
 // Marks the verdict denied at `stage`: the trace ends there, and the deny
 // stage id comes from the same interner the workload counters use.
-void Deny(ReachVerdict& verdict, const std::string& stage) {
+void Deny(ReachVerdict& verdict, std::string_view stage) {
   verdict.reachable = false;
   verdict.all_backends = false;
   verdict.deny_stage = DenyStage(stage);
@@ -66,6 +66,32 @@ void FinishTriage(ReachVerdict& verdict, const ReachFacts& facts) {
     verdict.remediation = TriageTree().Decide(facts).recommendation;
   }
 }
+
+bool StartsWith(std::string_view s, std::string_view prefix) {
+  return s.substr(0, prefix.size()) == prefix;
+}
+
+// Maps a walk's drop stage ("" when delivered) onto the triage facts. One
+// vocabulary covers both worlds: the declarative walk's no-such-endpoint,
+// instance-down and edge-filter, and the fabric's filtering and routing
+// stages.
+void FactsFromDrop(std::string_view stage, ReachFacts& facts) {
+  facts.dst_known = stage != "no-such-endpoint";
+  facts.dst_running = facts.dst_known && stage != "instance-down";
+  if (StartsWith(stage, "sg") || StartsWith(stage, "acl") ||
+      StartsWith(stage, "dpi") || StartsWith(stage, "firewall") ||
+      StartsWith(stage, "edge-filter")) {
+    facts.filtered = true;
+  } else if (StartsWith(stage, "route") || StartsWith(stage, "tgw") ||
+             StartsWith(stage, "peering") || StartsWith(stage, "igw") ||
+             StartsWith(stage, "nat") || StartsWith(stage, "no-")) {
+    facts.routed = false;
+  }
+}
+
+// A pair's destination as fingerprints print it.
+std::string DstText(IpAddress dst) { return dst.ToString(); }
+std::string DstText(InstanceId dst) { return std::to_string(dst.value()); }
 
 }  // namespace
 
@@ -111,52 +137,6 @@ std::string ReachVerdict::ToString() const {
 // Declarative engine.
 // ---------------------------------------------------------------------------
 
-void DeclarativeReachEngine::ReachConcrete(IpAddress src_eip, IpAddress dst,
-                                           uint16_t dst_port, Protocol proto,
-                                           ReachVerdict& verdict,
-                                           ReachFacts& facts) const {
-  const EipRecord* record = cloud_->FindEip(dst);
-  if (record == nullptr) {
-    facts.dst_known = false;
-    Deny(verdict, "no-such-endpoint");
-    return;
-  }
-  facts.dst_known = true;
-
-  const Instance* dst_inst = world_->FindInstance(record->instance);
-  if (dst_inst == nullptr || !dst_inst->running) {
-    facts.dst_running = false;
-    Deny(verdict, "instance-down");
-    return;
-  }
-  facts.dst_running = true;
-
-  Result<DeclarativeCloud::DestinationEdge> edge =
-      cloud_->DestinationEdgeOf(dst);
-  if (!edge.ok()) {
-    Deny(verdict, "no-such-endpoint");
-    return;
-  }
-  verdict.stages.push_back(Via("edge-filter@" + edge->where));
-
-  // The same admission question the data plane asks, minus the traffic: the
-  // compiled matcher at the destination's enforcement edge. Admits reads
-  // edge state only, so the query leaves no data-plane trace. src_port is
-  // irrelevant to permit matching.
-  FiveTuple flow;
-  flow.src = src_eip;
-  flow.dst = dst;
-  flow.dst_port = dst_port;
-  flow.proto = proto;
-  if (!edge->bank->Admits(edge->edge_index, flow)) {
-    facts.filtered = true;
-    Deny(verdict, "edge-filter");
-    return;
-  }
-  verdict.reachable = true;
-  verdict.stages.push_back(Via("deliver"));
-}
-
 ReachVerdict DeclarativeReachEngine::CanReach(InstanceId src, IpAddress dst,
                                               uint16_t dst_port,
                                               Protocol proto) const {
@@ -169,8 +149,7 @@ ReachVerdict DeclarativeReachEngine::CanReach(InstanceId src, IpAddress dst,
     FinishTriage(verdict, facts);
     return verdict;
   }
-  std::optional<IpAddress> src_eip = cloud_->EipOf(src);
-  if (!src_eip.has_value()) {
+  if (!cloud_->EipOf(src).has_value()) {
     Deny(verdict, "no-eip");
     FinishTriage(verdict, facts);
     return verdict;
@@ -178,153 +157,91 @@ ReachVerdict DeclarativeReachEngine::CanReach(InstanceId src, IpAddress dst,
   facts.src_usable = true;
   verdict.stages.push_back(Via("src-eip"));
 
-  if (cloud_->IsSip(dst)) {
-    facts.dst_is_sip = true;
-    facts.dst_known = true;
-    verdict.stages.push_back(Via("sip-lb"));
-
-    // Side-effect-free enumeration: Bindings(), not Resolve() — the data
-    // plane's pick counter must not move because someone asked a question.
-    Result<std::vector<SipLoadBalancer::Binding>> bindings =
-        cloud_->sip_lb().Bindings(dst);
-    std::vector<IpAddress> healthy;
-    if (bindings.ok()) {
-      for (const SipLoadBalancer::Binding& b : *bindings) {
-        if (b.healthy) {
-          healthy.push_back(b.eip);
-        }
-      }
+  // The data plane's walk toward one concrete endpoint, appended to `walk`:
+  // its provider hops, then "deliver" or the drop stage. Query refuses only
+  // what the source checks above already denied.
+  auto run_walk = [&](IpAddress endpoint, ReachVerdict& walk,
+                      ReachFacts& walk_facts) {
+    Result<DeclarativeDelivery> d =
+        cloud_->Query(src, endpoint, dst_port, proto);
+    if (!d.ok()) {
+      Deny(walk, "src-down");
+      return;
     }
-    if (healthy.empty()) {
-      facts.sip_has_healthy_backend = false;
-      Deny(verdict, "sip");
-      FinishTriage(verdict, facts);
-      return verdict;
-    }
-    facts.sip_has_healthy_backend = true;
-
-    // ∃-semantics with a ∀-bound: walk every healthy backend. The reported
-    // trace is the first reachable backend's walk (or the first backend's,
-    // when none reach) — deterministic in binding order.
-    size_t reached = 0;
-    bool have_repr = false;
-    ReachVerdict repr;
-    ReachFacts repr_facts;
-    for (const IpAddress& backend : healthy) {
-      ReachVerdict walk = verdict;   // shared prefix: src-eip -> sip-lb
-      ReachFacts walk_facts = facts;
-      ReachConcrete(*src_eip, backend, dst_port, proto, walk, walk_facts);
-      if (walk.reachable) {
-        ++reached;
-      }
-      if (!have_repr || (walk.reachable && !repr.reachable)) {
-        repr = std::move(walk);
-        repr_facts = walk_facts;
-        have_repr = true;
-      }
-    }
-    verdict = std::move(repr);
-    facts = repr_facts;
-    verdict.reachable = reached > 0;
-    verdict.all_backends = reached == healthy.size();
-    if (!verdict.reachable) {
-      // The representative walk already recorded its deny stage.
-      verdict.all_backends = false;
-    }
-    FinishTriage(verdict, facts);
-    return verdict;
-  }
-
-  ReachConcrete(*src_eip, dst, dst_port, proto, verdict, facts);
-  verdict.all_backends = verdict.reachable;
-  FinishTriage(verdict, facts);
-  return verdict;
-}
-
-// ---------------------------------------------------------------------------
-// Baseline engine.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-bool StartsWith(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-// Maps the fabric's drop-stage vocabulary onto the triage facts.
-void BaselineFactsFromDrop(const std::string& stage, ReachFacts& facts) {
-  if (StartsWith(stage, "sg") || StartsWith(stage, "acl") ||
-      StartsWith(stage, "dpi") || StartsWith(stage, "firewall")) {
-    facts.filtered = true;
-  } else if (StartsWith(stage, "route") || StartsWith(stage, "tgw") ||
-             StartsWith(stage, "peering") || StartsWith(stage, "igw") ||
-             StartsWith(stage, "nat") || StartsWith(stage, "no-")) {
-    facts.routed = false;
-  }
-}
-
-}  // namespace
-
-ReachVerdict BaselineReachEngine::CanReach(InstanceId src, InstanceId dst,
-                                           uint16_t dst_port,
-                                           Protocol proto) const {
-  ReachVerdict verdict;
-  ReachFacts facts;
-  facts.dst_known = true;  // instance-addressed query
-
-  Result<BaselineDelivery> result = net_->Query(src, dst, dst_port, proto);
-  if (!result.ok()) {
-    // The fabric refuses up front when either instance is unknown or down;
-    // the message distinguishes the two.
-    const std::string& msg = result.status().message();
-    if (msg.find("unknown") != std::string::npos) {
-      facts.dst_known = false;
-      Deny(verdict, "no-such-endpoint");
+    walk.stages.insert(walk.stages.end(), d->provider_hops.begin(),
+                       d->provider_hops.end());
+    FactsFromDrop(d->drop_stage, walk_facts);
+    if (d->delivered) {
+      walk.reachable = true;
+      walk.stages.push_back(Via("deliver"));
     } else {
-      facts.dst_running = false;
-      facts.src_usable = true;
-      Deny(verdict, "instance-down");
+      Deny(walk, d->drop_stage);
     }
+  };
+
+  if (!cloud_->IsSip(dst)) {
+    run_walk(dst, verdict, facts);
+    verdict.all_backends = verdict.reachable;
     FinishTriage(verdict, facts);
     return verdict;
   }
-  facts.src_usable = true;
-  facts.dst_running = true;
 
-  const BaselineDelivery& d = *result;
-  verdict.stages.assign(d.logical_hops.begin(), d.logical_hops.end());
-  if (d.delivered) {
-    verdict.reachable = true;
-    verdict.all_backends = true;  // instance destinations are exact
-    verdict.stages.push_back(Via("deliver"));
+  facts.dst_is_sip = true;
+  facts.dst_known = true;
+  verdict.stages.push_back(Via("sip-lb"));
+
+  // Side-effect-free enumeration: Bindings(), not the pick — the data
+  // plane's pick counter must not move because someone asked a question.
+  Result<std::vector<SipLoadBalancer::Binding>> bindings =
+      cloud_->sip_lb().Bindings(dst);
+  std::vector<IpAddress> healthy;
+  if (bindings.ok()) {
+    for (const SipLoadBalancer::Binding& b : *bindings) {
+      if (b.healthy) {
+        healthy.push_back(b.eip);
+      }
+    }
+  }
+  if (healthy.empty()) {
+    facts.sip_has_healthy_backend = false;
+    Deny(verdict, "sip");
+    FinishTriage(verdict, facts);
     return verdict;
   }
-  const std::string stage(d.drop_stage.empty() ? "denied" : d.drop_stage);
-  BaselineFactsFromDrop(stage, facts);
-  Deny(verdict, stage);
-  FinishTriage(verdict, facts);
+  facts.sip_has_healthy_backend = true;
+
+  // ∃-semantics with a ∀-bound: walk every healthy backend. The reported
+  // trace is the first reachable backend's walk (or the first backend's,
+  // when none reach) — deterministic in binding order.
+  size_t reached = 0;
+  bool have_repr = false;
+  ReachVerdict repr;
+  ReachFacts repr_facts;
+  for (const IpAddress& backend : healthy) {
+    ReachVerdict walk = verdict;   // shared prefix: src-eip -> sip-lb
+    ReachFacts walk_facts = facts;
+    run_walk(backend, walk, walk_facts);
+    if (walk.reachable) {
+      ++reached;
+    }
+    if (!have_repr || (walk.reachable && !repr.reachable)) {
+      repr = std::move(walk);
+      repr_facts = walk_facts;
+      have_repr = true;
+    }
+  }
+  verdict = std::move(repr);
+  verdict.all_backends = reached == healthy.size();
+  FinishTriage(verdict, repr_facts);
   return verdict;
 }
 
-// ---------------------------------------------------------------------------
-// Declarative incremental verifier.
-// ---------------------------------------------------------------------------
-
-void DeclarativeReachVerifier::SetPairs(std::vector<Pair> pairs) {
-  pairs_ = std::move(pairs);
-  verdicts_.assign(pairs_.size(), ReachVerdict{});
-  keys_.assign(pairs_.size(), DepKey{});
-}
-
-DeclarativeReachVerifier::DepKey DeclarativeReachVerifier::KeyFor(
+DeclarativeReachEngine::Key DeclarativeReachEngine::KeyFor(
     const Pair& pair) const {
-  DepKey key;
-  key.valid = true;
+  Key key;
   key.endpoint_rev = cloud_->endpoint_revision();
   key.instance_epoch = world_->instance_state_epoch();
 
-  // Hash lookups only — this must stay far cheaper than a verify, or the
-  // incremental sweep has no headroom to win.
   auto fold_dst = [&](IpAddress addr) {
     Result<DeclarativeCloud::DestinationEdge> edge =
         cloud_->DestinationEdgeOf(addr);
@@ -351,25 +268,73 @@ DeclarativeReachVerifier::DepKey DeclarativeReachVerifier::KeyFor(
   return key;
 }
 
-ReachSweepStats DeclarativeReachVerifier::VerifyAll() {
-  ReachSweepStats stats;
-  stats.pairs = pairs_.size();
-  for (size_t i = 0; i < pairs_.size(); ++i) {
-    const Pair& p = pairs_[i];
-    keys_[i] = KeyFor(p);
-    verdicts_[i] = engine_.CanReach(p.src, p.dst, p.dst_port, p.proto);
-    ++stats.recomputed;
+// ---------------------------------------------------------------------------
+// Baseline engine.
+// ---------------------------------------------------------------------------
+
+ReachVerdict BaselineReachEngine::CanReach(InstanceId src, InstanceId dst,
+                                           uint16_t dst_port,
+                                           Protocol proto) const {
+  ReachVerdict verdict;
+  ReachFacts facts;
+
+  Result<BaselineDelivery> result = net_->Query(src, dst, dst_port, proto);
+  if (!result.ok()) {
+    // The fabric refuses up front when an instance is unknown or stopped
+    // (or unattached); the world says which end failed.
+    const Instance* src_inst = net_->world().FindInstance(src);
+    const Instance* dst_inst = net_->world().FindInstance(dst);
+    facts.src_usable = src_inst != nullptr && src_inst->running;
+    facts.dst_known = dst_inst != nullptr;
+    Deny(verdict, src_inst == nullptr || dst_inst == nullptr
+                      ? "no-such-endpoint"
+                      : "instance-down");
+    FinishTriage(verdict, facts);
+    return verdict;
   }
-  return stats;
+  facts.src_usable = true;
+
+  const BaselineDelivery& d = *result;
+  verdict.stages.assign(d.logical_hops.begin(), d.logical_hops.end());
+  if (d.delivered) {
+    verdict.reachable = true;
+    verdict.all_backends = true;  // instance destinations are exact
+    verdict.stages.push_back(Via("deliver"));
+    return verdict;
+  }
+  const std::string_view stage =
+      d.drop_stage.empty() ? "denied" : d.drop_stage;
+  FactsFromDrop(stage, facts);
+  Deny(verdict, stage);
+  FinishTriage(verdict, facts);
+  return verdict;
 }
 
-ReachSweepStats DeclarativeReachVerifier::Revalidate() {
+// ---------------------------------------------------------------------------
+// The incremental verifier.
+// ---------------------------------------------------------------------------
+
+template <typename Engine>
+void ReachVerifier<Engine>::SetPairs(std::vector<Pair> pairs) {
+  pairs_ = std::move(pairs);
+  verdicts_.assign(pairs_.size(), ReachVerdict{});
+  keys_.assign(pairs_.size(), std::nullopt);
+}
+
+template <typename Engine>
+ReachSweepStats ReachVerifier<Engine>::VerifyAll() {
+  keys_.assign(pairs_.size(), std::nullopt);
+  return Revalidate();
+}
+
+template <typename Engine>
+ReachSweepStats ReachVerifier<Engine>::Revalidate() {
   ReachSweepStats stats;
   stats.pairs = pairs_.size();
   for (size_t i = 0; i < pairs_.size(); ++i) {
     const Pair& p = pairs_[i];
-    DepKey key = KeyFor(p);
-    if (keys_[i].valid && key == keys_[i]) {
+    typename Engine::Key key = engine_.KeyFor(p);
+    if (keys_[i] == key) {
       ++stats.reused;
       continue;
     }
@@ -380,64 +345,19 @@ ReachSweepStats DeclarativeReachVerifier::Revalidate() {
   return stats;
 }
 
-std::string DeclarativeReachVerifier::Fingerprint() const {
+template <typename Engine>
+std::string ReachVerifier<Engine>::Fingerprint() const {
   std::ostringstream out;
   for (size_t i = 0; i < pairs_.size(); ++i) {
     const Pair& p = pairs_[i];
-    out << "src=" << p.src.value() << " dst=" << p.dst.ToString()
+    out << "src=" << p.src.value() << " dst=" << DstText(p.dst)
         << " port=" << p.dst_port << " proto=" << static_cast<int>(p.proto)
         << " :: " << verdicts_[i].ToString() << "\n";
   }
   return out.str();
 }
 
-// ---------------------------------------------------------------------------
-// Baseline incremental verifier.
-// ---------------------------------------------------------------------------
-
-void BaselineReachVerifier::SetPairs(std::vector<Pair> pairs) {
-  pairs_ = std::move(pairs);
-  verdicts_.assign(pairs_.size(), ReachVerdict{});
-  verified_once_ = false;
-  verified_gen_ = 0;
-}
-
-ReachSweepStats BaselineReachVerifier::VerifyAll() {
-  ReachSweepStats stats;
-  stats.pairs = pairs_.size();
-  verified_gen_ = net_->verdict_generation();
-  for (size_t i = 0; i < pairs_.size(); ++i) {
-    const Pair& p = pairs_[i];
-    verdicts_[i] = engine_.CanReach(p.src, p.dst, p.dst_port, p.proto);
-    ++stats.recomputed;
-  }
-  verified_once_ = true;
-  return stats;
-}
-
-ReachSweepStats BaselineReachVerifier::Revalidate() {
-  const uint64_t gen = net_->verdict_generation();
-  if (verified_once_ && gen == verified_gen_) {
-    ReachSweepStats stats;
-    stats.pairs = pairs_.size();
-    stats.reused = pairs_.size();
-    return stats;
-  }
-  // Any change anywhere re-verifies everything: the baseline verdict
-  // entangles route tables, SG/ACL state, gateway wiring and BGP state with
-  // no per-pair scoping to key on.
-  return VerifyAll();
-}
-
-std::string BaselineReachVerifier::Fingerprint() const {
-  std::ostringstream out;
-  for (size_t i = 0; i < pairs_.size(); ++i) {
-    const Pair& p = pairs_[i];
-    out << "src=" << p.src.value() << " dst=" << p.dst.value()
-        << " port=" << p.dst_port << " proto=" << static_cast<int>(p.proto)
-        << " :: " << verdicts_[i].ToString() << "\n";
-  }
-  return out.str();
-}
+template class ReachVerifier<DeclarativeReachEngine>;
+template class ReachVerifier<BaselineReachEngine>;
 
 }  // namespace tenantnet

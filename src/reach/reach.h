@@ -2,39 +2,40 @@
 // stages, and is that what I intended?").
 //
 // The data planes answer single-flow verdicts; this layer answers the
-// tenant-level question on top of them, over *both* worlds:
+// tenant-level question on top of them, over *both* worlds. In each world
+// it runs the data plane's own walk, so a reach verdict agrees with what
+// traffic gets by construction:
 //
-//  * DeclarativeReachEngine walks the Table-2 state directly — EIP/SIP
-//    bindings, instance liveness, and the compiled permit-list matchers at
-//    the destination's enforcement edge — without evaluating traffic: no
-//    SIP pick counter advances and no inspection counters move. SIP
-//    destinations resolve existentially (`reachable` = some healthy
-//    backend admits the flow) with a universal bound (`all_backends`);
-//    EIP destinations are exact.
-//  * BaselineReachEngine composes route tables, SG/ACL/DPI stages and TGW
-//    FIBs by driving the fabric's staged walk through Query — the verdict
-//    and ordered stage trace are the walk the baseline data plane
-//    performs, and a DPI firewall on the path counts nothing.
+//  * DeclarativeReachEngine checks the source, expands a SIP destination to
+//    its healthy bindings (Bindings(), not the pick: no pick counter
+//    advances) and runs DeclarativeCloud::Query, Evaluate's walk minus the
+//    pick, toward each concrete endpoint. SIP destinations resolve
+//    existentially (`reachable` = some healthy backend admits the flow) with
+//    a universal bound (`all_backends`); EIP destinations are exact.
+//  * BaselineReachEngine runs BaselineNetwork::Query, the fabric's staged
+//    walk through route tables, SG/ACL/DPI stages and TGW FIBs; a DPI
+//    firewall on the path counts nothing.
 //
 // Both return a ReachVerdict whose stage trace reuses the interned
-// via/deny-stage labels (RouteLabels() / DenyStages()), and both triage
-// denials through a decision-tree evaluation (BasicDecisionNode over
-// ReachFacts) into a remediation recommendation.
+// via/deny-stage labels (RouteLabels() / DenyStages()), and both triage a
+// denial from its drop stage through a decision-tree evaluation
+// (BasicDecisionNode over ReachFacts) into a remediation recommendation.
 //
-// The verifiers keep a pair set verified incrementally, keyed off the
-// verdict epochs and revision hooks: the declarative side dirties only pairs
-// whose destination endpoint epoch (EdgeFilterBank::EndpointVerdictEpoch),
-// domain group epoch, SIP config revision, endpoint-allocation revision or
-// instance epoch moved, so permit churn re-verifies only the touched
-// destinations; the baseline side keys on the fabric's coarse
-// verdict_generation() and is deliberately all-or-nothing — the
-// factorization asymmetry E12 measures.
+// One ReachVerifier<Engine> keeps a pair set verified incrementally,
+// recomputing a pair only when its engine's KeyFor moves. The declarative
+// key holds the destination endpoint epoch
+// (EdgeFilterBank::EndpointVerdictEpoch), domain group epoch, SIP config
+// revision, endpoint-allocation revision and instance epoch, so permit
+// churn re-verifies only the touched destinations. The baseline key is the
+// fabric's coarse verdict_generation() for every pair, deliberately
+// all-or-nothing: the factorization asymmetry E12 measures.
 
 #ifndef TENANTNET_SRC_REACH_REACH_H_
 #define TENANTNET_SRC_REACH_REACH_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,10 +89,35 @@ struct ReachVerdict {
   std::string ToString() const;
 };
 
+// One question a verifier keeps: can `src` reach `dst` on this port?
+template <typename Dst>
+struct ReachPair {
+  InstanceId src;
+  Dst dst;
+  uint16_t dst_port = 0;
+  Protocol proto = Protocol::kTcp;
+};
+
 // --- Query engines ---------------------------------------------------------
+// Each engine answers CanReach and supplies what ReachVerifier keys on: its
+// Pair, its Key and KeyFor(pair), cheap counters that move whenever
+// anything the pair's verdict reads may have changed.
 
 class DeclarativeReachEngine {
  public:
+  using Pair = ReachPair<IpAddress>;
+  // Epoch/revision lookups only, no matcher walks: this must stay far
+  // cheaper than a verify, or the incremental sweep has no headroom to win.
+  struct Key {
+    uint64_t endpoint_rev = 0;   // cloud endpoint allocation revision
+    uint64_t instance_epoch = 0; // world instance liveness
+    uint64_t sip_rev = 0;        // SIP binding/health (SIP dsts only)
+    uint64_t dst_epoch = 0;      // Σ endpoint epochs of concrete dst EIPs
+    uint64_t group_epoch = 0;    // Σ group epochs of involved banks
+
+    friend bool operator==(const Key& a, const Key& b) = default;
+  };
+
   // Holds references; both must outlive the engine. Queries only read
   // `cloud`: no tenant-visible state changes, no data-plane counter moves,
   // and no enforcement domain is created.
@@ -100,29 +126,33 @@ class DeclarativeReachEngine {
 
   ReachVerdict CanReach(InstanceId src, IpAddress dst, uint16_t dst_port,
                         Protocol proto) const;
+  Key KeyFor(const Pair& pair) const;
 
  private:
-  // Tail of the walk once dst is a concrete EIP. Appends to `verdict`.
-  void ReachConcrete(IpAddress src_eip, IpAddress dst, uint16_t dst_port,
-                     Protocol proto, ReachVerdict& verdict,
-                     ReachFacts& facts) const;
-
   CloudWorld* world_;
   DeclarativeCloud* cloud_;
 };
 
 class BaselineReachEngine {
  public:
+  using Pair = ReachPair<InstanceId>;
+  // The fabric's coarse verdict generation, the same for every pair: any
+  // config, instance or BGP change re-verifies every pair (deliberately:
+  // the baseline verdict is too entangled to factorize, which is the
+  // contrast E12 reports).
+  using Key = uint64_t;
+
   explicit BaselineReachEngine(BaselineNetwork& net) : net_(&net) {}
 
   ReachVerdict CanReach(InstanceId src, InstanceId dst, uint16_t dst_port,
                         Protocol proto) const;
+  Key KeyFor(const Pair&) const { return net_->verdict_generation(); }
 
  private:
   BaselineNetwork* net_;
 };
 
-// --- Incremental verifiers --------------------------------------------------
+// --- The incremental verifier ----------------------------------------------
 
 // Stats for one verification sweep.
 struct ReachSweepStats {
@@ -131,22 +161,18 @@ struct ReachSweepStats {
   size_t reused = 0;
 };
 
-// Keeps a set of declarative (src instance, dst address) pairs verified.
-// VerifyAll() recomputes everything; Revalidate() recomputes only pairs
-// whose dependency key moved (see file comment) and must land on results
-// byte-identical to a from-scratch verify — the differential property the
-// reach tests assert and E12 times.
-class DeclarativeReachVerifier {
+// Keeps a set of pairs verified over one world's engine. VerifyAll()
+// recomputes everything; Revalidate() recomputes only the pairs whose key
+// moved, and must land on results byte-identical to a from-scratch verify:
+// the differential property the reach tests assert and E12 times.
+template <typename Engine>
+class ReachVerifier {
  public:
-  struct Pair {
-    InstanceId src;
-    IpAddress dst;
-    uint16_t dst_port = 0;
-    Protocol proto = Protocol::kTcp;
-  };
+  using Pair = typename Engine::Pair;
 
-  DeclarativeReachVerifier(CloudWorld& world, DeclarativeCloud& cloud)
-      : world_(&world), cloud_(&cloud), engine_(world, cloud) {}
+  // Takes the engine's constructor arguments.
+  template <typename... World>
+  explicit ReachVerifier(World&... world) : engine_(world...) {}
 
   // Replaces the pair set; all pairs start dirty.
   void SetPairs(std::vector<Pair> pairs);
@@ -164,62 +190,17 @@ class DeclarativeReachVerifier {
   std::string Fingerprint() const;
 
  private:
-  // Cheap dependency key per pair: epoch/revision lookups only, no matcher
-  // walks. Monotone counters, so equality means "nothing it depends on
-  // changed".
-  struct DepKey {
-    uint64_t endpoint_rev = 0;   // cloud endpoint allocation revision
-    uint64_t instance_epoch = 0; // world instance liveness
-    uint64_t sip_rev = 0;        // SIP binding/health (SIP dsts only)
-    uint64_t dst_epoch = 0;      // Σ endpoint epochs of concrete dst EIPs
-    uint64_t group_epoch = 0;    // Σ group epochs of involved banks
-    bool valid = false;
-
-    friend bool operator==(const DepKey& a, const DepKey& b) = default;
-  };
-  DepKey KeyFor(const Pair& pair) const;
-
-  CloudWorld* world_;
-  DeclarativeCloud* cloud_;
-  DeclarativeReachEngine engine_;
+  Engine engine_;
   std::vector<Pair> pairs_;
   std::vector<ReachVerdict> verdicts_;
-  std::vector<DepKey> keys_;
+  // Each pair's key when it was last recomputed; empty while dirty.
+  std::vector<std::optional<typename Engine::Key>> keys_;
 };
 
-// The baseline counterpart over (src, dst) instance pairs. Its dependency
-// scope is the fabric's coarse verdict generation: any config/instance/BGP
-// change re-verifies every pair (deliberately — the baseline verdict is too
-// entangled to factorize, which is the contrast E12 reports).
-class BaselineReachVerifier {
- public:
-  struct Pair {
-    InstanceId src;
-    InstanceId dst;
-    uint16_t dst_port = 0;
-    Protocol proto = Protocol::kTcp;
-  };
-
-  explicit BaselineReachVerifier(BaselineNetwork& net)
-      : net_(&net), engine_(net) {}
-
-  void SetPairs(std::vector<Pair> pairs);
-  const std::vector<Pair>& pairs() const { return pairs_; }
-
-  ReachSweepStats VerifyAll();
-  ReachSweepStats Revalidate();
-
-  const std::vector<ReachVerdict>& verdicts() const { return verdicts_; }
-  std::string Fingerprint() const;
-
- private:
-  BaselineNetwork* net_;
-  BaselineReachEngine engine_;
-  std::vector<Pair> pairs_;
-  std::vector<ReachVerdict> verdicts_;
-  uint64_t verified_gen_ = 0;
-  bool verified_once_ = false;
-};
+using DeclarativeReachVerifier = ReachVerifier<DeclarativeReachEngine>;
+using BaselineReachVerifier = ReachVerifier<BaselineReachEngine>;
+extern template class ReachVerifier<DeclarativeReachEngine>;
+extern template class ReachVerifier<BaselineReachEngine>;
 
 }  // namespace tenantnet
 

@@ -398,7 +398,7 @@ TEST_P(EnforcementPointTest, SameVerdictsForProviderAndOnPremDestinations) {
     ASSERT_TRUE(edge.ok());
     EXPECT_EQ(edge->bank, bank);
     EXPECT_EQ(edge->edge_index, 0u);  // east is the provider's first region
-    EXPECT_EQ(edge->where, where);
+    EXPECT_EQ(edge->bank->edge_name(edge->edge_index), where);
   };
   std::vector<std::string> verdicts;
   auto probe = [&](const std::string& step) {

@@ -6,7 +6,10 @@
 // instance liveness, and must stay in exact agreement with Evaluate for EIP
 // destinations (∃/∀ sandwich for SIPs) — through permit/group/binding
 // churn, partially drained replication queues, and a FaultInjector storm
-// that crashes instances and degrades the control plane mid-round.
+// that crashes instances and degrades the control plane mid-round. The
+// walk the engine runs is Evaluate's own: Query equals Evaluate on the
+// whole delivery toward an EIP, and a delivered SIP verdict is the sip-lb
+// hop in front of Query toward the backend Evaluate picked.
 // Property, baseline world: CanReach's verdict and deny stage must equal
 // Evaluate's through SG/ACL/route/instance churn (the engine translates the
 // delivery into a ReachVerdict; this checks the translation).
@@ -257,12 +260,31 @@ TEST_P(DeclarativeReachFuzzTest, EngineMatchesBruteForceUnderStorm) {
         if (!v.reachable) {
           EXPECT_FALSE(e->delivered);
         }
+        EXPECT_EQ(cloud.Query(src, sip, port, Protocol::kTcp).status().code(),
+                  StatusCode::kInvalidArgument);
+        if (e->delivered) {
+          // Evaluate = the pick, then Query's walk toward the picked backend.
+          auto q = cloud.Query(src, e->effective_dst, port, Protocol::kTcp);
+          ASSERT_TRUE(q.ok()) << q.status();
+          DeclarativeDelivery picked = *q;
+          picked.provider_hops = {};
+          picked.provider_hops.push_back(RouteLabels().Intern("sip-lb"));
+          for (uint32_t hop : q->provider_hops) {
+            picked.provider_hops.push_back(hop);
+          }
+          EXPECT_TRUE(*e == picked) << Explain(*e) << " vs " << Explain(*q);
+        }
       } else {
         // EIP destination: exact agreement with both the oracle and the
         // data plane.
         ReachVerdict v =
             engine.CanReach(src, eips[d], port, Protocol::kTcp);
         auto e = cloud.Evaluate(src, eips[d], port, Protocol::kTcp);
+        auto q = cloud.Query(src, eips[d], port, Protocol::kTcp);
+        ASSERT_EQ(q.status().code(), e.status().code()) << q.status();
+        if (e.ok()) {
+          EXPECT_TRUE(*q == *e) << Explain(*q) << " vs " << Explain(*e);
+        }
         if (!src_up) {
           EXPECT_FALSE(v.reachable);
           EXPECT_EQ(DenyName(v), "src-down");

@@ -338,24 +338,30 @@ TEST(BaselineReachTest, VerdictsMatchEvaluateExactly) {
   }
 }
 
+// The fabric refuses a pair with an unknown or stopped end before walking
+// it; the denial and its remediation name the end that failed.
 TEST(BaselineReachTest, RefusalsBecomeDenials) {
   BaselineFixture fx;
   BaselineReachEngine engine(*fx.net);
+  auto expect_denial = [&](InstanceId src, InstanceId dst,
+                           const std::string& stage, const std::string& fix) {
+    ReachVerdict v = engine.CanReach(src, dst, 443, Protocol::kTcp);
+    EXPECT_FALSE(v.reachable);
+    EXPECT_EQ(DenyName(v), stage);
+    EXPECT_NE(v.remediation.find(fix), std::string::npos) << v.remediation;
+  };
+  const InstanceId unknown(999999);
 
-  // Unknown instance.
-  ReachVerdict v = engine.CanReach(InstanceId(999999), fx.instances[0], 443,
-                                   Protocol::kTcp);
-  EXPECT_FALSE(v.reachable);
-  EXPECT_EQ(DenyName(v), "no-such-endpoint");
+  expect_denial(unknown, fx.instances[0], "no-such-endpoint",
+                "start the source instance");
+  expect_denial(fx.instances[0], unknown, "no-such-endpoint",
+                "destination address is unallocated");
 
-  // Crashed destination.
   ASSERT_TRUE(fx.tw.world->SetInstanceRunning(fx.instances[1], false).ok());
-  v = engine.CanReach(fx.instances[0], fx.instances[1], 443, Protocol::kTcp);
-  EXPECT_FALSE(v.reachable);
-  EXPECT_EQ(DenyName(v), "instance-down");
-  EXPECT_TRUE(v.remediation.find("start the destination instance") !=
-              std::string::npos)
-      << v.remediation;
+  expect_denial(fx.instances[0], fx.instances[1], "instance-down",
+                "start the destination instance");
+  expect_denial(fx.instances[1], fx.instances[0], "instance-down",
+                "start the source instance");
 }
 
 // A reach query is static: a Fig-1 query judged by the EU web tier's DPI

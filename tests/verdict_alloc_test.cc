@@ -235,6 +235,35 @@ TEST(VerdictAllocationTest, DeclarativeVerdictsAllocateNothing) {
             0u);
 }
 
+// A reach query runs the same walk, and from a fresh cloud's very first
+// one on allocates nothing either: delivered, edge-filtered, and toward a
+// stopped endpoint.
+TEST(VerdictAllocationTest, DeclarativeQueriesAllocateNothing) {
+  Fig1World fig = BuildFig1World();
+  ConfigLedger ledger;
+  DeclarativeCloud cloud(*fig.world, ledger);
+  const IpAddress spark = *cloud.RequestEip(fig.spark[0]);
+  const IpAddress db = *cloud.RequestEip(fig.database[0]);
+  const IpAddress alerting = *cloud.RequestEip(fig.alerting[0]);
+  PermitEntry from_spark;
+  from_spark.source = IpPrefix::Host(spark);
+  ASSERT_TRUE(cloud.SetPermitList(db, {from_spark}).ok());
+  ASSERT_TRUE(fig.world->SetInstanceRunning(fig.alerting[0], false).ok());
+  std::vector<Result<DeclarativeDelivery>> d(3, NotFoundError("no query"));
+  EXPECT_EQ(AllocationsIn([&] {
+              d[0] = cloud.Query(fig.spark[0], db, 443, Protocol::kTcp);
+              d[1] = cloud.Query(fig.spark[0], spark, 443, Protocol::kTcp);
+              d[2] = cloud.Query(fig.spark[0], alerting, 443, Protocol::kTcp);
+            }),
+            0u);
+  for (const Result<DeclarativeDelivery>& r : d) {
+    ASSERT_TRUE(r.ok()) << r.status();
+  }
+  EXPECT_TRUE(d[0]->delivered) << Explain(*d[0]);
+  EXPECT_EQ(d[1]->drop_stage, "edge-filter");
+  EXPECT_EQ(d[2]->drop_stage, "instance-down");
+}
+
 // The first verdict of a freshly built Fig-1 fabric allocates nothing: no
 // verdict table is built on first use. (Running instances only: a refusal
 // for a downed one renders its Status text.)
