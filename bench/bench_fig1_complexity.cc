@@ -8,9 +8,13 @@
 // Paper claim (§5): "the tenant will no longer have to consider any of the
 // 6 VPCs or 9 gateways in the original topology, only the endpoints
 // themselves."
+//
+// After the tables, one JSON record per world carries the same counts
+// (`bench: fig1_complexity`), which CI pins exactly.
 
 #include <cstdio>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -78,7 +82,30 @@ void DeployDeclarative(DeclarativeCloud& cloud, const Fig1World& fig) {
   (void)cloud.SetEgressProfile(fig.tenant, EgressPolicy::kColdPotato);
 }
 
-void Run() {
+// One world's record, without its closing brace: the boxes the tenant
+// owns and every action its ledger recorded.
+std::string WorldFields(const char* world, size_t vpcs, size_t gateways,
+                        size_t appliances, size_t bgp_speakers,
+                        const ConfigLedger& ledger) {
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"bench\": \"fig1_complexity\", \"experiment\": \"E1\", "
+      "\"world\": \"%s\", \"vpcs\": %zu, \"gateways\": %zu, "
+      "\"appliances\": %zu, \"bgp_speakers\": %zu, \"components\": %llu, "
+      "\"parameters\": %llu, \"decisions\": %llu, \"cross_refs\": %llu, "
+      "\"api_calls\": %llu, \"total_actions\": %llu",
+      world, vpcs, gateways, appliances, bgp_speakers,
+      static_cast<unsigned long long>(ledger.components()),
+      static_cast<unsigned long long>(ledger.parameters()),
+      static_cast<unsigned long long>(ledger.decisions()),
+      static_cast<unsigned long long>(ledger.cross_references()),
+      static_cast<unsigned long long>(ledger.api_calls()),
+      static_cast<unsigned long long>(ledger.total()));
+  return buf;
+}
+
+void Run(BenchJsonWriter& json) {
   Banner("E1", "Figure 1 deployment: tenant-side complexity, both worlds");
 
   Fig1World fig = BuildFig1World();
@@ -145,13 +172,23 @@ void Run() {
       "Declarative: the tenant runs no routing protocol at all; permit-list\n"
       "entries (%llu parameters above) are the only per-host state.\n",
       static_cast<unsigned long long>(decl_ledger.parameters()));
+
+  json.Record(WorldFields("baseline", baseline.vpc_count(),
+                          baseline.gateway_count(),
+                          baseline.appliance_count(),
+                          baseline.bgp().speaker_count(), base_ledger) +
+              ", \"bgp_update_messages\": " +
+              std::to_string(bgp.update_messages) +
+              ", \"bgp_rounds\": " + std::to_string(bgp.rounds) + "}");
+  json.Record(WorldFields("declarative", 0, 0, 0, 0, decl_ledger) + "}");
 }
 
 }  // namespace
 }  // namespace tenantnet
 
 int main(int argc, char** argv) {
-  tenantnet::ParseBenchArgs(argc, argv);
-  tenantnet::Run();
+  tenantnet::BenchJsonWriter json("fig1_complexity",
+                                  tenantnet::ParseBenchArgs(argc, argv));
+  tenantnet::Run(json);
   return 0;
 }

@@ -11,14 +11,11 @@
 #include <cstdio>
 
 #include "src/cloud/presets.h"
-#include "src/common/logging.h"
 #include "src/core/api.h"
 
 using namespace tenantnet;  // NOLINT: example brevity
 
 int main() {
-  SetLogLevel(LogLevel::kInfo);
-
   // A small physical world: one provider, two regions, an on-prem site.
   // (CloudWorld is the simulator's substrate; real deployments would be
   // the provider's actual fabric.)

@@ -61,15 +61,17 @@ struct ResolvedRoute {
 using ConnectorFn = std::function<ResolvedRoute(InstanceId src, InstanceId dst)>;
 
 // The route for one world's verdict (a Result of BaselineDelivery or
-// DeclarativeDelivery): a refused evaluation denies as "instance-down", a
-// drop under its stage ("denied" when the stage is unnamed).
+// DeclarativeDelivery): a drop denies under its stage ("denied" when the
+// stage is unnamed). Each world's walk drops whatever its state refuses
+// (src-down, no-eip, no-such-endpoint, instance-down), so an error Status,
+// denied as "refused", means the caller misused the API.
 template <typename Delivery>
 ResolvedRoute RouteFor(const Result<Delivery>& d) {
   ResolvedRoute route;
   if (!d.ok() || !d->delivered) {
     route.deny_stage = DenyStage(
         d.ok() ? (d->drop_stage.empty() ? "denied" : d->drop_stage)
-               : "instance-down");
+               : "refused");
     return route;
   }
   route.allowed = true;

@@ -368,11 +368,6 @@ const Instance* CloudWorld::FindInstance(InstanceId id) const {
   return it == instances_.end() ? nullptr : &it->second;
 }
 
-const std::string& CloudWorld::tenant_name(TenantId id) const {
-  assert(id.valid() && id.value() <= tenants_.size());
-  return tenants_[id.value() - 1];
-}
-
 std::vector<InstanceId> CloudWorld::TenantInstances(TenantId tenant) const {
   std::vector<InstanceId> out;
   for (const auto& [id, inst] : instances_) {

@@ -165,7 +165,6 @@ class CloudWorld {
   const ExchangeSite& exchange(ExchangeId id) const;
   const OnPremSite& on_prem(OnPremId id) const;
   const Instance* FindInstance(InstanceId id) const;
-  const std::string& tenant_name(TenantId id) const;
 
   size_t provider_count() const { return providers_.size(); }
   size_t region_count() const { return regions_.size(); }

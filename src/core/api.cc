@@ -464,29 +464,36 @@ Result<DeclarativeCloud::DestinationEdge> DeclarativeCloud::DestinationEdgeOf(
   return DestinationEdge{endpoint.domain->filters.get(), endpoint.edge};
 }
 
-Status DeclarativeCloud::FromTenant(InstanceId src, IpAddress dst,
-                                    uint16_t dst_port, Protocol proto,
-                                    Verdict& v) const {
+DeclarativeCloud::Verdict DeclarativeCloud::Toward(IpAddress dst,
+                                                   uint16_t dst_port,
+                                                   Protocol proto) {
+  Verdict v;
+  v.flow.dst = dst;
+  v.flow.dst_port = dst_port;
+  v.flow.proto = proto;
+  v.d.effective_dst = dst;
+  return v;
+}
+
+bool DeclarativeCloud::FromTenant(InstanceId src, Verdict& v) const {
   const Instance* src_inst = world_->FindInstance(src);
   if (src_inst == nullptr || !src_inst->running) {
-    return NotFoundError("no such running instance");
+    Drop(v.d, "src-down", {"the source is not a running instance"});
+    return false;
   }
   auto sit = eip_by_instance_.find(src);
   if (sit == eip_by_instance_.end()) {
-    return FailedPreconditionError("source instance has no EIP (request_eip)");
+    Drop(v.d, "no-eip", {"source instance has no EIP (request_eip)"});
+    return false;
   }
 
   v.src = src_inst;
   v.flow.src = sit->second;
-  v.flow.dst = dst;
   v.flow.src_port = 40000 + static_cast<uint16_t>(src.value() % 20000);
-  v.flow.dst_port = dst_port;
-  v.flow.proto = proto;
   v.d.src_node = src_inst->host_node;
   v.d.effective_src = sit->second;
-  v.d.effective_dst = dst;
   v.d.vm_egress_cap_bps = src_inst->vm_egress_cap_bps;
-  return Status::Ok();
+  return true;
 }
 
 bool DeclarativeCloud::PickBackend(Verdict& v) {
@@ -551,9 +558,8 @@ Result<DeclarativeDelivery> DeclarativeCloud::Evaluate(InstanceId src,
                                                        IpAddress dst,
                                                        uint16_t dst_port,
                                                        Protocol proto) {
-  Verdict v;
-  TN_RETURN_IF_ERROR(FromTenant(src, dst, dst_port, proto, v));
-  if (PickBackend(v)) {
+  Verdict v = Toward(dst, dst_port, proto);
+  if (FromTenant(src, v) && PickBackend(v)) {
     Walk(v);
   }
   return v.d;
@@ -567,9 +573,16 @@ Result<DeclarativeDelivery> DeclarativeCloud::Query(InstanceId src,
     return InvalidArgumentError(
         "a reach query names an endpoint, not a SIP (expand its bindings)");
   }
+  Verdict v = Toward(endpoint, dst_port, proto);
+  if (FromTenant(src, v)) {
+    Walk(v);
+  }
+  return v.d;
+}
+
+DeclarativeDelivery DeclarativeCloud::QuerySource(InstanceId src) const {
   Verdict v;
-  TN_RETURN_IF_ERROR(FromTenant(src, endpoint, dst_port, proto, v));
-  Walk(v);
+  FromTenant(src, v);
   return v.d;
 }
 
@@ -577,14 +590,10 @@ DeclarativeDelivery DeclarativeCloud::EvaluateExternal(IpAddress src,
                                                        IpAddress dst,
                                                        uint16_t dst_port,
                                                        Protocol proto) {
-  Verdict v;
+  Verdict v = Toward(dst, dst_port, proto);
   v.flow.src = src;
-  v.flow.dst = dst;
   v.flow.src_port = 55555;
-  v.flow.dst_port = dst_port;
-  v.flow.proto = proto;
   v.d.effective_src = src;
-  v.d.effective_dst = dst;
   v.d.egress_policy = EgressPolicy::kHotPotato;
   if (PickBackend(v)) {
     Walk(v);

@@ -151,15 +151,25 @@ class DeclarativeCloud {
 
   // --- Data plane ------------------------------------------------------------
 
-  // Traffic from a tenant instance toward an EIP or SIP.
+  // Traffic from a tenant instance toward an EIP or SIP. What the world's
+  // state refuses is a drop, never an error: an unknown or stopped source
+  // ("src-down"), one without an EIP ("no-eip"), an address no endpoint
+  // holds ("no-such-endpoint") and a stopped destination ("instance-down").
   Result<DeclarativeDelivery> Evaluate(InstanceId src, IpAddress dst,
                                        uint16_t dst_port, Protocol proto);
 
   // Evaluate minus the SIP pick, as a reach query: the same walk and
-  // verdict toward one concrete endpoint, and nothing moves. A SIP is
-  // refused (InvalidArgument); the reach engine expands it to its bindings.
+  // verdict toward one concrete endpoint, and nothing moves. Its one error
+  // is misuse: a SIP is refused (InvalidArgument); the reach engine expands
+  // it to its bindings.
   Result<DeclarativeDelivery> Query(InstanceId src, IpAddress endpoint,
                                     uint16_t dst_port, Protocol proto) const;
+
+  // The source step Evaluate and Query run first, on its own: a verdict
+  // dropped at "src-down" or "no-eip", or one with no drop stage for a
+  // running sender with an EIP. The reach engine asks it before it expands
+  // a SIP, so a refused source is named ahead of any backend.
+  DeclarativeDelivery QuerySource(InstanceId src) const;
 
   // Traffic from an arbitrary internet source (attack simulation).
   DeclarativeDelivery EvaluateExternal(IpAddress src, IpAddress dst,
@@ -244,10 +254,12 @@ class DeclarativeCloud {
     FiveTuple flow;
     DeclarativeDelivery d;
   };
-  // Evaluate and Query's source side: starts `v` for a running sender with
-  // an EIP, or refuses a stopped or EIP-less one.
-  Status FromTenant(InstanceId src, IpAddress dst, uint16_t dst_port,
-                    Protocol proto, Verdict& v) const;
+  // A verdict for a flow toward `dst`, its source not yet filled in.
+  static Verdict Toward(IpAddress dst, uint16_t dst_port, Protocol proto);
+  // Evaluate and Query's source step: fills in a running sender with an
+  // EIP, or drops the verdict at "src-down" or "no-eip". Returns false, with
+  // the drop stage set, when it refuses.
+  bool FromTenant(InstanceId src, Verdict& v) const;
   // The SIP pick, a verdict's one mutating step: the provider's anycast
   // balancer names the backend a flow toward a SIP goes to. Returns false,
   // with the drop stage set, when it refuses.

@@ -334,7 +334,6 @@ class EdgeFilterBank {
   size_t ApproxBytes() const;
   // Distinct interned permit lists alive (master + edges + in flight).
   size_t distinct_permit_sets() const { return sets_.size(); }
-  size_t endpoint_slots() const { return slots_.size(); }
   // Pre-sizes the slot index and columns for `n` endpoints.
   void ReserveEndpoints(size_t n);
   // Drops growth slack in the index/columns before measuring.

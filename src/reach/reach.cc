@@ -72,10 +72,11 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 }
 
 // Maps a walk's drop stage ("" when delivered) onto the triage facts. One
-// vocabulary covers both worlds: the declarative walk's no-such-endpoint,
-// instance-down and edge-filter, and the fabric's filtering and routing
-// stages.
+// vocabulary covers both worlds: the four world-state stages both walks
+// share (src-down, no-eip, no-such-endpoint, instance-down), the
+// declarative edge-filter, and the fabric's filtering and routing stages.
 void FactsFromDrop(std::string_view stage, ReachFacts& facts) {
+  facts.src_usable = stage != "src-down" && stage != "no-eip";
   facts.dst_known = stage != "no-such-endpoint";
   facts.dst_running = facts.dst_known && stage != "instance-down";
   if (StartsWith(stage, "sg") || StartsWith(stage, "acl") ||
@@ -86,6 +87,22 @@ void FactsFromDrop(std::string_view stage, ReachFacts& facts) {
              StartsWith(stage, "peering") || StartsWith(stage, "igw") ||
              StartsWith(stage, "nat") || StartsWith(stage, "no-")) {
     facts.routed = false;
+  }
+}
+
+// Appends one data-plane walk to `verdict`: its hops, then "deliver" or
+// the denying stage ("denied" when the walk names none), whose name alone
+// sets the triage facts.
+template <typename Delivery, typename Hops>
+void AppendWalk(const Delivery& d, const Hops& hops, ReachVerdict& verdict,
+                ReachFacts& facts) {
+  verdict.stages.insert(verdict.stages.end(), hops.begin(), hops.end());
+  FactsFromDrop(d.drop_stage, facts);
+  if (d.delivered) {
+    verdict.reachable = true;
+    verdict.stages.push_back(Via("deliver"));
+  } else {
+    Deny(verdict, d.drop_stage.empty() ? "denied" : d.drop_stage);
   }
 }
 
@@ -143,40 +160,24 @@ ReachVerdict DeclarativeReachEngine::CanReach(InstanceId src, IpAddress dst,
   ReachVerdict verdict;
   ReachFacts facts;
 
-  const Instance* src_inst = world_->FindInstance(src);
-  if (src_inst == nullptr || !src_inst->running) {
-    Deny(verdict, "src-down");
-    FinishTriage(verdict, facts);
-    return verdict;
-  }
-  if (!cloud_->EipOf(src).has_value()) {
-    Deny(verdict, "no-eip");
+  // The source step the data plane runs first, asked before a SIP expands
+  // so that a refused source is named ahead of any backend.
+  const DeclarativeDelivery source = cloud_->QuerySource(src);
+  if (!source.drop_stage.empty()) {
+    AppendWalk(source, source.provider_hops, verdict, facts);
     FinishTriage(verdict, facts);
     return verdict;
   }
   facts.src_usable = true;
   verdict.stages.push_back(Via("src-eip"));
 
-  // The data plane's walk toward one concrete endpoint, appended to `walk`:
-  // its provider hops, then "deliver" or the drop stage. Query refuses only
-  // what the source checks above already denied.
+  // The data plane's walk toward one concrete endpoint, appended to `walk`.
+  // Query's one error is a SIP, and `endpoint` never is one.
   auto run_walk = [&](IpAddress endpoint, ReachVerdict& walk,
                       ReachFacts& walk_facts) {
-    Result<DeclarativeDelivery> d =
-        cloud_->Query(src, endpoint, dst_port, proto);
-    if (!d.ok()) {
-      Deny(walk, "src-down");
-      return;
-    }
-    walk.stages.insert(walk.stages.end(), d->provider_hops.begin(),
-                       d->provider_hops.end());
-    FactsFromDrop(d->drop_stage, walk_facts);
-    if (d->delivered) {
-      walk.reachable = true;
-      walk.stages.push_back(Via("deliver"));
-    } else {
-      Deny(walk, d->drop_stage);
-    }
+    const DeclarativeDelivery d =
+        cloud_->Query(src, endpoint, dst_port, proto).value();
+    AppendWalk(d, d.provider_hops, walk, walk_facts);
   };
 
   if (!cloud_->IsSip(dst)) {
@@ -277,35 +278,10 @@ ReachVerdict BaselineReachEngine::CanReach(InstanceId src, InstanceId dst,
                                            Protocol proto) const {
   ReachVerdict verdict;
   ReachFacts facts;
-
-  Result<BaselineDelivery> result = net_->Query(src, dst, dst_port, proto);
-  if (!result.ok()) {
-    // The fabric refuses up front when an instance is unknown or stopped
-    // (or unattached); the world says which end failed.
-    const Instance* src_inst = net_->world().FindInstance(src);
-    const Instance* dst_inst = net_->world().FindInstance(dst);
-    facts.src_usable = src_inst != nullptr && src_inst->running;
-    facts.dst_known = dst_inst != nullptr;
-    Deny(verdict, src_inst == nullptr || dst_inst == nullptr
-                      ? "no-such-endpoint"
-                      : "instance-down");
-    FinishTriage(verdict, facts);
-    return verdict;
-  }
-  facts.src_usable = true;
-
-  const BaselineDelivery& d = *result;
-  verdict.stages.assign(d.logical_hops.begin(), d.logical_hops.end());
-  if (d.delivered) {
-    verdict.reachable = true;
-    verdict.all_backends = true;  // instance destinations are exact
-    verdict.stages.push_back(Via("deliver"));
-    return verdict;
-  }
-  const std::string_view stage =
-      d.drop_stage.empty() ? "denied" : d.drop_stage;
-  FactsFromDrop(stage, facts);
-  Deny(verdict, stage);
+  // The fabric drops whatever its state refuses; Query never errors.
+  const BaselineDelivery d = net_->Query(src, dst, dst_port, proto).value();
+  AppendWalk(d, d.logical_hops, verdict, facts);
+  verdict.all_backends = verdict.reachable;  // instance destinations are exact
   FinishTriage(verdict, facts);
   return verdict;
 }

@@ -6,10 +6,11 @@
 // it runs the data plane's own walk, so a reach verdict agrees with what
 // traffic gets by construction:
 //
-//  * DeclarativeReachEngine checks the source, expands a SIP destination to
-//    its healthy bindings (Bindings(), not the pick: no pick counter
-//    advances) and runs DeclarativeCloud::Query, Evaluate's walk minus the
-//    pick, toward each concrete endpoint. SIP destinations resolve
+//  * DeclarativeReachEngine asks DeclarativeCloud::QuerySource, the walk's
+//    own source step, expands a SIP destination to its healthy bindings
+//    (Bindings(), not the pick: no pick counter advances) and runs
+//    DeclarativeCloud::Query, Evaluate's walk minus the pick, toward each
+//    concrete endpoint. SIP destinations resolve
 //    existentially (`reachable` = some healthy backend admits the flow) with
 //    a universal bound (`all_backends`); EIP destinations are exact.
 //  * BaselineReachEngine runs BaselineNetwork::Query, the fabric's staged
@@ -18,8 +19,10 @@
 //
 // Both return a ReachVerdict whose stage trace reuses the interned
 // via/deny-stage labels (RouteLabels() / DenyStages()), and both triage a
-// denial from its drop stage through a decision-tree evaluation
-// (BasicDecisionNode over ReachFacts) into a remediation recommendation.
+// denial from the walk's drop stage alone (an unknown, stopped or
+// address-less end is one of those stages too) through a decision-tree
+// evaluation (BasicDecisionNode over ReachFacts) into a remediation
+// recommendation.
 //
 // One ReachVerifier<Engine> keeps a pair set verified incrementally,
 // recomputing a pair only when its engine's KeyFor moves. The declarative

@@ -364,7 +364,6 @@ BgpMesh::ConvergenceStats BgpMesh::Converge() {
           continue;  // e.g. a worse alternative arrived: best unchanged
         }
         RecordPreDelta(i, prefix, old_best);
-        ++stats.best_path_changes;
         changed_any = true;
         if (new_best.has_value()) {
           s.loc_rib[prefix] = *new_best;
@@ -393,7 +392,6 @@ BgpMesh::ConvergenceStats BgpMesh::Converge() {
               (!session.policy.export_filter ||
                session.policy.export_filter(*old_best));
           if (advertised_before) {
-            ++stats.withdraw_messages;
             deliveries.push_back(
                 Outgoing{to_index, SpeakerId(i + 1), true, {}, prefix});
           }
@@ -576,32 +574,6 @@ BgpMeshSnapshot BgpMesh::Checkpoint() const {
     out.loc_rib.assign(s.loc_rib.begin(), s.loc_rib.end());
   }
   return snap;
-}
-
-void BgpMesh::RestoreFromSnapshot(const BgpMeshSnapshot& snap) {
-  size_t n = std::min(snap.speakers.size(), speakers_.size());
-  for (size_t i = 0; i < n; ++i) {
-    Speaker& s = speakers_[i];
-    const BgpMeshSnapshot::SpeakerRibs& in = snap.speakers[i];
-    ClearAdjRib(s);
-    for (const auto& [prefix, peers] : in.adj_rib_in) {
-      std::vector<AdjEntry> entries;
-      entries.reserve(peers.size());
-      for (const auto& [peer, route] : peers) {
-        entries.push_back(
-            AdjEntry{peer, paths_.Intern(route.as_path), route.local_pref});
-      }
-      s.adj_rib_in.emplace(prefix, adj_slab_.Alloc(std::move(entries)));
-    }
-    s.loc_rib.clear();
-    s.loc_rib.insert(in.loc_rib.begin(), in.loc_rib.end());
-    // The restored image is the new delta baseline: stale dirtiness and
-    // half-accumulated deltas refer to a world that no longer exists.
-    pending_work_ -= dirty_[i].size();
-    dirty_[i].clear();
-    pre_delta_[i].clear();
-  }
-  ++mutations_;  // downstream verdicts must conservatively re-verify
 }
 
 uint64_t BgpMesh::ReconcileFromSnapshot(const BgpMeshSnapshot& snap) {

@@ -149,9 +149,7 @@ class BgpMesh {
   struct ConvergenceStats {
     uint64_t rounds = 0;
     uint64_t update_messages = 0;    // (route, session) advertisements sent
-    uint64_t withdraw_messages = 0;  // explicit withdraws sent
     uint64_t prefixes_processed = 0; // dirty (speaker, prefix) work items
-    uint64_t best_path_changes = 0;  // Loc-RIB writes (incl. transients)
     bool converged = false;
   };
   ConvergenceStats Converge();
@@ -212,13 +210,6 @@ class BgpMesh {
 
   // Captures Adj-RIB-In + Loc-RIB for every speaker.
   BgpMeshSnapshot Checkpoint() const;
-
-  // Wholesale restore of what Checkpoint() captured: RIBs are replaced, the
-  // dirty queue and delta accumulator of restored speakers are cleared (the
-  // restored image is the new delta baseline), and the mutation counter is
-  // bumped (downstream verdicts must conservatively re-verify). The disaster
-  // path — warm reconciliation goes through ReconcileFromSnapshot instead.
-  void RestoreFromSnapshot(const BgpMeshSnapshot& snap);
 
   // The control plane dies. Graceful-restart semantics: the RIBs are
   // forwarding state and survive (peers keep forwarding), but no convergence

@@ -4,22 +4,6 @@
 
 namespace tenantnet {
 
-std::string_view ConfigActionName(ConfigAction action) {
-  switch (action) {
-    case ConfigAction::kCreateComponent:
-      return "components";
-    case ConfigAction::kSetParameter:
-      return "parameters";
-    case ConfigAction::kDecision:
-      return "decisions";
-    case ConfigAction::kCrossReference:
-      return "cross-references";
-    case ConfigAction::kApiCall:
-      return "api-calls";
-  }
-  return "?";
-}
-
 void ConfigLedger::Record(ConfigAction action, std::string component_kind,
                           std::string detail) {
   records_.push_back(

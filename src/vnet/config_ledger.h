@@ -29,8 +29,6 @@ enum class ConfigAction : uint8_t {
   kApiCall,          // one declarative API invocation (Table 2 world)
 };
 
-std::string_view ConfigActionName(ConfigAction action);
-
 struct ConfigRecord {
   ConfigAction action;
   std::string component_kind;  // "vpc", "transit-gateway", "permit-list", ...
@@ -71,8 +69,6 @@ class ConfigLedger {
 
   // Component count per kind ("vpc" -> 6, "transit-gateway" -> 2, ...).
   std::map<std::string, uint64_t> ComponentsByKind() const;
-
-  const std::vector<ConfigRecord>& records() const { return records_; }
 
   void Clear() { records_.clear(); }
 

@@ -932,16 +932,6 @@ RoutingSnapshot BaselineNetwork::CheckpointRouting() const {
   return snap;
 }
 
-void BaselineNetwork::RestoreRoutingFromSnapshot(const RoutingSnapshot& snap) {
-  bgp_.RestoreFromSnapshot(snap.mesh);
-  for (const auto& [id, fib] : snap.fibs) {
-    auto it = tgws_.find(id);
-    if (it != tgws_.end()) {
-      it->second->RestoreRoutes(fib);  // bumps the revision iff changed
-    }
-  }
-}
-
 void BaselineNetwork::BeginRoutingRestart() { bgp_.BeginRestart(); }
 
 uint64_t BaselineNetwork::ReconcileTgwFibs(uint64_t* checked) {
@@ -1534,81 +1524,97 @@ Result<BaselineDelivery> BaselineNetwork::Evaluate(InstanceId src,
                                                    Protocol proto,
                                                    std::string_view payload) {
   EvalContext ctx;
-  Result<BaselineDelivery> delivery =
-      Walk(ctx, src, dst, dst_port, proto, payload);
+  Walk(ctx, src, dst, dst_port, proto, payload);
   Charge(ctx);
-  return delivery;
+  return ctx.delivery;
 }
 
 Result<BaselineDelivery> BaselineNetwork::Query(InstanceId src, InstanceId dst,
                                                 uint16_t dst_port,
                                                 Protocol proto) {
   EvalContext ctx;
-  return Walk(ctx, src, dst, dst_port, proto, {});
+  Walk(ctx, src, dst, dst_port, proto, {});
+  return ctx.delivery;
 }
 
-Result<BaselineDelivery> BaselineNetwork::Walk(EvalContext& ctx,
-                                               InstanceId src, InstanceId dst,
-                                               uint16_t dst_port,
-                                               Protocol proto,
-                                               std::string_view payload) {
+void BaselineNetwork::Walk(EvalContext& ctx, InstanceId src, InstanceId dst,
+                           uint16_t dst_port, Protocol proto,
+                           std::string_view payload) {
+  // --- World state: the source first, then the destination. ---------------
   const Instance* src_inst = world_->FindInstance(src);
-  const Instance* dst_inst = world_->FindInstance(dst);
-  if (src_inst == nullptr || dst_inst == nullptr) {
-    return NotFoundError("unknown instance");
+  if (src_inst == nullptr || !src_inst->running) {
+    Drop(ctx, "src-down", {"the source is not a running instance"});
+    return;
   }
-  if (!src_inst->running || !dst_inst->running) {
-    return FailedPreconditionError("instance is not running");
-  }
-
   ctx.delivery.src_node = src_inst->host_node;
-
-  // --- Resolve the source side and the address the app would dial. ---------
   const bool src_on_prem = src_inst->on_prem.valid();
-  const bool dst_on_prem = dst_inst->on_prem.valid();
-
-  // Destination addressing.
-  IpAddress dst_private;
-  const Eni* dst_eni = nullptr;
-  if (dst_on_prem) {
-    auto it = on_prem_addrs_.find(dst);
-    if (it == on_prem_addrs_.end()) {
-      return FailedPreconditionError(
-          "on-prem destination has no address (AttachOnPremInstance)");
-    }
-    dst_private = it->second;
-  } else {
-    dst_eni = FindEniByInstance(dst);
-    if (dst_eni == nullptr) {
-      return FailedPreconditionError(
-          "destination instance has no ENI (AttachInstance)");
-    }
-    dst_private = dst_eni->private_ip;
-  }
 
   FiveTuple flow;
   flow.proto = proto;
   flow.dst_port = dst_port;
   flow.src_port = 40000 + static_cast<uint16_t>(src.value() % 20000);
 
+  // The source's address: its on-prem address or its ENI's private one.
+  const Eni* src_eni = nullptr;
   if (src_on_prem) {
-    auto ait = on_prem_addrs_.find(src);
-    if (ait == on_prem_addrs_.end()) {
-      return FailedPreconditionError(
-          "on-prem source has no address (AttachOnPremInstance)");
+    auto it = on_prem_addrs_.find(src);
+    if (it == on_prem_addrs_.end()) {
+      Drop(ctx, "no-eip",
+           {"on-prem source has no address (AttachOnPremInstance)"});
+      return;
     }
-    flow.src = ait->second;
-    ctx.delivery.effective_src = flow.src;
+    flow.src = it->second;
+  } else {
+    src_eni = FindEniByInstance(src);
+    if (src_eni == nullptr) {
+      Drop(ctx, "no-eip", {"source instance has no ENI (AttachInstance)"});
+      return;
+    }
+    flow.src = src_eni->private_ip;
+  }
+  ctx.delivery.effective_src = flow.src;
 
+  // The destination's address, then its liveness.
+  const Instance* dst_inst = world_->FindInstance(dst);
+  if (dst_inst == nullptr) {
+    Drop(ctx, "no-such-endpoint", {"the destination is not a known instance"});
+    return;
+  }
+  const bool dst_on_prem = dst_inst->on_prem.valid();
+  IpAddress dst_private;
+  const Eni* dst_eni = nullptr;
+  if (dst_on_prem) {
+    auto it = on_prem_addrs_.find(dst);
+    if (it == on_prem_addrs_.end()) {
+      Drop(ctx, "no-such-endpoint",
+           {"on-prem destination has no address (AttachOnPremInstance)"});
+      return;
+    }
+    dst_private = it->second;
+  } else {
+    dst_eni = FindEniByInstance(dst);
+    if (dst_eni == nullptr) {
+      Drop(ctx, "no-such-endpoint",
+           {"destination instance has no ENI (AttachInstance)"});
+      return;
+    }
+    dst_private = dst_eni->private_ip;
+  }
+  if (!dst_inst->running) {
+    Drop(ctx, "instance-down", {"the destination instance is not running"});
+    return;
+  }
+
+  if (src_on_prem) {
     if (dst_on_prem) {
       if (src_inst->on_prem == dst_inst->on_prem) {
         flow.dst = dst_private;
         DeliverToOnPrem(ctx, flow, dst_inst->on_prem,
                         EgressPolicy::kColdPotato);
-        return ctx.delivery;
+        return;
       }
       Drop(ctx, "route", {"no connectivity between distinct on-prem sites"});
-      return ctx.delivery;
+      return;
     }
 
     // On-prem -> cloud: use the site's BGP view; private entry if a VPG/DX
@@ -1632,7 +1638,7 @@ Result<BaselineDelivery> BaselineNetwork::Walk(EvalContext& ctx,
           if (dsn->vpc != vpn.vpc) {
             Drop(ctx, "vpn",
                  {"VPN lands in a different VPC than destination"});
-            return ctx.delivery;
+            return;
           }
           const VpcRouteTable& far_table = *tables_.at(dsn->route_table);
           const VpcRouteTarget* back = far_table.Lookup(flow.src);
@@ -1640,22 +1646,22 @@ Result<BaselineDelivery> BaselineNetwork::Walk(EvalContext& ctx,
               back->kind == VpcRouteTargetKind::kBlackhole) {
             Drop(ctx, "return-route",
                  {"destination VPC has no return route to on-prem"});
-            return ctx.delivery;
+            return;
           }
           DeliverIntoVpc(ctx, flow, *dst_eni, /*from_outside_vpc=*/true,
                          payload);
-          return ctx.delivery;
+          return;
         }
       }
       // Through a circuit?
       for (const auto& [did, dx] : dxs_) {
         if (dx.speaker == next) {
           DeliverViaDirectConnect(ctx, flow, did, payload);
-          return ctx.delivery;
+          return;
         }
       }
       Drop(ctx, "bgp", {"learned route maps to no gateway"});
-      return ctx.delivery;
+      return;
     }
     // Public fallback.
     if (dst_eni != nullptr && dst_eni->public_ip.has_value()) {
@@ -1663,21 +1669,14 @@ Result<BaselineDelivery> BaselineNetwork::Walk(EvalContext& ctx,
       ctx.delivery.used_public_path = true;
       ctx.delivery.egress_policy = EgressPolicy::kHotPotato;
       DeliverFromInternet(ctx, flow, payload);
-      return ctx.delivery;
+      return;
     }
     Drop(ctx, "route", {"on-prem source has no route to destination"});
-    return ctx.delivery;
+    return;
   }
 
   // Cloud source.
-  const Eni* src_eni = FindEniByInstance(src);
-  if (src_eni == nullptr) {
-    return FailedPreconditionError(
-        "source instance has no ENI (AttachInstance)");
-  }
   const Subnet* src_subnet = SubnetOf(*src_eni);
-  flow.src = src_eni->private_ip;
-  ctx.delivery.effective_src = flow.src;
 
   // Which destination address would the app dial? Private if the source
   // route table knows a private path; otherwise the public address.
@@ -1706,7 +1705,7 @@ Result<BaselineDelivery> BaselineNetwork::Walk(EvalContext& ctx,
   } else {
     Drop(ctx, "route",
          {"no private route and destination has no public address"});
-    return ctx.delivery;
+    return;
   }
   ctx.delivery.effective_dst = flow.dst;
 
@@ -1723,16 +1722,16 @@ Result<BaselineDelivery> BaselineNetwork::Walk(EvalContext& ctx,
   }
   if (!sg_ok) {
     Drop(ctx, "sg-egress", {"no security group allows the egress flow"});
-    return ctx.delivery;
+    return;
   }
   const NetworkAcl& src_acl = *acls_.at(src_subnet->acl);
   if (!src_acl.Allows(TrafficDirection::kEgress, flow)) {
     Drop(ctx, "acl-egress", {"denied by {name}", {}, src_acl.label()});
-    return ctx.delivery;
+    return;
   }
 
   RouteAndDeliver(ctx, flow, src_subnet->vpc, src_subnet->id, payload);
-  return ctx.delivery;
+  return;
 }
 
 BaselineDelivery BaselineNetwork::EvaluateExternal(IpAddress src,

@@ -219,10 +219,6 @@ class BaselineNetwork {
   // Captures the BGP RIBs and every TGW FIB.
   RoutingSnapshot CheckpointRouting() const;
 
-  // Wholesale restore of what CheckpointRouting() captured (disaster path —
-  // warm reconciliation goes through CompleteRoutingRestart instead).
-  void RestoreRoutingFromSnapshot(const RoutingSnapshot& snap);
-
   // Kills the routing control plane: BGP config mutations go to the mesh's
   // outage log, PropagateRoutes()/PropagateRoutesFull() become no-ops, and
   // the RIBs and TGW FIBs keep forwarding their frozen state. Idempotent.
@@ -245,7 +241,11 @@ class BaselineNetwork {
 
   // Evaluates instance-to-instance traffic (either instance may be on-prem):
   // the full staged walk on every call, so a DPI firewall on the path
-  // inspects (and counts) every evaluation, payload or not.
+  // inspects (and counts) every evaluation, payload or not. What the
+  // world's state refuses is a drop, never an error: an unknown or stopped
+  // source ("src-down"), one with neither an ENI nor an on-prem address
+  // ("no-eip"), a destination that is unknown or has no address
+  // ("no-such-endpoint") and a stopped destination ("instance-down").
   Result<BaselineDelivery> Evaluate(InstanceId src, InstanceId dst,
                                     uint16_t dst_port, Protocol proto,
                                     std::string_view payload = {});
@@ -324,10 +324,9 @@ class BaselineNetwork {
     FirewallVerdict firewall_verdict = FirewallVerdict::kAllow;
   };
 
-  // The staged walk behind Evaluate and Query.
-  Result<BaselineDelivery> Walk(EvalContext& ctx, InstanceId src,
-                                InstanceId dst, uint16_t dst_port,
-                                Protocol proto, std::string_view payload);
+  // The staged walk behind Evaluate and Query; it fills `ctx.delivery`.
+  void Walk(EvalContext& ctx, InstanceId src, InstanceId dst,
+            uint16_t dst_port, Protocol proto, std::string_view payload);
   static void Charge(const EvalContext& ctx) {
     if (ctx.inspected_by != nullptr) {
       ctx.inspected_by->Count(ctx.firewall_verdict);

@@ -199,26 +199,6 @@ class TransitGateway : public RevisionHooked {
   }
   size_t route_count() const { return routes_.entry_count(); }
 
-  // Wholesale FIB replacement with a Routes()-shaped image (restart disaster
-  // path). Bumps the revision once, and only if the table actually changed.
-  bool RestoreRoutes(const std::vector<std::pair<IpPrefix, TgwRoute>>& fib) {
-    if (Routes() == fib) {
-      return false;
-    }
-    std::vector<IpPrefix> doomed;
-    routes_.ForEach([&](const IpPrefix& prefix, const TgwRoute&) {
-      doomed.push_back(prefix);
-    });
-    for (const IpPrefix& prefix : doomed) {
-      routes_.Remove(prefix);
-    }
-    for (const auto& [prefix, route] : fib) {
-      routes_.Insert(prefix, route);
-    }
-    BumpRevision();
-    return true;
-  }
-
  private:
   bool Install(const IpPrefix& prefix, TgwRoute route) {
     const TgwRoute* existing = routes_.ExactMatch(prefix);

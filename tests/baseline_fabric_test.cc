@@ -409,7 +409,8 @@ TEST_F(FabricCacheTest, InstanceStateChangeInvalidatesCachedVerdict) {
   ASSERT_TRUE(tw_.world->SetInstanceRunning(b_, false).ok());
   EXPECT_GT(net_.verdict_generation(), gen);
   auto down = net_.Evaluate(a_, b_, 9000, Protocol::kTcp);
-  EXPECT_FALSE(down.ok());
+  ASSERT_TRUE(down.ok()) << down.status();
+  EXPECT_EQ(down->drop_stage, "instance-down");
   ASSERT_TRUE(tw_.world->SetInstanceRunning(b_, true).ok());
   auto back = net_.Evaluate(a_, b_, 9000, Protocol::kTcp);
   ASSERT_TRUE(back.ok());

@@ -345,7 +345,9 @@ TEST_F(DeclarativeTest, EvaluateRequiresSourceEip) {
   InstanceId b = Launch(tw_.east, 1);
   IpAddress eb = *cloud_.RequestEip(b);
   auto result = cloud_.Evaluate(a, eb, 443, Protocol::kTcp);
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->delivered);
+  EXPECT_EQ(result->drop_stage, "no-eip");
 }
 
 TEST_F(DeclarativeTest, LedgerCountsApiCallsNotComponents) {

@@ -12,8 +12,8 @@
 // dense in ancestors, siblings, and re-inserts — the cases that force edge
 // splits, valueless branch nodes, and slot recycling in the arena.
 //
-// The second half churns the trie's two production hosts (EdgeFilterBank,
-// BgpMesh) with random state and asserts the warm-restart fixed point
+// The second half churns the trie's production host EdgeFilterBank with
+// random state and asserts the warm-restart fixed point
 // Checkpoint -> RestoreFromSnapshot -> Checkpoint on the result, so the
 // restart_test fingerprints keep holding under states no hand-written test
 // enumerates.
@@ -30,7 +30,6 @@
 #include "src/common/rng.h"
 #include "src/core/edge_filter.h"
 #include "src/net/ip.h"
-#include "src/routing/bgp.h"
 #include "src/routing/lpm_trie.h"
 #include "tests/test_env.h"
 
@@ -282,52 +281,6 @@ TEST_P(LpmFuzzTest, FilterBankCheckpointFixedPointUnderRandomChurn) {
   const std::string fingerprint = bank.StateFingerprint();
   bank.RestoreFromSnapshot(snap);
   EXPECT_EQ(bank.StateFingerprint(), fingerprint);
-}
-
-TEST_P(LpmFuzzTest, BgpMeshCheckpointFixedPointUnderRandomChurn) {
-  const int iters = static_cast<int>(test_env::ItersOverride(3000)) / 30;
-  SCOPED_TRACE("reproduce with TN_SEED=" + std::to_string(GetParam()));
-  Rng rng(GetParam() ^ 0xda942042e4dd58b5ull);
-
-  BgpMesh mesh;
-  std::vector<SpeakerId> speakers;
-  for (int i = 0; i < 6; ++i) {
-    speakers.push_back(
-        mesh.AddSpeaker(100 + i, "s" + std::to_string(i)));
-  }
-  // Random connected-ish mesh: a ring plus random chords.
-  for (size_t i = 0; i < speakers.size(); ++i) {
-    ASSERT_TRUE(
-        mesh.AddSession(speakers[i], speakers[(i + 1) % speakers.size()])
-            .ok());
-  }
-  for (int i = 0; i < 4; ++i) {
-    (void)mesh.AddSession(speakers[rng.NextU64(speakers.size())],
-                          speakers[rng.NextU64(speakers.size())]);
-  }
-
-  std::vector<std::pair<SpeakerId, IpPrefix>> origins;
-  for (int step = 0; step < iters; ++step) {
-    if (!origins.empty() && rng.NextBool(0.3)) {
-      const size_t pick = rng.NextU64(origins.size());
-      (void)mesh.WithdrawOrigin(origins[pick].first, origins[pick].second);
-      origins.erase(origins.begin() + pick);
-    } else {
-      SpeakerId s = speakers[rng.NextU64(speakers.size())];
-      IpPrefix prefix = RandomPrefix(rng, rng.NextBool(0.3), {});
-      if (mesh.Originate(s, prefix).ok()) {
-        origins.emplace_back(s, prefix);
-      }
-    }
-    if (rng.NextBool(0.3)) {
-      mesh.Converge();
-    }
-  }
-  mesh.Converge();
-
-  BgpMeshSnapshot snap = mesh.Checkpoint();
-  mesh.RestoreFromSnapshot(snap);
-  EXPECT_TRUE(mesh.Checkpoint() == snap);
 }
 
 // TN_SEED narrows the sweep to one seed; nightly lanes can raise TN_ITERS.

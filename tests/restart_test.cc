@@ -3,7 +3,8 @@
 //
 // The invariants:
 //   * Checkpoint -> RestoreFromSnapshot -> Checkpoint is a fixed point for
-//     every component, from empty through post-storm states.
+//     the filter bank and the SIP balancer, from empty through post-storm
+//     states.
 //   * The data plane keeps serving the frozen state during an outage, and a
 //     warm completion never opens a default-off window; a cold completion
 //     does (measurably).
@@ -112,41 +113,6 @@ TEST(RestartFixedPointTest, EmptyAndPopulatedSipLb) {
   lb.RestoreFromSnapshot(snap);
   EXPECT_TRUE(lb.Checkpoint() == snap);
   EXPECT_EQ(lb.resolutions(), snap.pick_seq);
-}
-
-TEST(RestartFixedPointTest, ConvergedBgpMesh) {
-  BgpMesh mesh;
-  SpeakerId a = mesh.AddSpeaker(100, "a");
-  SpeakerId b = mesh.AddSpeaker(200, "b");
-  SpeakerId c = mesh.AddSpeaker(300, "c");
-  ASSERT_TRUE(mesh.AddSession(a, b).ok());
-  ASSERT_TRUE(mesh.AddSession(b, c).ok());
-  ASSERT_TRUE(mesh.Originate(a, P("10.0.0.0/16")).ok());
-  ASSERT_TRUE(mesh.Originate(c, P("10.2.0.0/16")).ok());
-  mesh.Converge();
-
-  BgpMeshSnapshot snap = mesh.Checkpoint();
-  mesh.RestoreFromSnapshot(snap);
-  EXPECT_TRUE(mesh.Checkpoint() == snap);
-
-  // And an empty mesh is its own fixed point.
-  BgpMesh empty;
-  BgpMeshSnapshot none = empty.Checkpoint();
-  empty.RestoreFromSnapshot(none);
-  EXPECT_TRUE(empty.Checkpoint() == none);
-}
-
-TEST(RestartFixedPointTest, FabricRoutingSnapshot) {
-  Fig1World fig = BuildFig1World();
-  ConfigLedger ledger;
-  BaselineNetwork net(*fig.world, ledger);
-  (void)BuildFig1Baseline(net, fig);
-  (void)net.PropagateRoutes();
-
-  RoutingSnapshot snap = net.CheckpointRouting();
-  EXPECT_FALSE(snap.fibs.empty());
-  net.RestoreRoutingFromSnapshot(snap);
-  EXPECT_TRUE(net.CheckpointRouting() == snap);
 }
 
 // ---------------------------------------------------------------------------

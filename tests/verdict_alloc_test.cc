@@ -264,9 +264,52 @@ TEST(VerdictAllocationTest, DeclarativeQueriesAllocateNothing) {
   EXPECT_EQ(d[2]->drop_stage, "instance-down");
 }
 
+// Verdicts from and toward a stopped instance are drops like any other, in
+// both worlds: no Status text is built, for traffic or for a reach query.
+TEST(VerdictAllocationTest, StoppedEndsAllocateNothing) {
+  Fig1World fig = BuildFig1World();
+  ConfigLedger base_ledger;
+  BaselineNetwork net(*fig.world, base_ledger);
+  ASSERT_TRUE(BuildFig1Baseline(net, fig).ok());
+  ConfigLedger decl_ledger;
+  DeclarativeCloud cloud(*fig.world, decl_ledger);
+  const IpAddress spark = *cloud.RequestEip(fig.spark[0]);
+  const IpAddress db = *cloud.RequestEip(fig.database[0]);
+  ASSERT_TRUE(fig.world->SetInstanceRunning(fig.database[0], false).ok());
+  const InstanceId up = fig.spark[0];
+  const InstanceId down = fig.database[0];
+  const uint16_t port = Fig1Baseline::kDbPort;
+
+  struct Case {
+    InstanceId src;
+    InstanceId dst;
+    IpAddress dst_eip;
+    const char* stage;
+  };
+  const Case cases[] = {{up, down, db, "instance-down"},
+                        {down, up, spark, "src-down"}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.stage);
+    auto base = net.Evaluate(c.src, c.dst, port, Protocol::kTcp);
+    ASSERT_TRUE(base.ok()) << base.status();
+    EXPECT_EQ(base->drop_stage, c.stage);
+    auto decl = cloud.Evaluate(c.src, c.dst_eip, port, Protocol::kTcp);
+    ASSERT_TRUE(decl.ok()) << decl.status();
+    EXPECT_EQ(decl->drop_stage, c.stage);
+    EXPECT_EQ(AllocationsIn([&] {
+                for (int i = 0; i < 3; ++i) {
+                  (void)net.Evaluate(c.src, c.dst, port, Protocol::kTcp);
+                  (void)net.Query(c.src, c.dst, port, Protocol::kTcp);
+                  (void)cloud.Evaluate(c.src, c.dst_eip, port, Protocol::kTcp);
+                  (void)cloud.Query(c.src, c.dst_eip, port, Protocol::kTcp);
+                }
+              }),
+              0u);
+  }
+}
+
 // The first verdict of a freshly built Fig-1 fabric allocates nothing: no
-// verdict table is built on first use. (Running instances only: a refusal
-// for a downed one renders its Status text.)
+// verdict table is built on first use.
 TEST(VerdictAllocationTest, FirstBaselineVerdictAllocatesNothing) {
   Fig1World fig = BuildFig1World();
   ConfigLedger ledger;

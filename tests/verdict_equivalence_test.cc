@@ -242,13 +242,8 @@ TEST(EdgeEquivalenceTest, HoldsThroughFaultInjectorStorm) {
         ReachVerdict v = engine.CanReach(instances[i], eips[j], port,
                                          Protocol::kTcp);
         auto d = cloud.Evaluate(instances[i], eips[j], port, Protocol::kTcp);
-        if (!d.ok()) {
-          // A crashed src or dst surfaces as a status error on the data
-          // plane and as a denial from the engine.
-          ASSERT_FALSE(v.reachable)
-              << "round " << round << " " << v.ToString();
-          continue;
-        }
+        // A crashed src or dst is a drop on the data plane too.
+        ASSERT_TRUE(d.ok()) << d.status();
         ASSERT_EQ(v.reachable, d->delivered)
             << "round " << round << " " << v.ToString();
         if (!d->delivered) {
@@ -374,19 +369,16 @@ TEST_P(BaselineEquivalenceTest, EvaluateMatchesReachEngine) {
       uint16_t port = static_cast<uint16_t>(80 + rng.NextU64(6));
       auto d = net.Evaluate(a, b, port, Protocol::kTcp);
       ReachVerdict v = reach.CanReach(a, b, port, Protocol::kTcp);
-      if (d.ok()) {
-        // The reach engine is the witness: verdict and deny stage must
-        // match the staged evaluation exactly.
-        EXPECT_EQ(v.reachable, d->delivered)
+      // The reach engine is the witness: verdict and deny stage must
+      // match the staged evaluation exactly, a crashed end included.
+      ASSERT_TRUE(d.ok()) << d.status();
+      EXPECT_EQ(v.reachable, d->delivered)
+          << "round " << round << " " << v.ToString();
+      if (!d->delivered) {
+        EXPECT_EQ(DenyStages().Name(v.deny_stage), d->drop_stage)
             << "round " << round << " " << v.ToString();
-        if (!d->delivered) {
-          EXPECT_EQ(DenyStages().Name(v.deny_stage), d->drop_stage)
-              << "round " << round << " " << v.ToString();
-        }
-        ++(d->delivered ? delivered : denied);
-      } else {
-        EXPECT_FALSE(v.reachable) << "round " << round << " " << v.ToString();
       }
+      ++(d->delivered ? delivered : denied);
     }
   }
   queue.RunAll();
