@@ -6,12 +6,6 @@
 // trees as data so E2 can *count* the choices a tenant traverses before
 // they have even created anything — the planning complexity that precedes
 // the configuration complexity the ledger measures.
-//
-// The evaluator is generic over the profile type: the same walk that scores
-// tenant planning complexity (WorkloadProfile) also drives the reachability
-// verifier's deny-triage (src/reach), which answers "this pair cannot talk —
-// which mechanism is missing?" as a decision-tree evaluation over the facts
-// the query engine collected.
 
 #ifndef TENANTNET_SRC_VNET_DECISION_TREE_H_
 #define TENANTNET_SRC_VNET_DECISION_TREE_H_
@@ -44,21 +38,20 @@ struct WorkloadProfile {
   bool ipv6_only = false;
 };
 
-// A binary decision tree over an arbitrary fact profile. Interior nodes ask
-// a question (a predicate over the profile); leaves carry a recommendation.
-template <typename Profile>
-class BasicDecisionNode {
+// A binary decision tree over a workload profile. Interior nodes ask a
+// question (a predicate over the profile); leaves carry a recommendation.
+class DecisionNode {
  public:
-  using Predicate = std::function<bool(const Profile&)>;
+  using Predicate = std::function<bool(const WorkloadProfile&)>;
 
   // Leaf: a concrete component recommendation.
-  explicit BasicDecisionNode(std::string recommendation)
+  explicit DecisionNode(std::string recommendation)
       : recommendation_(std::move(recommendation)) {}
 
   // Interior: a question splitting on a predicate.
-  BasicDecisionNode(std::string question, Predicate predicate,
-                    std::unique_ptr<BasicDecisionNode> if_yes,
-                    std::unique_ptr<BasicDecisionNode> if_no)
+  DecisionNode(std::string question, Predicate predicate,
+               std::unique_ptr<DecisionNode> if_yes,
+               std::unique_ptr<DecisionNode> if_no)
       : question_(std::move(question)), predicate_(std::move(predicate)),
         yes_(std::move(if_yes)), no_(std::move(if_no)) {}
 
@@ -74,9 +67,9 @@ class BasicDecisionNode {
 
   // Walks the tree for a profile, recording every question the tenant had
   // to answer on the way down.
-  WalkResult Decide(const Profile& profile) const {
+  WalkResult Decide(const WorkloadProfile& profile) const {
     WalkResult result;
-    const BasicDecisionNode* node = this;
+    const DecisionNode* node = this;
     while (!node->IsLeaf()) {
       result.questions_asked.push_back(node->question_);
       ++result.depth;
@@ -114,12 +107,9 @@ class BasicDecisionNode {
   std::string recommendation_;
   std::string question_;
   Predicate predicate_;
-  std::unique_ptr<BasicDecisionNode> yes_;
-  std::unique_ptr<BasicDecisionNode> no_;
+  std::unique_ptr<DecisionNode> yes_;
+  std::unique_ptr<DecisionNode> no_;
 };
-
-// The tenant-facing selection trees keep their historical name.
-using DecisionNode = BasicDecisionNode<WorkloadProfile>;
 
 // The load-balancer selection tree, modeled after the cited Azure guidance
 // (five levels of questions before a recommendation).
