@@ -101,7 +101,7 @@ void Run() {
     for (const AppFlow& flow : flows) {
       auto result = baseline.Evaluate(flow.src, flow.dst, flow.port,
                                       Protocol::kTcp);
-      if (!result.ok() || !result->delivered) {
+      if (!result->delivered) {
         ++broken;
       }
     }
@@ -177,7 +177,7 @@ void Run() {
     for (const AppFlow& flow : decl_flows) {
       auto result = cloud.Evaluate(flow.src, eip.at(flow.dst.value()),
                                    flow.port, Protocol::kTcp);
-      if (!result.ok() || !result->delivered) {
+      if (!result->delivered) {
         ++broken;
       }
     }

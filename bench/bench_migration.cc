@@ -265,9 +265,6 @@ void Run() {
       decl_new_web[0], eip.at(decl_fig.spark[0].value()),
       Fig1Baseline::kSparkPort, Protocol::kTcp);
   auto verdict = [](const auto& check) -> std::string {
-    if (!check.ok()) {
-      return "ERROR(" + check.status().ToString() + ")";
-    }
     if (check->delivered) {
       return "DELIVERED";
     }

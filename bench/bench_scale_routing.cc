@@ -411,7 +411,7 @@ void BaselineVerdictSweep(BenchJsonWriter& json, bool smoke) {
       queries, kPasses, [&](uint64_t a, uint64_t b, uint16_t port) {
         auto r = net.Evaluate(instances[a], instances[b], port,
                               Protocol::kTcp);
-        return r.ok() && r->delivered;
+        return r->delivered;
       });
 
   table.Row({FmtInt(kInstances), FmtF(verdict_vps, 0), FmtInt(delivered)});

@@ -324,12 +324,12 @@ void LateralMovement(Worlds& w) {
         }
         auto base = w.baseline->Evaluate(compromised, victim, port,
                                          Protocol::kTcp);
-        if (base.ok() && base->delivered) {
+        if (base->delivered) {
           ++base_count;
         }
         auto decl = w.declarative->Evaluate(
             compromised, w.eip[victim.value()], port, Protocol::kTcp);
-        if (decl.ok() && decl->delivered) {
+        if (decl->delivered) {
           ++decl_count;
         }
       }

@@ -162,7 +162,7 @@ AvailabilityResult RunDeclarative(SimDuration provider_detection) {
     queue.ScheduleAt(SimTime::FromSeconds(t), [&, t] {
       ++result.total;
       auto outcome = cloud.Evaluate(client, sip, 443, Protocol::kTcp);
-      bool ok = outcome.ok() && outcome->delivered;
+      bool ok = outcome->delivered;
       if (ok) {
         for (int i = 0; i < kBackends; ++i) {
           if (eips[i] == outcome->effective_dst && dead[i]) {

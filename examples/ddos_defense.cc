@@ -104,7 +104,7 @@ int main() {
   legit.path = "/query";
   legit.token = app_principal.token;
   auto net_ok = cloud.Evaluate(app, db_eip, 5432, Protocol::kTcp);
-  bool both = net_ok.ok() && net_ok->delivered &&
+  bool both = net_ok->delivered &&
               gateway.Check(legit) == GatewayVerdict::kAccepted;
   std::printf("legitimate client: %s\n\n", both ? "SERVED" : "broken!");
 

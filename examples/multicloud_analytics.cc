@@ -81,11 +81,11 @@ int main() {
     return [&baseline, port](InstanceId src, InstanceId dst) {
       ResolvedRoute route;
       auto result = baseline.Evaluate(src, dst, port, Protocol::kTcp);
-    if (!result.ok() || !result->delivered) {
-      route.allowed = false;
-      route.deny_stage = DenyStage(result.ok() ? result->drop_stage : "error");
-      return route;
-    }
+      if (!result->delivered) {
+        route.allowed = false;
+        route.deny_stage = DenyStage(result->drop_stage);
+        return route;
+      }
       route.allowed = true;
       route.src_node = result->src_node;
       route.dst_node = result->dst_node;
@@ -140,9 +140,9 @@ int main() {
       ResolvedRoute route;
       auto result =
           cloud.Evaluate(src, eip[dst.value()], port, Protocol::kTcp);
-      if (!result.ok() || !result->delivered) {
+      if (!result->delivered) {
         route.allowed = false;
-        route.deny_stage = DenyStage(result.ok() ? result->drop_stage : "error");
+        route.deny_stage = DenyStage(result->drop_stage);
         return route;
       }
       route.allowed = true;

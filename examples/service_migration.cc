@@ -19,7 +19,7 @@ namespace {
 
 bool Serve(DeclarativeCloud& cloud, InstanceId client, IpAddress sip) {
   auto result = cloud.Evaluate(client, sip, 443, Protocol::kTcp);
-  return result.ok() && result->delivered;
+  return result->delivered;
 }
 
 }  // namespace

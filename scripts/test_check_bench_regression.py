@@ -147,7 +147,7 @@ class CheckerTest(unittest.TestCase):
             check_bench_regression.check_gate_shape(gate)
         bounds = sum(len(gate.get(k, {})) for gate in gates
                      for k in check_bench_regression.BOUNDS)
-        self.assertEqual((len(gates), bounds), (16, 66))
+        self.assertEqual((len(gates), bounds), (24, 96))
 
 
 if __name__ == "__main__":

@@ -349,7 +349,8 @@ class EdgeFilterBank {
   // The incremental reachability verifier keys its per-destination cache on
   // this, so permit churn dirties only the touched destination's pairs.
   uint64_t EndpointVerdictEpoch(IpAddress endpoint) const {
-    return EndpointEpochOf(endpoint);
+    const uint32_t slot = slots_.Lookup(endpoint);
+    return slot == kNilId ? 0 : slot_epoch_[slot];
   }
   // Bank-wide epoch bumped by group applies/removals (a group change can
   // flip any verdict whose permit list references the group).
@@ -466,10 +467,6 @@ class EdgeFilterBank {
   void BumpGlobalEpoch() {
     ++global_epoch_;
     ++gen_;
-  }
-  uint64_t EndpointEpochOf(IpAddress endpoint) const {
-    const uint32_t slot = slots_.Lookup(endpoint);
-    return slot == kNilId ? 0 : slot_epoch_[slot];
   }
 
   std::string domain_;

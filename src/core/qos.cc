@@ -65,7 +65,7 @@ size_t EgressQuotaManager::PointCount(RegionId region) const {
 Status EgressQuotaManager::SetQuota(TenantId tenant, RegionId region,
                                     double bps, SimTime now,
                                     std::optional<QosSelector> selector) {
-  if (bps < 0) {
+  if (!(bps >= 0)) {  // refuses NaN too
     return InvalidArgumentError("quota must be non-negative");
   }
   auto rit = region_points_.find(region);

@@ -91,8 +91,9 @@ class EgressQuotaManager {
   size_t RegisterPoint(RegionId region, std::string name);
   size_t PointCount(RegionId region) const;
 
-  // set_qos: the tenant's regional egress allowance. The optional selector
-  // scopes which traffic the reservation applies to (extension).
+  // set_qos: the tenant's regional egress allowance; a negative or NaN one
+  // is refused (InvalidArgument). The optional selector scopes which traffic
+  // the reservation applies to (extension).
   Status SetQuota(TenantId tenant, RegionId region, double bps, SimTime now,
                   std::optional<QosSelector> selector = std::nullopt);
   Result<double> Quota(TenantId tenant, RegionId region) const;

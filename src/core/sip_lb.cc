@@ -38,8 +38,10 @@ Status SipLoadBalancer::Bind(IpAddress eip, IpAddress sip, double weight) {
   if (it == bindings_.end()) {
     return NotFoundError("no such SIP: " + sip.ToString());
   }
-  if (weight <= 0) {
-    return InvalidArgumentError("weight must be positive");
+  // A NaN or infinite weight would leave every pick on the last healthy
+  // backend.
+  if (!std::isfinite(weight) || weight <= 0) {
+    return InvalidArgumentError("weight must be positive and finite");
   }
   for (Binding& b : it->second) {
     if (b.eip == eip) {

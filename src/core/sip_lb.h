@@ -39,7 +39,8 @@ class SipLoadBalancer {
   Status RemoveSip(IpAddress sip);
   bool IsSip(IpAddress addr) const { return bindings_.count(addr) > 0; }
 
-  // bind(eip, sip): adds or reweights a backend.
+  // bind(eip, sip): adds or reweights a backend. The weight must be
+  // positive and finite (InvalidArgument otherwise).
   Status Bind(IpAddress eip, IpAddress sip, double weight = 1.0);
   Status Unbind(IpAddress eip, IpAddress sip);
 

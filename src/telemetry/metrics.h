@@ -156,12 +156,6 @@ class MetricRegistry {
     return it->second;
   }
 
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, Gauge>& gauges() const { return gauges_; }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
-
   // Multi-line human-readable dump, sorted by name.
   std::string Report() const;
 

@@ -129,8 +129,6 @@ class LoadBalancer {
   // Adds a rule to the listener on `port`, keeping priority order.
   Status AddRule(uint16_t port, L7Rule rule);
 
-  const std::vector<LbListener>& listeners() const { return listeners_; }
-
   // Resolves which target group handles a flow. ALB additionally consults
   // request metadata; other families ignore it. No matching listener is an
   // error (connection refused).

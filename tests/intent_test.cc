@@ -83,7 +83,7 @@ TEST_F(IntentTest, CallGraphClosure) {
     InstanceId src = instance_of(from, 0);
     IpAddress dst = *app->AddressOf(to);
     auto result = cloud_.Evaluate(src, dst, port, Protocol::kTcp);
-    return result.ok() && result->delivered;
+    return result->delivered;
   };
 
   // Declared edges deliver on the service port.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/core/qos.h"
 
 namespace tenantnet {
@@ -70,6 +72,18 @@ TEST_F(QuotaTest, SetQuotaRequiresPoints) {
   EXPECT_EQ(empty.SetQuota(tenant_, RegionId(9), 1e9, SimTime::Epoch()).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_FALSE(empty.Quota(tenant_, RegionId(9)).ok());
+}
+
+TEST_F(QuotaTest, SetQuotaRefusesNegativeAndNaN) {
+  EXPECT_EQ(qos_.SetQuota(tenant_, region_, -1.0, SimTime::Epoch()).code(),
+            StatusCode::kInvalidArgument);
+  // NaN slips past a `bps < 0` check.
+  EXPECT_EQ(qos_.SetQuota(tenant_, region_,
+                          std::numeric_limits<double>::quiet_NaN(),
+                          SimTime::Epoch())
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(qos_.Quota(tenant_, region_).ok());
 }
 
 TEST_F(QuotaTest, InitialSharesAreEqual) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 
 #include "src/core/sip_lb.h"
@@ -71,6 +72,17 @@ TEST(SipLbTest, InvalidBindings) {
             StatusCode::kNotFound);
   EXPECT_EQ(lb.Bind(Ip("5.0.0.1"), Ip("5.128.0.1"), 0.0).code(),
             StatusCode::kInvalidArgument);
+  // NaN slips past a `weight <= 0` check; neither it nor infinity is a
+  // weight a pick can use.
+  EXPECT_EQ(lb.Bind(Ip("5.0.0.1"), Ip("5.128.0.1"),
+                    std::numeric_limits<double>::quiet_NaN())
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(lb.Bind(Ip("5.0.0.1"), Ip("5.128.0.1"),
+                    std::numeric_limits<double>::infinity())
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(lb.Bindings(Ip("5.128.0.1"))->empty());
   EXPECT_EQ(lb.Unbind(Ip("5.0.0.1"), Ip("5.128.0.1")).code(),
             StatusCode::kNotFound);
 }

@@ -65,9 +65,9 @@ TEST(SoakTest, OneSimulatedHourOfEverything) {
     ResolvedRoute route;
     auto result = cloud.Evaluate(src, db_sip, Fig1Baseline::kDbPort,
                                  Protocol::kTcp);
-    if (!result.ok() || !result->delivered) {
+    if (!result->delivered) {
       route.allowed = false;
-      route.deny_stage = DenyStage(result.ok() ? result->drop_stage : "error");
+      route.deny_stage = DenyStage(result->drop_stage);
       return route;
     }
     route.allowed = true;

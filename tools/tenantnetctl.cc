@@ -18,10 +18,12 @@
 // shell; they print and continue (exit status reports whether any command
 // failed, so scripts can assert).
 
+#include <charconv>
 #include <cstdio>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -71,6 +73,19 @@ class Shell {
       out.push_back(token);
     }
     return out;
+  }
+
+  // Every numeric argument: the whole token must read as a T, or nullopt.
+  // A port reads as a uint16_t, so 70000 is refused rather than wrapped.
+  template <typename T>
+  static std::optional<T> Number(const std::string& text) {
+    T value{};
+    const char* end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end) {
+      return std::nullopt;
+    }
+    return value;
   }
 
   bool Fail(const std::string& message) {
@@ -194,14 +209,17 @@ class Shell {
     if (args.size() < 2) {
       return Fail("usage: launch <region#> [zone]");
     }
-    size_t region_index = std::stoul(args[1]);
-    if (region_index >= world_->region_count()) {
+    auto region_index = Number<size_t>(args[1]);
+    if (!region_index || *region_index >= world_->region_count()) {
       return Fail("no such region");
     }
-    RegionId region(region_index + 1);
-    int zone = args.size() > 2 ? std::stoi(args[2]) : 0;
+    RegionId region(*region_index + 1);
+    std::optional<int> zone = args.size() > 2 ? Number<int>(args[2]) : 0;
+    if (!zone) {
+      return Fail("bad zone");
+    }
     auto inst = world_->LaunchInstance(tenant_, world_->region(region).provider,
-                                       region, zone);
+                                       region, *zone);
     if (!inst.ok()) {
       return Fail(inst.status().ToString());
     }
@@ -211,11 +229,11 @@ class Shell {
   }
 
   Result<InstanceId> InstanceArg(const std::string& arg) {
-    size_t index = std::stoul(arg);
-    if (index == 0 || index > instances_.size()) {
+    auto index = Number<size_t>(arg);
+    if (!index || *index == 0 || *index > instances_.size()) {
       return NotFoundError("no such instance # (see `launch`)");
     }
-    return instances_[index - 1];
+    return instances_[*index - 1];
   }
 
   bool CmdEip(const std::vector<std::string>& args) {
@@ -251,11 +269,12 @@ class Shell {
   }
 
   bool CmdSip(const std::vector<std::string>& args) {
-    size_t provider_index = args.size() > 1 ? std::stoul(args[1]) : 0;
-    if (provider_index >= world_->provider_count()) {
+    std::optional<size_t> provider_index =
+        args.size() > 1 ? Number<size_t>(args[1]) : 0;
+    if (!provider_index || *provider_index >= world_->provider_count()) {
       return Fail("no such provider");
     }
-    auto sip = cloud_->RequestSip(tenant_, ProviderId(provider_index + 1));
+    auto sip = cloud_->RequestSip(tenant_, ProviderId(*provider_index + 1));
     if (!sip.ok()) {
       return Fail(sip.status().ToString());
     }
@@ -272,10 +291,13 @@ class Shell {
     if (!eip.ok() || !sip.ok()) {
       return Fail("bad address");
     }
-    Status status =
-        bind ? cloud_->Bind(*eip, *sip,
-                            args.size() > 3 ? std::stod(args[3]) : 1.0)
-             : cloud_->Unbind(*eip, *sip);
+    std::optional<double> weight =
+        args.size() > 3 ? Number<double>(args[3]) : 1.0;
+    if (!weight) {
+      return Fail("bad weight");
+    }
+    Status status = bind ? cloud_->Bind(*eip, *sip, *weight)
+                         : cloud_->Unbind(*eip, *sip);
     if (!status.ok()) {
       return Fail(status.ToString());
     }
@@ -303,8 +325,11 @@ class Shell {
     PermitEntry entry;
     entry.source = *prefix;
     if (args.size() > 3) {
-      entry.dst_ports =
-          PortRange::Single(static_cast<uint16_t>(std::stoul(args[3])));
+      auto port = Number<uint16_t>(args[3]);
+      if (!port) {
+        return Fail("bad port (0-65535)");
+      }
+      entry.dst_ports = PortRange::Single(*port);
     }
     if (args.size() > 4) {
       entry.proto = args[4] == "udp" ? Protocol::kUdp : Protocol::kTcp;
@@ -337,12 +362,16 @@ class Shell {
     if (args.size() != 3) {
       return Fail("usage: qos <region#> <bps>");
     }
-    size_t region_index = std::stoul(args[1]);
-    if (region_index >= world_->region_count()) {
+    auto region_index = Number<size_t>(args[1]);
+    if (!region_index || *region_index >= world_->region_count()) {
       return Fail("no such region");
     }
-    Status status = cloud_->SetQos(tenant_, RegionId(region_index + 1),
-                                   std::stod(args[2]));
+    auto bps = Number<double>(args[2]);
+    if (!bps) {
+      return Fail("bad bandwidth");
+    }
+    Status status =
+        cloud_->SetQos(tenant_, RegionId(*region_index + 1), *bps);
     if (!status.ok()) {
       return Fail(status.ToString());
     }
@@ -373,13 +402,12 @@ class Shell {
     if (!src.ok() || !dst.ok()) {
       return Fail("bad source instance or destination address");
     }
-    auto result = cloud_->Evaluate(
-        *src, *dst, static_cast<uint16_t>(std::stoul(args[3])),
-        Protocol::kTcp);
-    if (!result.ok()) {
-      return Fail(result.status().ToString());
+    auto port = Number<uint16_t>(args[3]);
+    if (!port) {
+      return Fail("bad port (0-65535)");
     }
-    PrintDelivery(*result);
+    PrintDelivery(
+        cloud_->Evaluate(*src, *dst, *port, Protocol::kTcp).value());
     return true;
   }
 
@@ -392,9 +420,11 @@ class Shell {
     if (!src.ok() || !dst.ok()) {
       return Fail("bad address");
     }
-    PrintDelivery(cloud_->EvaluateExternal(
-        *src, *dst, static_cast<uint16_t>(std::stoul(args[3])),
-        Protocol::kTcp));
+    auto port = Number<uint16_t>(args[3]);
+    if (!port) {
+      return Fail("bad port (0-65535)");
+    }
+    PrintDelivery(cloud_->EvaluateExternal(*src, *dst, *port, Protocol::kTcp));
     return true;
   }
 
