@@ -5,10 +5,11 @@
 // internet links, instance crashes, gateway restarts, control-plane
 // degrades) drives both worlds while a retrying request workload runs over
 // them. Reported per (world, seed) as a JSON line:
-//   * time-to-reconverge (mean / max ms across all faults),
 //   * blackholed bytes + flows and aborted flows (the fault blast radius),
 //   * workload outcome (completed / retries / gave-up / denied, latency
 //     p50 / p99) — how much of the storm the application actually felt,
+//     and so how it recovered,
+//   * the wall-clock cost of the control-plane repair hooks,
 //   * stalled_after — permanently blackholed flows once everything
 //     recovered; the headline invariant is that this is zero.
 //
@@ -198,21 +199,12 @@ void RunStorm(bool declarative, const StormConfig& cfg, int threads = 0) {
   auto t1 = std::chrono::steady_clock::now();
   double wall_ms = std::chrono::duration<double>(t1 - t0).count() * 1e3;
 
-  double reconv_sum = 0;
-  double reconv_max = 0;
-  uint64_t reconv_count = 0;
   double repair_sum = 0;
   double repair_max = 0;
   uint64_t repair_count = 0;
   for (FaultKind kind :
        {FaultKind::kLinkDown, FaultKind::kInstanceCrash,
         FaultKind::kGatewayRestart, FaultKind::kControlPlaneDegrade}) {
-    const Histogram& h = injector.reconverge_ms(kind);
-    if (h.count() > 0) {
-      reconv_sum += h.sum();
-      reconv_count += h.count();
-      reconv_max = std::max(reconv_max, h.max());
-    }
     const Histogram& r = injector.control_repair_ms(kind);
     if (r.count() > 0) {
       repair_sum += r.sum();
@@ -226,9 +218,7 @@ void RunStorm(bool declarative, const StormConfig& cfg, int threads = 0) {
       "{\"bench\":\"resilience\",\"world\":\"%s\",\"storm_seed\":%llu,"
       "\"threads\":%d,\"hw_threads\":%u,\"wall_ms\":%.1f,"
       "\"fault_events\":%zu,"
-      "\"injected\":%llu,\"reconverged\":%llu,\"unconverged\":%llu,"
-      "\"reconverge_ms_mean\":%.2f,\"reconverge_ms_max\":%.2f,"
-      "\"control_repair_events\":%llu,"
+      "\"injected\":%llu,\"control_repair_events\":%llu,"
       "\"control_repair_ms_mean\":%.4f,\"control_repair_ms_max\":%.4f,"
       "\"bytes_blackholed\":%.0f,\"flows_blackholed\":%llu,"
       "\"flows_aborted\":%llu,"
@@ -240,10 +230,7 @@ void RunStorm(bool declarative, const StormConfig& cfg, int threads = 0) {
       static_cast<unsigned long long>(cfg.storm_seed), threads,
       std::thread::hardware_concurrency(), wall_ms, cfg.event_count,
       static_cast<unsigned long long>(injector.faults_injected()),
-      static_cast<unsigned long long>(injector.faults_reconverged()),
-      static_cast<unsigned long long>(injector.faults_unconverged()),
-      reconv_count > 0 ? reconv_sum / static_cast<double>(reconv_count) : 0.0,
-      reconv_max, static_cast<unsigned long long>(repair_count),
+      static_cast<unsigned long long>(repair_count),
       repair_count > 0 ? repair_sum / static_cast<double>(repair_count) : 0.0,
       repair_max, sim.bytes_blackholed(),
       static_cast<unsigned long long>(sim.flows_blackholed()),
@@ -314,6 +301,7 @@ void RunStaleness(double drop_prob, int rounds) {
     bool recorded = false;
     SimTime revoked_at;
   };
+  Histogram staleness_ms;
   for (int r = 0; r < rounds; ++r) {
     (void)cloud.SetPermitList(server_eip, {permit});
     queue.RunUntil(queue.now() + SimDuration::Seconds(5));
@@ -321,13 +309,13 @@ void RunStaleness(double drop_prob, int rounds) {
     state->revoked_at = queue.now();
     (void)cloud.SetPermitList(server_eip, {});
     auto probe = std::make_shared<std::function<void()>>();
-    *probe = [state, probe, &queue, &injector, &any_edge_admits] {
+    *probe = [state, probe, &queue, &staleness_ms, &any_edge_admits] {
       if (state->recorded) {
         return;
       }
       if (!any_edge_admits()) {
         state->recorded = true;
-        injector.RecordPermitStaleness(queue.now() - state->revoked_at);
+        staleness_ms.Record((queue.now() - state->revoked_at).ToMillis());
         return;
       }
       queue.ScheduleAfter(SimDuration::Millis(1), *probe);
@@ -338,16 +326,15 @@ void RunStaleness(double drop_prob, int rounds) {
     // can reschedule; null the pointee to break that reference cycle.
     *probe = nullptr;
   }
-  queue.RunAll();  // drain the degrade recovery so the injector converges
+  queue.RunAll();  // drain the degrade fault's recovery
 
-  const Histogram& h = injector.permit_staleness_ms();
   g_json->Recordf(
       "{\"bench\":\"resilience_staleness\",\"drop_prob\":%.2f,"
       "\"revocations\":%d,\"messages_dropped\":%llu,"
       "\"staleness_ms_mean\":%.2f,\"staleness_ms_max\":%.2f}",
       drop_prob, rounds,
-      static_cast<unsigned long long>(bank.messages_dropped()), h.mean(),
-      h.max());
+      static_cast<unsigned long long>(bank.messages_dropped()),
+      staleness_ms.mean(), staleness_ms.max());
 }
 
 }  // namespace

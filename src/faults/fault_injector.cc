@@ -89,16 +89,11 @@ FaultInjector::FaultInjector(EventQueue& queue, Topology& topology,
     : queue_(queue), topology_(topology), flow_sim_(flow_sim), world_(world),
       hooks_(std::move(hooks)) {
   injected_counter_ = &metrics.GetCounter("faults.injected");
-  unconverged_counter_ = &metrics.GetCounter("faults.unconverged");
   for (uint8_t k = 0; k < 5; ++k) {
-    reconverge_ms_[k] = &metrics.GetHistogram(
-        "faults.reconverge_ms." +
-        std::string(FaultKindName(static_cast<FaultKind>(k))));
     control_repair_ms_[k] = &metrics.GetHistogram(
         "faults.control_repair_ms." +
         std::string(FaultKindName(static_cast<FaultKind>(k))));
   }
-  permit_staleness_ms_ = &metrics.GetHistogram("faults.permit_staleness_ms");
 }
 
 Status FaultInjector::Validate(const FaultSpec& spec) const {
@@ -211,7 +206,7 @@ void FaultInjector::Recover(const FaultSpec& spec) {
       break;
   }
   RunHookTimed(hooks_.on_recover, spec);
-  Probe(spec, queue_.now(), 0);
+  ++faults_recovered_;
 }
 
 void FaultInjector::RunHookTimed(
@@ -225,34 +220,6 @@ void FaultInjector::RunHookTimed(
                   std::chrono::steady_clock::now() - start)
                   .count();
   control_repair_ms_[static_cast<size_t>(spec.kind)]->Record(ms);
-}
-
-bool FaultInjector::IsReconverged(const FaultSpec& spec) const {
-  if (hooks_.recovered) {
-    return hooks_.recovered(spec);
-  }
-  return flow_sim_.stalled_flow_count() == 0;
-}
-
-void FaultInjector::Probe(const FaultSpec& spec, SimTime recovered_at,
-                          int tries) {
-  if (IsReconverged(spec)) {
-    ++faults_reconverged_;
-    reconverge_ms_[static_cast<size_t>(spec.kind)]->Record(
-        (queue_.now() - recovered_at).ToMillis());
-    return;
-  }
-  constexpr int kMaxProbeTries = 10000;
-  if (tries >= kMaxProbeTries) {
-    // Permanently unconverged — the failure the parity tests look for.
-    ++faults_unconverged_;
-    unconverged_counter_->Increment();
-    return;
-  }
-  constexpr SimDuration kProbeInterval = SimDuration::Millis(10);
-  queue_.ScheduleAfter(kProbeInterval, [this, spec, recovered_at, tries] {
-    Probe(spec, recovered_at, tries + 1);
-  });
 }
 
 }  // namespace tenantnet

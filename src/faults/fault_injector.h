@@ -2,7 +2,7 @@
 //
 // The resilience experiments (E8b) ask a single question of both worlds:
 // when links die, instances crash, gateways restart and the control plane
-// degrades, how long until the abstraction recovers, and how much traffic
+// degrades, how much of the workload still completes, and how much traffic
 // falls into the hole meanwhile? This module supplies the machinery: a
 // seeded fault-schedule generator (identical schedules replay byte-for-byte
 // on any world) and an injector that applies each fault's world-agnostic
@@ -17,9 +17,9 @@
 //   * Overlapping faults reference-count shared state (two faults downing
 //     the same link — directly and via a gateway restart — must not restore
 //     it at the first recovery).
-//   * Recovery probing is periodic on the shared EventQueue, so
-//     time-to-reconverge is quantized at the 10 ms probe interval and
-//     replays identically.
+//   * A fault ends when it recovers: its state is restored, the hooks run
+//     and it counts as recovered. How the world copes in between shows in
+//     the workload's own counters (retries, give-ups, aborted flows).
 
 #ifndef TENANTNET_SRC_FAULTS_FAULT_INJECTOR_H_
 #define TENANTNET_SRC_FAULTS_FAULT_INJECTOR_H_
@@ -93,10 +93,6 @@ struct FaultHooks {
   std::function<void(const FaultSpec&)> on_inject;
   // Runs right after the injector restores state at recovery time.
   std::function<void(const FaultSpec&)> on_recover;
-  // Convergence predicate, probed every 10 ms after recovery until
-  // true (or the probe budget runs out). Default: no flow is stalled on a
-  // downed link anywhere in the sim.
-  std::function<bool(const FaultSpec&)> recovered;
   // Toggled at the first/last overlapping kControlPlaneDegrade fault.
   std::function<void(bool degraded)> set_control_degraded;
   // Edge-triggered per component (ref-counted like overlapping link faults):
@@ -128,22 +124,8 @@ class FaultInjector {
 
   // --- Telemetry ------------------------------------------------------------
   uint64_t faults_injected() const { return faults_injected_; }
-  // Faults whose recovery probe confirmed reconvergence.
-  uint64_t faults_reconverged() const { return faults_reconverged_; }
-  // Faults that exhausted the probe budget without reconverging.
-  uint64_t faults_unconverged() const { return faults_unconverged_; }
-  // Faults injected but whose recovery/probe has not resolved yet.
-  uint64_t faults_outstanding() const {
-    return faults_injected_ - faults_reconverged_ - faults_unconverged_;
-  }
-  bool AllRecovered() const {
-    return faults_outstanding() == 0 && faults_unconverged_ == 0;
-  }
-
-  // Time from fault recovery until the convergence predicate held, per kind.
-  const Histogram& reconverge_ms(FaultKind kind) const {
-    return *reconverge_ms_[static_cast<size_t>(kind)];
-  }
+  // True once every injected fault has recovered.
+  bool AllRecovered() const { return faults_recovered_ == faults_injected_; }
 
   // Wall-clock cost of the world-specific control-plane reaction (the
   // on_inject/on_recover hooks), per kind. This is where incremental route
@@ -153,21 +135,10 @@ class FaultInjector {
     return *control_repair_ms_[static_cast<size_t>(kind)];
   }
 
-  // Extra channel for the permit-staleness experiments: how long a revoked
-  // peer kept getting through after the revocation was issued. Recorded by
-  // the caller (it owns the filter bank); stored here so every resilience
-  // metric is in one registry.
-  void RecordPermitStaleness(SimDuration window) {
-    permit_staleness_ms_->Record(window.ToMillis());
-  }
-  const Histogram& permit_staleness_ms() const { return *permit_staleness_ms_; }
-
  private:
   Status Validate(const FaultSpec& spec) const;
   void Inject(const FaultSpec& spec);
   void Recover(const FaultSpec& spec);
-  void Probe(const FaultSpec& spec, SimTime recovered_at, int tries);
-  bool IsReconverged(const FaultSpec& spec) const;
 
   void DownLink(LinkId link);
   void RestoreLink(LinkId link);
@@ -185,17 +156,13 @@ class FaultInjector {
   std::unordered_map<uint32_t, int> restart_refs_;   // per component
 
   uint64_t faults_injected_ = 0;
-  uint64_t faults_reconverged_ = 0;
-  uint64_t faults_unconverged_ = 0;
+  uint64_t faults_recovered_ = 0;
   // Runs a hook (if set) and records its wall-clock cost for `kind`.
   void RunHookTimed(const std::function<void(const FaultSpec&)>& hook,
                     const FaultSpec& spec);
 
   Counter* injected_counter_;
-  Counter* unconverged_counter_;
-  Histogram* reconverge_ms_[5];
   Histogram* control_repair_ms_[5];
-  Histogram* permit_staleness_ms_;
 };
 
 }  // namespace tenantnet
