@@ -216,6 +216,9 @@ Status DeclarativeCloud::ReleaseEip(IpAddress eip) {
 
 Result<IpAddress> DeclarativeCloud::RequestSip(TenantId tenant,
                                                ProviderId provider_id) {
+  if (!provider_id.valid() || provider_id.value() > world_->provider_count()) {
+    return InvalidArgumentError("unknown provider");
+  }
   ProviderState& provider = Provider(provider_id);
   TN_ASSIGN_OR_RETURN(IpAddress sip, provider.sip_pool->Allocate());
   sips_.emplace(sip, SipRecord{sip, tenant, provider_id});
@@ -383,6 +386,9 @@ Result<std::vector<IpAddress>> DeclarativeCloud::GroupMembers(
 Status DeclarativeCloud::SetQos(TenantId tenant, RegionId region,
                                 double bandwidth_bps,
                                 std::optional<QosSelector> selector) {
+  if (!region.valid() || region.value() > world_->region_count()) {
+    return InvalidArgumentError("unknown region");
+  }
   const RegionSite& site = world_->region(region);
   Provider(site.provider);  // ensures enforcement points exist
   SimTime now = queue_ != nullptr ? queue_->now() : SimTime::Epoch();

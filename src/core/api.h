@@ -104,6 +104,7 @@ class DeclarativeCloud {
   Result<IpAddress> RequestEip(InstanceId vm);
   Status ReleaseEip(IpAddress eip);
 
+  // InvalidArgument, recording nothing, for an unknown provider.
   Result<IpAddress> RequestSip(TenantId tenant, ProviderId provider);
   Status ReleaseSip(IpAddress sip);
 
@@ -134,7 +135,8 @@ class DeclarativeCloud {
   Result<std::vector<IpAddress>> GroupMembers(EndpointGroupId group) const;
 
   // With a selector (extension, §4 footnote), only traffic matching it
-  // consumes the reservation.
+  // consumes the reservation. InvalidArgument, recording nothing, for an
+  // unknown region.
   Status SetQos(TenantId tenant, RegionId region, double bandwidth_bps,
                 std::optional<QosSelector> selector = std::nullopt);
 

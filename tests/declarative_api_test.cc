@@ -309,6 +309,26 @@ TEST_F(DeclarativeTest, SetQosConfiguresQuota) {
   EXPECT_EQ(cloud_.qos().PointCount(tw_.east), 2u);
 }
 
+TEST_F(DeclarativeTest, SetQosRefusesAnUnknownRegion) {
+  const uint64_t calls = ledger_.api_calls();
+  for (RegionId region :
+       {RegionId(), RegionId(tw_.world->region_count() + 40)}) {
+    EXPECT_EQ(cloud_.SetQos(tw_.tenant, region, 1e9).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(ledger_.api_calls(), calls);
+}
+
+TEST_F(DeclarativeTest, RequestSipRefusesAnUnknownProvider) {
+  const uint64_t calls = ledger_.api_calls();
+  for (ProviderId provider :
+       {ProviderId(), ProviderId(tw_.world->provider_count() + 40)}) {
+    EXPECT_EQ(cloud_.RequestSip(tw_.tenant, provider).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(ledger_.api_calls(), calls);
+}
+
 TEST_F(DeclarativeTest, EgressProfile) {
   EXPECT_EQ(cloud_.EgressProfileOf(tw_.tenant), EgressPolicy::kHotPotato);
   ASSERT_TRUE(
