@@ -343,6 +343,14 @@ TEST_P(BaselineReachFuzzTest, EngineMatchesCachedEvaluateUnderChurn) {
                             *IpPrefix::Parse("10.0.0.0/16"));
   auto subnet = *net.CreateSubnet(vpc, "s1", 20, 0, false);
   auto sg = *net.CreateSecurityGroup(vpc, "sg");
+  // Egress lives in a group of its own that the churn never edits, so
+  // verdicts get past sg-egress to the stages the churn decides.
+  auto egress = *net.CreateSecurityGroup(vpc, "egress");
+  SgRule out;
+  out.direction = TrafficDirection::kEgress;
+  out.proto = Protocol::kTcp;
+  out.peer = *IpPrefix::Parse("10.0.0.0/16");
+  ASSERT_TRUE(net.AddSgRule(egress, out).ok());
   auto acl = *net.CreateNetworkAcl(vpc, "acl");
   for (TrafficDirection dir :
        {TrafficDirection::kIngress, TrafficDirection::kEgress}) {
@@ -359,17 +367,20 @@ TEST_P(BaselineReachFuzzTest, EngineMatchesCachedEvaluateUnderChurn) {
   for (int i = 0; i < 8; ++i) {
     InstanceId id =
         *tw.world->LaunchInstance(tw.tenant, tw.provider, tw.east, 0);
-    ASSERT_TRUE(net.AttachInstance(id, subnet, {sg}, false).ok());
+    ASSERT_TRUE(net.AttachInstance(id, subnet, {sg, egress}, false).ok());
     instances.push_back(id);
   }
 
   BaselineReachEngine engine(net);
   BaselineReachVerifier verifier(net);
+  // The pairs cycle through the ports 80-85 that the SG and ACL churn
+  // opens and closes.
   std::vector<BaselineReachVerifier::Pair> pairs;
   for (InstanceId a : instances) {
     for (InstanceId b : instances) {
       if (a != b) {
-        pairs.push_back({a, b, 443, Protocol::kTcp});
+        pairs.push_back({a, b, static_cast<uint16_t>(80 + pairs.size() % 6),
+                         Protocol::kTcp});
       }
     }
   }
