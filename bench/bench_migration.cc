@@ -192,7 +192,24 @@ Status MigrateDeclarative(DeclarativeCloud& cloud, Fig1World& fig,
   return Status::Ok();
 }
 
-void Run() {
+// One world's record: the tenant actions the move took, and whether the
+// moved web tier still reaches spark.
+void RecordWorld(BenchJsonWriter& json, const char* world,
+                 const LedgerSnapshot& d, bool delivered) {
+  json.Recordf(
+      "{\"bench\": \"migration\", \"experiment\": \"E7\", "
+      "\"world\": \"%s\", \"components\": %llu, \"parameters\": %llu, "
+      "\"decisions\": %llu, \"cross_refs\": %llu, \"api_calls\": %llu, "
+      "\"total_actions\": %llu, \"delivered\": %s}",
+      world, static_cast<unsigned long long>(d.components),
+      static_cast<unsigned long long>(d.parameters),
+      static_cast<unsigned long long>(d.decisions),
+      static_cast<unsigned long long>(d.cross_refs),
+      static_cast<unsigned long long>(d.api_calls),
+      static_cast<unsigned long long>(d.total), delivered ? "true" : "false");
+}
+
+void Run(BenchJsonWriter& json) {
   Banner("E7", "Cross-cloud migration: move the us-west web tier to cloud B");
 
   // --- Baseline world -------------------------------------------------------
@@ -277,13 +294,17 @@ void Run() {
       "network slice (new VPC, TGW, peering, routes, duplicated SG/ACL)\n"
       "and re-runs BGP; the declarative move is the same five verbs on a\n"
       "different cloud — the interface is constant, as §5 claims.\n");
+
+  RecordWorld(json, "baseline", base_delta, base_check->delivered);
+  RecordWorld(json, "declarative", decl_delta, decl_check->delivered);
 }
 
 }  // namespace
 }  // namespace tenantnet
 
 int main(int argc, char** argv) {
-  tenantnet::ParseBenchArgs(argc, argv);
-  tenantnet::Run();
+  tenantnet::BenchJsonWriter json("migration",
+                                  tenantnet::ParseBenchArgs(argc, argv));
+  tenantnet::Run(json);
   return 0;
 }
