@@ -79,18 +79,7 @@ int main() {
 
   ConnectorFactory base_connector = [&baseline](uint16_t port) {
     return [&baseline, port](InstanceId src, InstanceId dst) {
-      ResolvedRoute route;
-      auto result = baseline.Evaluate(src, dst, port, Protocol::kTcp);
-      if (!result->delivered) {
-        route.allowed = false;
-        route.deny_stage = DenyStage(result->drop_stage);
-        return route;
-      }
-      route.allowed = true;
-      route.src_node = result->src_node;
-      route.dst_node = result->dst_node;
-      route.policy = result->egress_policy;
-      return route;
+      return RouteFor(baseline.Evaluate(src, dst, port, Protocol::kTcp));
     };
   };
   DriveTraffic("Baseline traffic:", *fig_base.world, fig_base,
@@ -137,19 +126,12 @@ int main() {
 
   ConnectorFactory decl_connector = [&cloud, &eip](uint16_t port) {
     return [&cloud, &eip, port](InstanceId src, InstanceId dst) {
-      ResolvedRoute route;
       auto result =
           cloud.Evaluate(src, eip[dst.value()], port, Protocol::kTcp);
-      if (!result->delivered) {
-        route.allowed = false;
-        route.deny_stage = DenyStage(result->drop_stage);
-        return route;
+      ResolvedRoute route = RouteFor(result);
+      if (route.allowed) {
+        route.rate_cap_bps = result->vm_egress_cap_bps;
       }
-      route.allowed = true;
-      route.src_node = result->src_node;
-      route.dst_node = result->dst_node;
-      route.policy = result->egress_policy;
-      route.rate_cap_bps = result->vm_egress_cap_bps;
       return route;
     };
   };

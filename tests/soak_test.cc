@@ -62,19 +62,12 @@ TEST(SoakTest, OneSimulatedHourOfEverything) {
   RequestWorkload workload(queue, flows, world, wparams);
   ConnectorFn connector = [&](InstanceId src, InstanceId dst_hint) {
     (void)dst_hint;  // the pattern targets the SIP, not an instance
-    ResolvedRoute route;
     auto result = cloud.Evaluate(src, db_sip, Fig1Baseline::kDbPort,
                                  Protocol::kTcp);
-    if (!result->delivered) {
-      route.allowed = false;
-      route.deny_stage = DenyStage(result->drop_stage);
-      return route;
+    ResolvedRoute route = RouteFor(result);
+    if (route.allowed) {
+      route.rate_cap_bps = result->vm_egress_cap_bps;
     }
-    route.allowed = true;
-    route.src_node = result->src_node;
-    route.dst_node = result->dst_node;
-    route.policy = result->egress_policy;
-    route.rate_cap_bps = result->vm_egress_cap_bps;
     return route;
   };
   size_t pattern = workload.AddPattern("spark->db-sip", fig.spark,
