@@ -2,9 +2,10 @@
 # Regenerates bench_output.txt (all experiment tables) and test_output.txt.
 # SMOKE=1 passes --smoke to every bench: the quick CI sizes where a bench has
 # them; the other benches run as usual.
-# JSON-emitting benches each write BENCH_<name>.json at the repo root; CI
-# checks them with scripts/check_bench_regression.py against
-# bench/baselines/smoke_gates.json.
+# JSON-emitting benches each write BENCH_<name>.json at the repo root, and
+# scripts/e13_counts.py writes BENCH_e13_counts.json (E13's work counts, from
+# a Release perfbench build); CI checks them with
+# scripts/check_bench_regression.py against bench/baselines/smoke_gates.json.
 # Exits non-zero if the build, any test or any bench fails.
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -19,6 +20,8 @@ for b in build/bench/*; do
   echo "### $(basename "$b")" | tee -a bench_output.txt
   "$b" $smoke 2>&1 | tee -a bench_output.txt || failed+=" $(basename "$b")"
 done
+echo "### e13_counts" | tee -a bench_output.txt
+python3 scripts/e13_counts.py 2>&1 | tee -a bench_output.txt || failed+=" e13_counts"
 if [ -n "$failed" ]; then
   echo "FAILED:$failed" >&2
   exit 1

@@ -147,7 +147,7 @@ class CheckerTest(unittest.TestCase):
             check_bench_regression.check_gate_shape(gate)
         bounds = sum(len(gate.get(k, {})) for gate in gates
                      for k in check_bench_regression.BOUNDS)
-        self.assertEqual((len(gates), bounds), (26, 115))
+        self.assertEqual((len(gates), bounds), (29, 130))
 
 
 if __name__ == "__main__":

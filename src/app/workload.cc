@@ -272,13 +272,19 @@ void RequestWorkload::Attempt(uint32_t index) {
 void RequestWorkload::StartResponse(uint32_t index) {
   Transaction& tx = transactions_.Get(index);
   tx.tail_delay = world_.topology().SamplePathDelay(tx.response_path, rng_);
-  const FlowId flow = flows_.StartFlow(
-      std::move(tx.response_path), tx.response_bytes,
-      [this, index](FlowId, SimTime finish) { Complete(index, finish); },
-      tx.weight, tx.rate_cap_bps, [this, index](FlowId, SimTime) {
-        ++patterns_[transactions_.Get(index).pattern].stats.aborted;
-        RetryOrGiveUp(index);
-      });
+  FlowId flow;
+  {
+    // One reallocation per start (see the header): no flow is leveled at a
+    // rate that a re-cap in the same StartFlow replaces at once.
+    FlowControlSurface::BatchScope batch = flows_.Batch();
+    flow = flows_.StartFlow(
+        std::move(tx.response_path), tx.response_bytes,
+        [this, index](FlowId, SimTime finish) { Complete(index, finish); },
+        tx.weight, tx.rate_cap_bps, [this, index](FlowId, SimTime) {
+          ++patterns_[transactions_.Get(index).pattern].stats.aborted;
+          RetryOrGiveUp(index);
+        });
+  }
   if (!flow.valid()) {
     // The executor refused the start (ValidFlowStart: e.g. a connector's
     // weight of 0 or NaN) and will call nothing back: end it here, once.

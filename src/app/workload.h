@@ -240,8 +240,11 @@ class RequestWorkload {
   // An attempt that could not start: attempt 0 is denied under `stage`, a
   // retry backs off again or gives up.
   void Refuse(uint32_t index, uint32_t stage);
-  // The request reached the server: stream the response back. A start the
-  // executor refuses (ValidFlowStart) ends the transaction as a denial
+  // The request reached the server: stream the response back. The start
+  // runs inside one flows_.Batch(), so whatever the surface does during
+  // StartFlow (a decorator that registers the flow with a quota point,
+  // whose re-cap batch nests) shares the start's one reallocation. A start
+  // the executor refuses (ValidFlowStart) ends the transaction as a denial
   // under "flow-refused".
   void StartResponse(uint32_t index);
   void Complete(uint32_t index, SimTime finish);

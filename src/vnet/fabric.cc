@@ -33,6 +33,12 @@ Result<VpcId> BaselineNetwork::CreateVpc(TenantId tenant, ProviderId provider,
                                          RegionId region,
                                          const std::string& name,
                                          const IpPrefix& cidr) {
+  if (!region.valid() || region.value() > world_->region_count()) {
+    return InvalidArgumentError("unknown region");
+  }
+  if (world_->region(region).provider != provider) {
+    return InvalidArgumentError("region does not belong to provider");
+  }
   // Non-overlap with the tenant's other VPCs is the tenant's problem — the
   // address-planning pain the paper calls out. Overlap is legal in real
   // clouds but breaks peering later; we reject it eagerly to surface the

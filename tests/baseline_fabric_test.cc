@@ -41,6 +41,32 @@ TEST_F(FabricTest, OverlappingVpcCidrsRejected) {
                              P("10.0.0.0/16")).ok());
 }
 
+// A region CreateVpc cannot place the VPC in is refused before anything is
+// recorded: no VPC, and no ledger action.
+TEST_F(FabricTest, CreateVpcRefusesAnUnknownRegion) {
+  for (RegionId region :
+       {RegionId(), RegionId(tw_.world->region_count() + 40)}) {
+    auto vpc = net_.CreateVpc(tw_.tenant, tw_.provider, region, "v1",
+                              P("10.0.0.0/16"));
+    EXPECT_EQ(vpc.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(net_.vpc_count(), 0u);
+  EXPECT_EQ(ledger_.total(), 0u);
+}
+
+TEST_F(FabricTest, CreateVpcRefusesARegionOfAnotherProvider) {
+  ProviderId other = tw_.world->AddProvider("other", 64513, P("6.0.0.0/8"));
+  RegionId elsewhere = tw_.world->AddRegion(other, "elsewhere", {10, 10});
+  EXPECT_EQ(net_.CreateVpc(tw_.tenant, tw_.provider, elsewhere, "v1",
+                           P("10.0.0.0/16")).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(net_.CreateVpc(tw_.tenant, other, tw_.east, "v2",
+                           P("10.1.0.0/16")).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(net_.vpc_count(), 0u);
+  EXPECT_EQ(ledger_.total(), 0u);
+}
+
 TEST_F(FabricTest, SubnetsCarveDisjointBlocks) {
   auto vpc = *net_.CreateVpc(tw_.tenant, tw_.provider, tw_.east, "v1",
                              P("10.0.0.0/16"));

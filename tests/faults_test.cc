@@ -495,6 +495,20 @@ StormOutcome RunStorm(bool declarative, uint64_t storm_seed) {
     auto built = BuildFig1Baseline(*baseline, fig);
     EXPECT_TRUE(built.ok()) << built.status();
     BaselineNetwork* net = baseline.get();
+    // E8b's baseline reaction: route propagation re-runs on every transport
+    // fault and its recovery.
+    hooks.on_inject = [net](const FaultSpec& spec) {
+      if (spec.kind == FaultKind::kLinkDown ||
+          spec.kind == FaultKind::kGatewayRestart) {
+        (void)net->PropagateRoutes();
+      }
+    };
+    hooks.on_recover = [net](const FaultSpec& spec) {
+      if (spec.kind == FaultKind::kLinkDown ||
+          spec.kind == FaultKind::kGatewayRestart) {
+        (void)net->PropagateRoutes();
+      }
+    };
     connector = [net](InstanceId src, InstanceId dst) {
       return RouteFor(
           net->Evaluate(src, dst, Fig1Baseline::kDbPort, Protocol::kTcp));

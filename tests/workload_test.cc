@@ -4,15 +4,96 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "src/app/workload.h"
 #include "src/sim/flow_sim.h"
 #include "src/cloud/presets.h"
+#include "src/core/qos.h"
 #include "src/faults/fault_injector.h"
 
 namespace tenantnet {
 namespace {
+
+// A FlowControlSurface decorator over FlowSim that, like an edge in the
+// E13 benchmark, registers every flow it starts with one quota point from
+// inside StartFlow, so the point's re-cap batch runs within the start.
+class QuotaEdgeSurface final : public FlowControlSurface {
+ public:
+  QuotaEdgeSurface(FlowSim& sim, EgressQuotaManager& qos, TenantId tenant,
+                   RegionId region)
+      : sim_(sim), qos_(qos), tenant_(tenant), region_(region) {}
+
+  FlowId StartFlow(std::vector<LinkId> path, double bytes,
+                   CompletionFn on_complete, double weight, double rate_cap_bps,
+                   AbortFn on_abort) override {
+    const FlowId id =
+        sim_.StartFlow(std::move(path), bytes, std::move(on_complete), weight,
+                       rate_cap_bps, std::move(on_abort));
+    EXPECT_TRUE(qos_.RegisterFlow(tenant_, region_, 0, id).ok());
+    ++starts_;
+    return id;
+  }
+  FlowId StartPersistentFlow(std::vector<LinkId> path, double weight,
+                             double rate_cap_bps, AbortFn on_abort) override {
+    return sim_.StartPersistentFlow(std::move(path), weight, rate_cap_bps,
+                                    std::move(on_abort));
+  }
+  Status CancelFlow(FlowId id) override { return sim_.CancelFlow(id); }
+  Status SetRateCap(FlowId id, double rate_cap_bps) override {
+    return sim_.SetRateCap(id, rate_cap_bps);
+  }
+  Result<double> CurrentRate(FlowId id) const override {
+    return sim_.CurrentRate(id);
+  }
+  const FlowState* FindFlow(FlowId id) const override {
+    return sim_.FindFlow(id);
+  }
+  Status SetLinkUp(LinkId link, bool up) override {
+    return sim_.SetLinkUp(link, up);
+  }
+  bool IsLinkUp(LinkId link) const override { return sim_.IsLinkUp(link); }
+  size_t stalled_flow_count() const override {
+    return sim_.stalled_flow_count();
+  }
+  uint64_t flows_aborted() const override { return sim_.flows_aborted(); }
+  uint64_t flows_blackholed() const override {
+    return sim_.flows_blackholed();
+  }
+  double bytes_blackholed() const override { return sim_.bytes_blackholed(); }
+  double LinkUtilization(LinkId link) const override {
+    return sim_.LinkUtilization(link);
+  }
+  SimDuration QueuePenalty(const std::vector<LinkId>& path,
+                           SimDuration per_link_base,
+                           SimDuration per_link_cap) const override {
+    return sim_.QueuePenalty(path, per_link_base, per_link_cap);
+  }
+  size_t active_flow_count() const override {
+    return sim_.active_flow_count();
+  }
+  double total_bytes_delivered() const override {
+    return sim_.total_bytes_delivered();
+  }
+  uint64_t reallocation_count() const override {
+    return sim_.reallocation_count();
+  }
+  uint64_t flows_rescheduled() const override {
+    return sim_.flows_rescheduled();
+  }
+  void BeginBatch() override { sim_.BeginBatch(); }
+  void EndBatch() override { sim_.EndBatch(); }
+
+  uint64_t starts() const { return starts_; }
+
+ private:
+  FlowSim& sim_;
+  EgressQuotaManager& qos_;
+  TenantId tenant_;
+  RegionId region_;
+  uint64_t starts_ = 0;
+};
 
 class WorkloadTest : public ::testing::Test {
  protected:
@@ -426,6 +507,53 @@ TEST_F(WorkloadTest, RefusedResponseStartEndsTheTransaction) {
   EXPECT_EQ(valid_stats.completed, valid_stats.attempted);
   EXPECT_EQ(workload_.inflight(), 0u);
   EXPECT_EQ(flows_.active_flow_count(), 0u);
+}
+
+// A response start is one reallocation, whatever the surface does inside
+// StartFlow. Here the surface registers each response with a 100 Mbps quota
+// point that binds it, and the point's re-cap batch nests in the start's:
+// the flow is leveled once, at its capped rate, so its completion is
+// scheduled once. (Flows already at the point are re-capped in the same
+// pass, and a start beside them reschedules them too.)
+TEST_F(WorkloadTest, QuotaRecapInsideStartFlowSharesTheStartsReallocation) {
+  EgressQuotaManager qos;
+  qos.RegisterPoint(tw_.west, "west-0");
+  ASSERT_TRUE(qos.SetQuota(tw_.tenant, tw_.west, 100e6, queue_.now()).ok());
+  QuotaEdgeSurface edge(flows_, qos, tw_.tenant, tw_.west);
+  qos.AttachFlowSim(&edge);
+  RequestWorkload workload(queue_, edge, *tw_.world, MakeParams());
+  size_t p = workload.AddPattern("east-west", {east_a_}, {west_}, 20.0,
+                                 AllowAll());
+  workload.Start(SimDuration::Seconds(10));
+
+  uint64_t idle_starts = 0;
+  uint64_t busy_starts = 0;
+  while (true) {
+    const uint64_t starts = edge.starts();
+    const size_t live = flows_.active_flow_count();
+    const uint64_t reallocs = flows_.reallocation_count();
+    const uint64_t rescheduled = flows_.flows_rescheduled();
+    if (!queue_.Step()) {
+      break;
+    }
+    if (edge.starts() == starts) {
+      continue;
+    }
+    ASSERT_EQ(edge.starts(), starts + 1);
+    EXPECT_EQ(flows_.reallocation_count(), reallocs + 1);
+    if (live == 0) {
+      ++idle_starts;
+      EXPECT_EQ(flows_.flows_rescheduled(), rescheduled + 1);
+    } else {
+      ++busy_starts;
+    }
+  }
+  const PatternStats& stats = workload.stats(p);
+  EXPECT_EQ(idle_starts + busy_starts, stats.attempted);
+  EXPECT_GT(idle_starts, 150u);
+  EXPECT_GT(busy_starts, 0u);
+  EXPECT_EQ(stats.completed, stats.attempted);
+  EXPECT_EQ(workload.inflight(), 0u);
 }
 
 }  // namespace
