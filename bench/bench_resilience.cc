@@ -183,8 +183,9 @@ void RunStorm(bool declarative, const StormConfig& cfg, int threads = 0) {
   wparams.max_retries = 6;
   wparams.mean_response_bytes = 128 * 1024;
   RequestWorkload workload(queue, sim, world, wparams);
-  size_t pattern = workload.AddPattern("spark->db", fig.spark, fig.database,
-                                       cfg.rps, connector);
+  size_t pattern = *workload.AddStreamingPattern(
+      "spark->db", fig.spark, fig.database, RateCurve::Constant(cfg.rps),
+      connector);
   workload.Start(cfg.workload_span);
 
   FaultInjector injector(queue, world.topology(), sim, &world, metrics,

@@ -147,8 +147,9 @@ FilterRunResult RunFilterStorm(RestartMode mode,
   wparams.max_retries = 6;
   wparams.mean_response_bytes = cfg.mean_response_bytes;
   RequestWorkload workload(queue, sim, world, wparams);
-  size_t pattern = workload.AddPattern("spark->db", fig.spark, fig.database,
-                                       cfg.rps, connector);
+  size_t pattern = *workload.AddStreamingPattern(
+      "spark->db", fig.spark, fig.database, RateCurve::Constant(cfg.rps),
+      connector);
   workload.Start(cfg.workload_span);
 
   // Restart-only storm: every disruption below is attributable to the

@@ -33,15 +33,15 @@ void DriveTraffic(const char* label, CloudWorld& world,
   FlowSim flows(queue, world.topology());
   RequestWorkload workload(queue, flows, world, WorkloadParams{});
 
-  size_t spark_db = workload.AddPattern("spark->db", fig.spark, fig.database,
-                                        30.0,
-                                        connector(Fig1Baseline::kDbPort));
-  size_t web_spark = workload.AddPattern("web->spark", fig.web_eu, fig.spark,
-                                         20.0,
-                                         connector(Fig1Baseline::kSparkPort));
-  size_t alert = workload.AddPattern("spark->alerting", fig.spark,
-                                     fig.alerting, 5.0,
-                                     connector(Fig1Baseline::kAlertPort));
+  size_t spark_db = *workload.AddStreamingPattern(
+      "spark->db", fig.spark, fig.database, RateCurve::Constant(30.0),
+      connector(Fig1Baseline::kDbPort));
+  size_t web_spark = *workload.AddStreamingPattern(
+      "web->spark", fig.web_eu, fig.spark, RateCurve::Constant(20.0),
+      connector(Fig1Baseline::kSparkPort));
+  size_t alert = *workload.AddStreamingPattern(
+      "spark->alerting", fig.spark, fig.alerting, RateCurve::Constant(5.0),
+      connector(Fig1Baseline::kAlertPort));
   workload.Start(SimDuration::Seconds(15));
   queue.RunAll();
 

@@ -520,8 +520,9 @@ StormOutcome RunStorm(bool declarative, uint64_t storm_seed) {
   wparams.max_retries = 6;
   wparams.mean_response_bytes = 128 * 1024;
   RequestWorkload workload(queue, sim, world, wparams);
-  size_t pattern = workload.AddPattern("spark->db", fig.spark, fig.database,
-                                       80.0, connector);
+  size_t pattern = *workload.AddStreamingPattern(
+      "spark->db", fig.spark, fig.database, RateCurve::Constant(80.0),
+      connector);
   workload.Start(SimDuration::Seconds(25));
 
   FaultInjector injector(queue, world.topology(), sim, &world, metrics,

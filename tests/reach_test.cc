@@ -379,8 +379,8 @@ uint32_t WorkloadDenyStage(const CloudWorld& world, InstanceId src,
   FlowSim sim(queue, world.topology());
   RequestWorkload workload(queue, sim, world);
   // The connector dials the case's destination itself.
-  const size_t pattern = workload.AddPattern(
-      "refused", {src}, {src}, 100,
+  const size_t pattern = *workload.AddStreamingPattern(
+      "refused", {src}, {src}, RateCurve::Constant(100),
       [&](InstanceId, InstanceId) { return RouteFor(evaluate()); });
   workload.Start(SimDuration::Seconds(1));
   queue.RunAll();

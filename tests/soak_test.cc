@@ -70,8 +70,9 @@ TEST(SoakTest, OneSimulatedHourOfEverything) {
     }
     return route;
   };
-  size_t pattern = workload.AddPattern("spark->db-sip", fig.spark,
-                                       fig.database, /*rps=*/25.0, connector);
+  size_t pattern = *workload.AddStreamingPattern(
+      "spark->db-sip", fig.spark, fig.database, RateCurve::Constant(25.0),
+      connector);
   workload.Start(SimDuration::Seconds(run_s));
 
   // Failure injection: each database backend fails and recovers twice

@@ -130,8 +130,8 @@ uint64_t RunToQuiet(EventQueue& queue, const RequestWorkload& workload) {
 // also started and finished its response flow there. `connector` delivers
 // Fig. 1's spark -> database traffic and denies web -> database. With
 // `admitted`, spark's pattern runs beside the web tier's; without it, the
-// web tier's runs beside a streaming one whose thinning sampler rejects 99
-// in 100 arrival candidates (and whose accepted arrivals are denied too).
+// web tier's runs beside one whose thinning sampler rejects 99 in 100
+// arrival candidates (and whose accepted arrivals are denied too).
 Window MeasureWorkload(const Fig1World& fig, const ConnectorFn& connector,
                        bool admitted) {
   EventQueue queue;
@@ -140,11 +140,13 @@ Window MeasureWorkload(const Fig1World& fig, const ConnectorFn& connector,
   params.seed = 11;
   params.mean_response_bytes = 64 * 1024;
   RequestWorkload workload(queue, sim, *fig.world, params);
-  workload.AddPattern("web->db", fig.web_eu, fig.database, 100.0,
-                      connector);
+  workload.AddStreamingPattern(
+      "web->db", fig.web_eu, fig.database, RateCurve::Constant(100.0),
+      connector);
   if (admitted) {
-    workload.AddPattern("spark->db", fig.spark, fig.database, 400.0,
-                        connector);
+    workload.AddStreamingPattern(
+        "spark->db", fig.spark, fig.database, RateCurve::Constant(400.0),
+        connector);
   } else {
     // The flash crowd starts after the run: the rate stays at the base,
     // 1/100 of the envelope the candidates arrive at.
