@@ -9,6 +9,14 @@
 #include "src/sim/level_fill.h"
 
 namespace tenantnet {
+namespace {
+
+// Upper bound on how far an epoch may outrun the earliest pending event.
+// Smaller = user callbacks observe completion times sooner and shared-link
+// leases re-split more often; larger = fewer barriers.
+constexpr SimDuration kEpochQuantum = SimDuration::Millis(1);
+
+}  // namespace
 
 ShardExecutor::ShardExecutor(EventQueue& control, const Topology& topology,
                              Options opts)
@@ -572,7 +580,7 @@ uint64_t ShardExecutor::RunUntil(SimTime deadline) {
     // The epoch never outruns the next control event, so control events
     // only ever fire when every shard clock has reached their timestamp.
     SimTime epoch_end = deadline;
-    SimTime horizon = t_next + opts_.epoch_quantum;
+    SimTime horizon = t_next + kEpochQuantum;
     if (horizon < epoch_end) {
       epoch_end = horizon;
     }

@@ -27,11 +27,11 @@
 //   0. If any link's membership/demand changed (flow started/finished/
 //      cancelled, cap changed, fault toggled), recompute its lease split
 //      inside one executor-wide batch (reallocations fan out to the pool).
-//   1. Pick epoch_end = min(deadline, t_next + quantum, next control event),
-//      where t_next is the earliest pending event across every queue. The
-//      control queue (timers, workload arrivals, fault schedules) bounds the
-//      epoch, so control events only ever fire *at* an epoch boundary, when
-//      every shard clock agrees.
+//   1. Pick epoch_end = min(deadline, t_next + 1 ms quantum, next control
+//      event), where t_next is the earliest pending event across every
+//      queue. The control queue (timers, workload arrivals, fault
+//      schedules) bounds the epoch, so control events only ever fire *at*
+//      an epoch boundary, when every shard clock agrees.
 //   2. Advance all shard queues to epoch_end in parallel (a worker pool
 //      claims shards off an atomic counter). Data-plane events fire on
 //      worker threads; user-facing callbacks (completions, aborts) are NOT
@@ -98,10 +98,6 @@ class ShardExecutor final : public FlowControlSurface {
     // num_threads*, so the partition (and thus the result) does not change
     // when the thread count does.
     int num_shards = 0;
-    // Upper bound on how far an epoch may outrun the earliest pending
-    // event. Smaller = user callbacks observe completion times sooner and
-    // shared-link leases re-split more often; larger = fewer barriers.
-    SimDuration epoch_quantum = SimDuration::Millis(1);
   };
 
   // `control` is the user-facing event queue: workload timers, fault

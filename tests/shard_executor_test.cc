@@ -112,7 +112,6 @@ struct Driver {
     topo = BuildIslands(&islands);
     ShardExecutor::Options opts;
     opts.num_threads = num_threads;
-    opts.epoch_quantum = SimDuration::Millis(5);
     exec = std::make_unique<ShardExecutor>(control, topo, opts);
   }
 
@@ -582,7 +581,6 @@ struct CrossDriver {
     ShardExecutor::Options opts;
     opts.num_threads = num_threads;
     opts.num_shards = kRegions;  // cut at the WAN ring
-    opts.epoch_quantum = SimDuration::Millis(5);
     exec = std::make_unique<ShardExecutor>(control, wan.topo, opts);
   }
 
