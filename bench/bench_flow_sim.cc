@@ -115,9 +115,6 @@ void EmitJson(const char* scenario, size_t flows, uint64_t events,
       "\"events\":%llu,\"events_per_sec\":%.0f,"
       "\"reallocation_count\":%llu,"
       "\"mean_flows_touched_per_realloc\":%.1f,"
-      "\"component_p99\":%.1f,"
-      "\"fill_levels_mean\":%.2f,"
-      "\"groups_releveled_mean\":%.2f,"
       "\"fill_restarts\":%llu,\"full_fills\":%llu,"
       "\"flows_rescheduled\":%llu,"
       "\"realloc_mean_us\":%.2f,\"wall_ms\":%.1f}",
@@ -126,9 +123,6 @@ void EmitJson(const char* scenario, size_t flows, uint64_t events,
       static_cast<double>(events) / wall_seconds,
       static_cast<unsigned long long>(sim.reallocation_count()),
       sim.mean_flows_touched_per_realloc(),
-      sim.component_size_histogram().Quantile(0.99),
-      sim.fill_levels_histogram().mean(),
-      sim.groups_releveled_histogram().mean(),
       static_cast<unsigned long long>(sim.fill_restarts()),
       static_cast<unsigned long long>(sim.full_fills()),
       static_cast<unsigned long long>(sim.flows_rescheduled()),

@@ -579,9 +579,6 @@ void FlowSim::RelevelDelta(const FlowId* seed_flows, size_t seed_flow_count,
     }
   }
   if (region_links_.empty() && recompute_flows_.empty()) {
-    component_size_hist_.Record(0.0);
-    fill_levels_hist_.Record(0.0);
-    groups_releveled_hist_.Record(0.0);
     return;
   }
   for (int pass = 0;; ++pass) {
@@ -655,9 +652,6 @@ void FlowSim::RefillComponent(const FlowId* seed_flows, size_t seed_flow_count,
     }
   }
   if (region_links_.empty() && recompute_flows_.empty()) {
-    component_size_hist_.Record(0.0);
-    fill_levels_hist_.Record(0.0);
-    groups_releveled_hist_.Record(0.0);
     return;
   }
   bool clean = RunFillPass();
@@ -668,7 +662,6 @@ void FlowSim::RefillComponent(const FlowId* seed_flows, size_t seed_flow_count,
 
 bool FlowSim::RunFillPass() {
   ++pass_stamp_;
-  fill_link_freezes_ = 0;
 
   // The pass's flows are the recompute set plus every member of a region
   // link (the latter replay their recorded constraints). No explicit list
@@ -831,7 +824,6 @@ bool FlowSim::RunFillPass() {
     }
     slots_[s].frozen = 1;
     slots_[s].lambda = best_level;
-    ++fill_link_freezes_;
     for (const LinkMember& lm : link_members_[idx]) {
       LiveFlow* m = lm.live;
       if (m->frozen_stamp == pass_stamp_) {
@@ -915,13 +907,7 @@ bool FlowSim::GrowFromProbe() {
 }
 
 void FlowSim::CommitFill() {
-  component_size_hist_.Record(static_cast<double>(recompute_flows_.size()));
-  fill_levels_hist_.Record(static_cast<double>(fill_link_freezes_));
-  size_t groups_releveled = 0;
-  for (size_t idx : region_links_) {
-    groups_releveled += link_frozen_[idx] ? 1 : 0;
-  }
-  groups_releveled_hist_.Record(static_cast<double>(groups_releveled));
+  flows_touched_ += recompute_flows_.size();
 
   // Commit the new bottleneck decomposition for the region.
   for (size_t s = 0; s < region_links_.size(); ++s) {

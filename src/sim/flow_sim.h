@@ -207,29 +207,19 @@ class FlowSim final : public FlowControlSurface {
   // Completion events actually (re)scheduled; flows whose rate survived a
   // reallocation unchanged keep their event and are not counted.
   uint64_t flows_rescheduled() const override { return flows_rescheduled_; }
-  // Flows whose rate was recomputed per reallocation pass (the incremental
-  // path counts only the re-leveled groups; the scratch oracle counts the
-  // whole component).
-  const Histogram& component_size_histogram() const {
-    return component_size_hist_;
-  }
+  // Flows whose rate was recomputed, summed over every reallocation (the
+  // incremental path counts only the re-leveled groups; the scratch oracle
+  // counts the whole component), and its mean per reallocation.
+  uint64_t flows_touched() const { return flows_touched_; }
   double mean_flows_touched_per_realloc() const {
-    return component_size_hist_.mean();
+    return reallocations_ ? static_cast<double>(flows_touched_) /
+                                static_cast<double>(reallocations_)
+                          : 0;
   }
   // Wall-clock cost of each reallocation pass, in microseconds
   // (observability only; never feeds back into simulated time).
   const Histogram& realloc_micros_histogram() const {
     return realloc_micros_hist_;
-  }
-  // Bottleneck structure per reallocation: how many link levels froze in
-  // the final fill pass (the depth of the bottleneck decomposition the
-  // event had to rebuild) ...
-  const Histogram& fill_levels_histogram() const { return fill_levels_hist_; }
-  // ... and how many previously-frozen bottleneck groups the incremental
-  // region pulled in for re-leveling (0 for events that landed on
-  // unsaturated links).
-  const Histogram& groups_releveled_histogram() const {
-    return groups_releveled_hist_;
   }
   // Fill passes re-run after region growth or an external-rebind abort. A
   // high count means churn keeps straddling group boundaries — the
@@ -413,7 +403,6 @@ class FlowSim final : public FlowControlSurface {
   std::vector<size_t> seed_links_scratch_;
   std::vector<size_t> merged_links_scratch_;
   std::vector<FlowId> fallback_flows_scratch_;
-  uint32_t fill_link_freezes_ = 0;  // validated link pops, final pass
 
   // Batch state.
   uint32_t batch_depth_ = 0;
@@ -422,10 +411,8 @@ class FlowSim final : public FlowControlSurface {
   std::vector<size_t> pending_links_;         // capacity/structure dirty
   std::vector<size_t> pending_shrunk_links_;  // demand-only shrink
 
-  Histogram component_size_hist_;
+  uint64_t flows_touched_ = 0;
   Histogram realloc_micros_hist_;
-  Histogram fill_levels_hist_;
-  Histogram groups_releveled_hist_;
   uint64_t fill_restarts_ = 0;
   uint64_t full_fills_ = 0;
 };
